@@ -14,10 +14,6 @@ from .errors import CapacityError
 ENUMERATION_CAP = 1 << 24
 
 
-def input_count(q: int, n: int) -> int:
-    return q ** n
-
-
 def check_enumerable(q: int, n: int, cap: int = ENUMERATION_CAP) -> int:
     total = q ** n
     if total > cap:

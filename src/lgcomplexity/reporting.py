@@ -125,6 +125,12 @@ class CheckRecord:
     bound: float
     passed: bool
 
+    def __post_init__(self):
+        # checks compute these with numpy; plain types keep report.json serializable
+        object.__setattr__(self, "measured", float(self.measured))
+        object.__setattr__(self, "bound", float(self.bound))
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 @dataclass(frozen=True)
 class RunReport:

@@ -235,6 +235,89 @@ class TestSpectralNorm:
         assert np.allclose(dense, reference, atol=1e-10)
 
 
+def _projector_sums(coeffs, q, n):
+    """Oracle blocks sum_S coeffs[m, S] E_S from the dense Kronecker projectors."""
+    return [sum(c[s] * adv.pattern_projector(q, n, s) for s in range(1 << n)) for c in coeffs]
+
+
+_SMALL_ALPHABETS = [(q, n) for q in (2, 3, 4) for n in (1, 2, 3)]
+
+
+class TestDenseKernels:
+    """The gathered blocks and the Gram-eigenvalue norm against direct oracles."""
+
+    @pytest.mark.parametrize("flavor", adv.BASIS_FLAVORS)
+    @pytest.mark.parametrize("q,n", _SMALL_ALPHABETS)
+    def test_block_dense_matches_projector_sum(self, q, n, flavor):
+        rng = np.random.default_rng(10 * q + n)
+        side = q ** n
+        coeffs = rng.standard_normal((2, 1 << n))
+        full = _projector_sums(coeffs, q, n)
+        every = np.arange(side)
+        rows = [rng.choice(side, size=max(1, side // 2), replace=False) for _ in range(2)]
+        scales = rng.uniform(0.5, 2.0, size=2)
+        cols = rng.permutation(side)[:max(1, side - 1)]
+        cases = [
+            (adv.assemble(coeffs, q=q, n=n, flavor=flavor), [every] * 2, [1.0] * 2, every),
+            (adv.BlockOperator(coeffs, q, n, flavor=flavor, row_sets=rows,
+                               row_scales=scales, col_codes=cols), rows, scales, cols),
+        ]
+        for op, row_sets, row_scales, col_codes in cases:
+            for m in range(2):
+                block = op.block_dense(m)
+                assert block.dtype == np.float64
+                expected = full[m][np.ix_(row_sets[m], col_codes)] * row_scales[m]
+                assert np.allclose(block, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("flavor", adv.BASIS_FLAVORS)
+    @pytest.mark.parametrize("q,n", _SMALL_ALPHABETS)
+    def test_block_dense_on_bounded_instance(self, q, n, flavor):
+        cert = st.ksubset_structure(n, n)
+        inst = ar.build_bounded_instance(cert, q)
+        rng = np.random.default_rng(10 * q + n)
+        coeffs = rng.standard_normal((len(cert), 1 << n))
+        full = _projector_sums(coeffs, q, n)
+        for restrict in (True, False):
+            op = adv.assemble(coeffs, inst, n=n, flavor=flavor, restrict_columns=restrict)
+            cols = inst.y_codes if restrict else np.arange(q ** n)
+            for m, rows in enumerate(inst.x_sets):
+                scale = math.sqrt(q ** n / len(rows))
+                expected = full[m][np.ix_(rows, cols)] * scale
+                assert np.allclose(op.block_dense(m), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(40, 7), (7, 40), (25, 25)])
+    def test_dense_norm_matches_svd(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        real = rng.standard_normal(shape)
+        cases = [
+            real,
+            real + 1j * rng.standard_normal(shape),
+            np.outer(rng.standard_normal(shape[0]), rng.standard_normal(shape[1])),
+            np.zeros(shape),
+            np.zeros((0, shape[1])),
+        ]
+        for a in cases:
+            report = adv.spectral_norm(a)
+            assert (report.method, report.iterations, report.residual) == ("dense_eigen", 0, 0.0)
+            assert report.norm == pytest.approx(np.linalg.norm(a, 2), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("flavor", adv.BASIS_FLAVORS)
+    def test_restricted_operator_norm_matches_svd_of_oracle(self, flavor):
+        q, n = 3, 3
+        rng = np.random.default_rng(7)
+        coeffs = rng.standard_normal((2, 1 << n))
+        full = _projector_sums(coeffs, q, n)
+        rows = [rng.choice(q ** n, size=10, replace=False) for _ in range(2)]
+        scales = [1.5, 0.7]
+        cols = rng.choice(q ** n, size=20, replace=False)
+        op = adv.BlockOperator(coeffs, q, n, flavor=flavor, row_sets=rows,
+                               row_scales=scales, col_codes=cols)
+        oracle = np.vstack([full[m][np.ix_(rows[m], cols)] * scales[m] for m in range(2)])
+        report = adv.spectral_norm(op)
+        assert report.method == "dense_eigen"
+        assert report.norm == pytest.approx(np.linalg.norm(oracle, 2), rel=1e-12, abs=0)
+
+
 class TestHadamardMask:
     def test_norm_at_most_doubled_on_seeded_random_matrices(self):
         rng = np.random.default_rng(0)

@@ -198,6 +198,15 @@ class TestVerifyAll:
         report = json.loads(open(info["json"]).read())
         assert report["passed"] is True
 
+    def test_general_suite_report_json_loads(self, capsys, tmp_path):
+        # the general checks compare numpy values; their records must still serialize
+        code, out, _ = run(capsys, "verify-all", "--suite", "general",
+                           "--out", str(tmp_path))
+        assert code == 0
+        report = json.loads(open(json.loads(out)["json"]).read())
+        assert report["passed"] is True
+        assert report["records"]
+
     def test_bad_config_is_usage_error(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
