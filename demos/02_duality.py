@@ -37,4 +37,4 @@ cert = ksubset_structure(4, 1)
 rep = duality_report(cert)
 weights = rep.primal.weights
 heavy = sorted(weights.values, reverse=True)[:6]
-print(f"heaviest solved arcs for n=4: {[round(w, 4) for w in heavy]}")
+print(f"heaviest solved arcs for n=4: {[round(float(w), 4) for w in heavy]}")

@@ -1,4 +1,4 @@
-"""Primal and dual programs for learning-graph complexity, with heuristic solvers.
+"""Primal and dual programs for learning-graph complexity, with one solver for both.
 
 The primal assigns per-certificate unit flows p_e(M) from the empty set to the
 certificate's member sets, and arc weights w_e >= 0, minimizing
@@ -13,12 +13,15 @@ Solvers:
     the lattice with the certificate's member sets grounded as a super-sink).
     Given flows, weights take the stationary form w_e = sqrt(sum_M mu_M
     p_e(M)^2) with the multipliers mu fitted by multiplicative updates.
-  * solve_dual - projected gradient ascent with step halving on a scale-free
-    surrogate (log objective minus log power-mean of arc loads), projecting by
-    the normalization step each iteration.
+  * solve_dual - the witness carried by the solved primal: alpha_S(M) is the
+    flow-conservation multiplier nu = 2 mu_M (potential at S), zero on member
+    subsets, scaled down by the square root of its exhaustively measured arc-load
+    margin (normalize_witness).  The scaled witness is feasible by construction,
+    so by weak duality its objective is a certified lower bound whatever the
+    primal's convergence; the primal's objective is the matching upper bound.
 
-Both are validated globally by the measured duality gap, not by a convergence
-proof.
+The primal is validated globally by the certified duality gap, not by a
+convergence proof.  SolverParams.seed is accepted but no solver reads it.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ from .structures import (
     as_mask,
     mask_members,
     membership_table,
-    subset_sizes,
 )
 
 _WEIGHT_FLOOR = 1e-14
+_PRIMAL_TOLERANCE = 1e-9             # conservation residual and constraint excess
 
 
 @dataclass(frozen=True)
@@ -461,132 +464,26 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
 
 
 # ---------------------------------------------------------------------------
-# dual solver
+# dual witness
 
 
-def _load_terms(alpha: np.ndarray, n: int, low_indices, power: float):
-    """Arc loads and the gradient of log(power-mean of loads) w.r.t. alpha."""
-    grad = np.zeros_like(alpha)
-    z_total = 0.0
-    pieces = []
-    for j in range(n):
-        low = low_indices[j]
-        diff = alpha[:, low] - alpha[:, low | (1 << j)]
-        loads = np.einsum("ms,ms->s", diff, diff)
-        pieces.append((low, diff, loads))
-        z_total += float(np.sum(loads ** power))
-    if z_total <= 0:
-        return 0.0, grad
-    for j, (low, diff, loads) in enumerate(pieces):
-        weight = loads ** (power - 1)
-        contrib = 2.0 * weight[None, :] * diff
-        grad[:, low] += contrib
-        grad[:, low | (1 << j)] -= contrib
-    grad /= z_total
-    return z_total, grad
+def _multiplier_witness(cert: CertificateStructure, primal: PrimalSolution) -> DualWitness:
+    """The primal's conservation multipliers, zeroed on member subsets and normalized.
 
-
-def _ascend(alpha, member, n, low_indices, power, iterations, tolerance):
-    """Step-halved ascent on log(sum alpha_empty^2) - (1/power) log(sum load^power)."""
-    free = ~member
-    alpha = np.where(free, alpha, 0.0)
-    step = 0.5
-    margin = _arc_load_max(alpha, n)
-    if margin > 0:
-        alpha = alpha / math.sqrt(margin)
-
-    def surrogate(a):
-        obj2 = float(np.sum(a[:, 0] ** 2))
-        z = 0.0
-        for j in range(n):
-            low = low_indices[j]
-            diff = a[:, low] - a[:, low | (1 << j)]
-            loads = np.einsum("ms,ms->s", diff, diff)
-            z += float(np.sum(loads ** power))
-        if obj2 <= 0 or z <= 0:
-            return -math.inf
-        return math.log(obj2) - math.log(z) / power
-
-    current = surrogate(alpha)
-    stall = 0
-    it = -1
-    for it in range(iterations):
-        obj2 = float(np.sum(alpha[:, 0] ** 2))
-        grad = np.zeros_like(alpha)
-        if obj2 > 0:
-            grad[:, 0] = 2.0 * alpha[:, 0] / obj2
-        _, grad_soft = _load_terms(alpha, n, low_indices, power)
-        grad = np.where(free, grad - grad_soft, 0.0)
-        gnorm = float(np.linalg.norm(grad))
-        anorm = float(np.linalg.norm(alpha))
-        if gnorm == 0 or anorm == 0:
-            break
-        improved = False
-        trial_step = step
-        for _ in range(30):
-            trial = alpha + (trial_step * anorm / gnorm) * grad
-            margin = _arc_load_max(trial, n)
-            if margin > 0:
-                trial = trial / math.sqrt(margin)
-            value = surrogate(trial)
-            if value > current + 1e-15:
-                alpha, current = trial, value
-                step = min(trial_step * 1.3, 4.0)
-                improved = True
-                break
-            trial_step *= 0.5
-        if not improved:
-            stall += 1
-            step = max(step * 0.5, 1e-9)
-            if stall >= 4:
-                break
-        else:
-            stall = 0
-    return alpha, it + 1
+    The witness's info carries the primal's iterations and convergence flag, and
+    as residual the certified relative gap (primal - dual) / primal.
+    """
+    alpha = np.where(membership_table(cert), 0.0, primal.nu)
+    witness = normalize_witness(DualWitness(cert.n, alpha), cert)
+    dual = dual_objective(witness)
+    gap = (primal.objective - dual) / primal.objective if primal.objective > 0 else 0.0
+    info = SolveInfo(iterations=primal.iterations, converged=primal.converged, residual=gap)
+    return DualWitness(cert.n, witness.alpha, info=info)
 
 
 def solve_dual(cert: CertificateStructure, params: SolverParams = SolverParams()) -> DualWitness:
-    """Heuristic maximization of the witness program; deterministic given seed."""
-    n = cert.n
-    if n > LATTICE_CAP:
-        raise CapacityError(f"dual solve needs n <= {LATTICE_CAP}, got {n}")
-    member = membership_table(cert)
-    num_certs = len(cert)
-    sizes = subset_sizes(n).astype(float)
-    masks = np.arange(1 << n)
-    low_indices = [masks[(masks >> j) & 1 == 0] for j in range(n)]
-    rng = np.random.default_rng(params.seed)
-
-    budget = max(params.max_iterations, 200)
-    phase_iters = max(budget // 8, 50)
-    best_alpha = None
-    best_objective = -1.0
-    total_iterations = 0
-    for restart in range(3):
-        cone = np.maximum(1.0 - sizes / (n + 1.0), 0.0)
-        alpha0 = np.broadcast_to(cone, (num_certs, 1 << n)).copy()
-        if restart == 1:
-            alpha0 = np.maximum(math.sqrt(n) - sizes, 0.0) * np.ones((num_certs, 1))
-        if restart == 2:
-            alpha0 = alpha0 * (1.0 + 0.2 * rng.standard_normal(alpha0.shape))
-        alpha0[member] = 0.0
-        alpha = alpha0
-        for power in (4.0, 12.0, 32.0, 96.0):
-            alpha, used = _ascend(alpha, member, n, low_indices, power,
-                                  phase_iters, params.tolerance)
-            total_iterations += used
-        margin = _arc_load_max(alpha, n)
-        if margin > 0:
-            alpha = alpha / math.sqrt(margin)
-        objective = float(np.sqrt(np.sum(alpha[:, 0] ** 2)))
-        if objective > best_objective:
-            best_objective = objective
-            best_alpha = alpha
-    converged = best_objective > 0
-    info = SolveInfo(iterations=total_iterations, converged=converged,
-                     residual=0.0 if converged else math.inf)
-    witness = DualWitness(n, best_alpha, info=info)
-    return normalize_witness(witness, cert)
+    """Feasible witness from the multipliers of the solved primal; deterministic."""
+    return _multiplier_witness(cert, solve_primal(cert, params))
 
 
 @dataclass(frozen=True)
@@ -598,20 +495,39 @@ class DualityReport:
     witness: DualWitness
 
 
+def _check_primal(cert: CertificateStructure, primal: PrimalSolution) -> None:
+    """Raise ConsistencyError unless the flows conserve and every constraint is <= 1."""
+    for (m, mask), r in flow_residuals(cert, primal.flow).items():
+        if not abs(r) <= _PRIMAL_TOLERANCE:
+            raise ConsistencyError(
+                f"primal flow conservation violated: certificate index {m}, "
+                f"S={set(mask_members(mask)) or '{}'}, residual {r:.3e} "
+                f"> {_PRIMAL_TOLERANCE:g}"
+            )
+    values = primal_constraint_values(primal.flow, primal.weights)
+    for m, value in enumerate(values):
+        if not value <= 1.0 + _PRIMAL_TOLERANCE:
+            raise ConsistencyError(
+                f"primal constraint violated: certificate index {m}, "
+                f"sum p^2/w = {value:.12g}, residual {value - 1.0:.3e} "
+                f"> {_PRIMAL_TOLERANCE:g}"
+            )
+
+
 def duality_report(cert: CertificateStructure, params: SolverParams = SolverParams()) -> DualityReport:
-    """Solve both sides, assert weak duality, and report the relative gap."""
+    """Solve the primal once, check it, take its witness, and report the gap."""
     primal = solve_primal(cert, params)
-    witness = solve_dual(cert, params)
+    _check_primal(cert, primal)
+    witness = _multiplier_witness(cert, primal)
     dual = dual_objective(witness)
     if dual > primal.objective + max(params.tolerance, 1e-9):
         raise ConsistencyError(
             f"weak duality violated: dual {dual} > primal {primal.objective}"
         )
-    gap = (primal.objective - dual) / primal.objective if primal.objective > 0 else 0.0
     return DualityReport(
         primal_objective=primal.objective,
         dual_objective=dual,
-        relative_gap=gap,
+        relative_gap=witness.info.residual,
         primal=primal,
         witness=witness,
     )

@@ -1,5 +1,6 @@
 """Primal/dual program semantics, solvers, and duality gaps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as hst
 from lgcomplexity import lgsolver as lg
 from lgcomplexity import structures as st
 from lgcomplexity import witnesses as wt
-from lgcomplexity.errors import InvariantViolation, StructuralError
+from lgcomplexity.errors import ConsistencyError, InvariantViolation, StructuralError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -306,6 +307,69 @@ class TestDualityReport:
     def test_hidden_shift_weak_duality(self):
         rep = lg.duality_report(st.hidden_shift_structure(2))
         assert rep.dual_objective <= rep.primal_objective + 1e-6
+
+
+class TestMultiplierWitness:
+    @pytest.mark.parametrize("kind,params", [
+        ("ksubset", (4, 2)), ("collision", (2,)),
+        ("hidden_shift", (3,)), ("set_equality", (3,)),
+    ])
+    def test_feasible_and_tight(self, kind, params):
+        cert = st.build_named_structure(kind, params)
+        rep = lg.duality_report(cert)
+        lg.check_zero_condition(cert, rep.witness)
+        assert lg.dual_feasibility_margin(cert, rep.witness) <= 1.0 + 1e-12
+        assert 0.0 <= rep.relative_gap <= 1e-4
+
+    def test_one_primal_solve_per_report(self, monkeypatch):
+        cert = st.ksubset_structure(3, 1)
+        calls = []
+        solve = lg.solve_primal
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lg, "solve_primal", counted)
+        rep = lg.duality_report(cert)
+        assert len(calls) == 1
+        assert np.array_equal(rep.witness.alpha, lg.solve_dual(cert).alpha)
+
+    def test_info_reports_primal_and_gap(self):
+        rep = lg.duality_report(st.ksubset_structure(3, 1))
+        info = rep.witness.info
+        assert info.residual == rep.relative_gap
+        assert info.iterations == rep.primal.iterations
+        assert info.converged == rep.primal.converged
+
+    def test_perturbed_primal_flow_rejected(self, monkeypatch):
+        cert = st.ksubset_structure(3, 1)
+        solve = lg.solve_primal
+
+        def perturbed(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            values = sol.flow.values.copy()
+            values[0, st.arc_index(3, 0, 2)] += 1e-6
+            return dataclasses.replace(sol, flow=lg.FlowAssignment(3, values))
+
+        monkeypatch.setattr(lg, "solve_primal", perturbed)
+        with pytest.raises(ConsistencyError) as err:
+            lg.duality_report(cert)
+        assert "certificate index 0" in str(err.value)
+
+    def test_overloaded_primal_weights_rejected(self, monkeypatch):
+        cert = st.ksubset_structure(3, 1)
+        solve = lg.solve_primal
+
+        def shrunk(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            weights = lg.WeightAssignment(3, sol.weights.values * (1 - 1e-6))
+            return dataclasses.replace(sol, weights=weights,
+                                       objective=math.sqrt(weights.total))
+
+        monkeypatch.setattr(lg, "solve_primal", shrunk)
+        with pytest.raises(ConsistencyError, match="primal constraint violated"):
+            lg.duality_report(cert)
 
 
 @given(
