@@ -88,6 +88,7 @@ def cmd_lg(args) -> int:
     name = f"{args.kind}-{'-'.join(map(str, args.params))}"
     if args.lg_command == "primal":
         sol = lg.solve_primal(cert, params)
+        lg._check_primal(cert, sol)
         args.artifact_name = f"lg-primal-{name}"
         _emit(args, {
             "structure": name, "objective": sol.objective,

@@ -11,6 +11,10 @@ Solvers:
   * solve_primal - alternating minimization.  Given weights, each certificate's
     minimum-energy unit flow is an electrical flow (weighted-Laplacian solve on
     the lattice with the certificate's member sets grounded as a super-sink).
+    Each certificate's Laplacian pattern is built once per solve_primal call.
+    Up to _DENSE_NODE_CUT non-member subsets the system is solved dense; above
+    it by Jacobi-preconditioned CG, whose answer is kept only when the
+    recomputed residual max|L x - b| is at most 1e-12, else by sparse LU.
     Given flows, weights take the stationary form w_e = sqrt(sum_M mu_M
     p_e(M)^2) with the multipliers mu fitted by multiplicative updates.
   * solve_dual - the witness carried by the solved primal: alpha_S(M) is the
@@ -55,6 +59,9 @@ from .structures import (
 
 _WEIGHT_FLOOR = 1e-14
 _PRIMAL_TOLERANCE = 1e-9             # conservation residual and constraint excess
+_SOLVE_RESIDUAL = 1e-12              # max |L x - b| accepted from CG
+# measured per solve on 2 cores, dense vs Jacobi-CG: 0.28 vs 1.5 ms at 128 nodes, even at 256, 6 vs 1.7 ms at 512
+_DENSE_NODE_CUT = 200
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,8 @@ class SolverParams:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ParameterError(f"tolerance must be positive, got {self.tolerance}")
+        if not self.max_iterations >= 1:
+            raise ParameterError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 def _coerce_arc(n: int, arc) -> tuple[int, int]:
@@ -332,50 +341,82 @@ def normalize_witness(witness: DualWitness, cert: CertificateStructure) -> DualW
 # ---------------------------------------------------------------------------
 # primal solver
 
-def _min_energy_flow(n: int, member_row: np.ndarray, w: np.ndarray):
-    """Unit electrical flow from the empty set into the member super-sink.
+class _GroundedLaplacian:
+    """One certificate's weighted Laplacian with its member sets grounded.
 
-    Returns (per-arc flow, per-subset potential); both zero when the empty set
-    is itself a member.  Conductances are the weights; member nodes are
-    grounded, so flow conservation holds exactly at every non-member node.
+    Rows and columns are the non-member subsets.  The pattern (node order, arc
+    masks, row/column indices, CSR indices) is built once; each solve only
+    refills the conductances.
     """
-    num_arcs = arc_count(n)
-    if member_row[0]:
-        return np.zeros(num_arcs), np.zeros(1 << n)
-    src, _, dst = arc_arrays(n)
-    nodes = np.flatnonzero(~member_row)
-    pos = np.full(1 << n, -1, dtype=np.int64)
-    pos[nodes] = np.arange(len(nodes))
-    c = np.maximum(w, _WEIGHT_FLOOR * max(1.0, float(w.max(initial=0.0))))
 
-    src_in = ~member_row[src]
-    both = src_in & ~member_row[dst]
-    size = len(nodes)
-    diag = np.zeros(size)
-    np.add.at(diag, pos[src[src_in]], c[src_in])
-    np.add.at(diag, pos[dst[both]], c[both])
-    rows = pos[src[both]]
-    cols = pos[dst[both]]
-    lap = scipy.sparse.coo_matrix(
-        (
-            np.concatenate([diag, -c[both], -c[both]]),
-            (
-                np.concatenate([np.arange(size), rows, cols]),
-                np.concatenate([np.arange(size), cols, rows]),
-            ),
-        ),
-        shape=(size, size),
-    ).tocsc()
-    b = np.zeros(size)
-    b[pos[0]] = 1.0
-    if size <= 1024:
-        x = np.linalg.solve(lap.toarray(), b)
-    else:
-        x = scipy.sparse.linalg.spsolve(lap, b)
-    potential = np.zeros(1 << n)
-    potential[nodes] = x
-    p = c * (potential[src] - potential[dst])
-    return p, potential
+    def __init__(self, n: int, member_row: np.ndarray):
+        self.src, _, self.dst = arc_arrays(n)
+        self.num_subsets = 1 << n
+        self.grounded_source = bool(member_row[0])
+        self.nodes = np.flatnonzero(~member_row)
+        self.size = size = len(self.nodes)
+        pos = np.full(1 << n, -1, dtype=np.int64)
+        pos[self.nodes] = np.arange(size)
+        src_in = ~member_row[self.src]
+        both = src_in & ~member_row[self.dst]
+        self.source = pos[0]
+        # each node's diagonal sums the conductances of its out-arcs, then its in-arcs
+        self.diag_arcs = np.concatenate([np.flatnonzero(src_in), np.flatnonzero(both)])
+        self.diag_at = np.concatenate([pos[self.src[src_in]], pos[self.dst[both]]])
+        self.both = np.flatnonzero(both)
+        self.rows = pos[self.src[both]]
+        self.cols = pos[self.dst[both]]
+        if size > _DENSE_NODE_CUT:
+            all_rows = np.concatenate([np.arange(size), self.rows, self.cols])
+            all_cols = np.concatenate([np.arange(size), self.cols, self.rows])
+            self.order = np.lexsort((all_cols, all_rows))
+            self.indices = all_cols[self.order].astype(np.int32)
+            self.indptr = np.zeros(size + 1, dtype=np.int32)
+            np.cumsum(np.bincount(all_rows, minlength=size), out=self.indptr[1:])
+
+    def _solve(self, c: np.ndarray) -> np.ndarray:
+        size = self.size
+        diag = np.bincount(self.diag_at, weights=c[self.diag_arcs], minlength=size)
+        off = -c[self.both]
+        b = np.zeros(size)
+        b[self.source] = 1.0
+        if size <= _DENSE_NODE_CUT:
+            lap = np.zeros((size, size))
+            lap[self.rows, self.cols] = off
+            lap[self.cols, self.rows] = off
+            np.fill_diagonal(lap, diag)
+            return np.linalg.solve(lap, b)
+        lap = scipy.sparse.csr_matrix(
+            (np.concatenate([diag, off, off])[self.order], self.indices, self.indptr),
+            shape=(size, size),
+        )
+        x, info = scipy.sparse.linalg.cg(
+            lap, b, rtol=1e-13, atol=0.0, maxiter=size, M=scipy.sparse.diags(1.0 / diag)
+        )
+        # the conservation residual at a non-member node is exactly +-(L x - b)
+        if info != 0 or not np.max(np.abs(lap @ x - b)) <= _SOLVE_RESIDUAL:
+            x = scipy.sparse.linalg.spsolve(lap, b)
+        return x
+
+    def flow(self, w: np.ndarray):
+        """Unit electrical flow from the empty set into the member super-sink.
+
+        Returns (per-arc flow, per-subset potential); both zero when the empty
+        set is itself a member.  Conductances are the weights; member nodes
+        are grounded, so flow conservation holds at every non-member node.
+        """
+        if self.grounded_source:
+            return np.zeros(len(self.src)), np.zeros(self.num_subsets)
+        c = np.maximum(w, _WEIGHT_FLOOR * max(1.0, float(w.max(initial=0.0))))
+        potential = np.zeros(self.num_subsets)
+        potential[self.nodes] = self._solve(c)
+        p = c * (potential[self.src] - potential[self.dst])
+        return p, potential
+
+
+def _min_energy_flow(n: int, member_row: np.ndarray, w: np.ndarray):
+    """Unit electrical flow and potentials for one certificate; see _GroundedLaplacian.flow."""
+    return _GroundedLaplacian(n, member_row).flow(w)
 
 
 def _optimize_weights(p2: np.ndarray, mu: np.ndarray, inner_iterations: int = 200):
@@ -429,6 +470,7 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
     num_certs = len(cert)
     num_arcs = arc_count(n)
 
+    laplacians = [_GroundedLaplacian(n, member[m]) for m in range(num_certs)]
     w = np.ones(num_arcs)
     mu = np.ones(num_certs)
     p = np.zeros((num_certs, num_arcs))
@@ -438,8 +480,8 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
     converged = False
     iterations = 0
     for iterations in range(1, params.max_iterations + 1):
-        for m in range(num_certs):
-            p[m], potentials[m] = _min_energy_flow(n, member[m], w)
+        for m, laplacian in enumerate(laplacians):
+            p[m], potentials[m] = laplacian.flow(w)
         w, mu = _optimize_weights(p ** 2, mu)
         new_objective = math.sqrt(w.sum())
         residual = abs(new_objective - objective) / max(new_objective, 1e-30)

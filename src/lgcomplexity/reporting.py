@@ -108,6 +108,11 @@ def validate_config(doc: dict | None) -> tuple[dict, list[str]]:
             errors.append("solver.tolerance must be positive")
     except (TypeError, ValueError):
         errors.append("solver.tolerance must be a number")
+    iterations = config["solver"]["max_iterations"]
+    if isinstance(iterations, bool) or not isinstance(iterations, int):
+        errors.append("solver.max_iterations must be an integer")
+    elif iterations < 1:
+        errors.append("solver.max_iterations must be at least 1")
     normalized = json.loads(json.dumps(config, sort_keys=True))
     return normalized, errors
 

@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
+from lgcomplexity import lgsolver as lg
+from lgcomplexity import structures as st
 from lgcomplexity.cli import main
 from lgcomplexity.reporting import validate_config
 
@@ -65,6 +68,30 @@ class TestLgCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["objective"] == pytest.approx(2 ** 0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    def test_nonpositive_iteration_limit_is_usage_error(self, capsys, iterations):
+        code, out, err = run(capsys, "lg", "primal", "--kind", "ksubset",
+                             "--params", "3", "1", "--max-iterations", iterations)
+        assert code == 2
+        assert out == ""
+        assert "max_iterations" in err
+
+    def test_primal_checked_before_report(self, capsys, monkeypatch):
+        solve = lg.solve_primal
+
+        def perturbed(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            values = sol.flow.values.copy()
+            values[0, st.arc_index(3, 0, 2)] += 1e-6
+            return dataclasses.replace(sol, flow=lg.FlowAssignment(3, values))
+
+        monkeypatch.setattr(lg, "solve_primal", perturbed)
+        code, out, err = run(capsys, "lg", "primal", "--kind", "ksubset",
+                             "--params", "3", "1")
+        assert code == 2
+        assert out == ""
+        assert "conservation violated" in err
 
 
 class TestWitnessCommands:
@@ -255,6 +282,13 @@ class TestValidateConfig:
     def test_small_alphabet_reported(self):
         _, errors = validate_config({"instance": {"q": 4}})
         assert any("q >= 2|C|" in e for e in errors)
+
+    @pytest.mark.parametrize("iterations,message", [
+        (0, "at least 1"), (-3, "at least 1"), ("abc", "integer"), (2.5, "integer"),
+    ])
+    def test_bad_iteration_limit_reported(self, iterations, message):
+        _, errors = validate_config({"solver": {"max_iterations": iterations}})
+        assert any("solver.max_iterations" in e and message in e for e in errors)
 
     def test_normalization_is_deterministic(self):
         a, _ = validate_config({"suite": "arrays"})

@@ -5,13 +5,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from lgcomplexity import lgsolver as lg
 from lgcomplexity import structures as st
 from lgcomplexity import witnesses as wt
-from lgcomplexity.errors import ConsistencyError, InvariantViolation, StructuralError
+from lgcomplexity.errors import (
+    ConsistencyError,
+    InvariantViolation,
+    ParameterError,
+    StructuralError,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -370,6 +377,119 @@ class TestMultiplierWitness:
         monkeypatch.setattr(lg, "solve_primal", shrunk)
         with pytest.raises(ConsistencyError, match="primal constraint violated"):
             lg.duality_report(cert)
+
+
+def direct_flow(n: int, member_row: np.ndarray, w: np.ndarray):
+    """Reference electrical flow: the grounded Laplacian summed arc by arc, sparse LU solve."""
+    src, _, dst = st.arc_arrays(n)
+    c = np.maximum(w, 1e-14 * max(1.0, float(w.max())))
+    nodes = np.flatnonzero(~member_row)
+    pos = np.full(1 << n, -1)
+    pos[nodes] = np.arange(len(nodes))
+    u, v = pos[src], pos[dst]
+    entries = []  # (row, col, value); members are upward closed, so v >= 0 implies u >= 0
+    for keep, rows, cols, sign in ((u >= 0, u, u, 1.0), (v >= 0, v, v, 1.0),
+                                   (v >= 0, u, v, -1.0), (v >= 0, v, u, -1.0)):
+        entries.append((rows[keep], cols[keep], sign * c[keep]))
+    rows, cols, values = (np.concatenate(part) for part in zip(*entries))
+    size = len(nodes)
+    lap = scipy.sparse.coo_matrix((values, (rows, cols)), shape=(size, size)).tocsc()
+    b = np.zeros(size)
+    b[pos[0]] = 1.0
+    potential = np.zeros(1 << n)
+    potential[nodes] = scipy.sparse.linalg.spsolve(lap, b)
+    return c * (potential[src] - potential[dst]), potential
+
+
+def assert_close_relative(actual, expected, rtol):
+    scale = float(np.abs(expected).max())
+    assert float(np.abs(actual - expected).max()) <= rtol * scale
+
+
+class TestLaplacianSolve:
+    """Above the dense cut, Jacobi-CG with a residual-checked sparse LU fallback."""
+
+    N = 10  # ksubset(10,1): 512 non-member subsets per certificate
+
+    def weights(self, spread: bool) -> np.ndarray:
+        rng = np.random.default_rng(7)
+        num_arcs = st.arc_count(self.N)
+        return 10.0 ** rng.uniform(-10, 0, num_arcs) if spread else np.ones(num_arcs)
+
+    def test_lattice_is_above_the_dense_cut(self):
+        member = st.membership_table(st.ksubset_structure(self.N, 1))
+        assert int((~member[0]).sum()) > lg._DENSE_NODE_CUT
+
+    @pytest.mark.parametrize("spread", [False, True], ids=["uniform", "spread-1e-10"])
+    def test_cg_matches_direct_solve(self, spread):
+        n = self.N
+        cert = st.ksubset_structure(n, 1)
+        member = st.membership_table(cert)
+        w = self.weights(spread)
+        flows = []
+        for m in range(len(cert)):
+            p, potential = lg._min_energy_flow(n, member[m], w)
+            p_ref, potential_ref = direct_flow(n, member[m], w)
+            assert_close_relative(p, p_ref, 1e-10)
+            assert_close_relative(potential, potential_ref, 1e-10)
+            flows.append(p)
+        residuals = lg.flow_residuals(cert, lg.FlowAssignment(n, np.stack(flows)))
+        assert max(abs(r) for r in residuals.values()) <= 1e-12
+
+    @staticmethod
+    def count_direct_solves(monkeypatch) -> list:
+        calls = []
+        spsolve = scipy.sparse.linalg.spsolve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return spsolve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counted)
+        return calls
+
+    @pytest.mark.parametrize("spread", [False, True], ids=["uniform", "spread-1e-10"])
+    def test_cg_answer_accepted(self, monkeypatch, spread):
+        calls = self.count_direct_solves(monkeypatch)
+        member = st.membership_table(st.ksubset_structure(self.N, 1))
+        lg._min_energy_flow(self.N, member[0], self.weights(spread))
+        assert not calls
+
+    @pytest.mark.parametrize("failure", ["info", "wrong-x"])
+    def test_fallback_gives_the_direct_solve(self, monkeypatch, failure):
+        cg = scipy.sparse.linalg.cg
+
+        def failing(A, b, **kwargs):
+            x, info = cg(A, b, **kwargs)
+            if failure == "info":
+                return x, 1
+            x = x.copy()
+            x[0] *= 1.0 + 1e-6  # a converged-looking answer that is wrong
+            return x, 0
+
+        monkeypatch.setattr(scipy.sparse.linalg, "cg", failing)
+        calls = self.count_direct_solves(monkeypatch)
+        n = self.N
+        member = st.membership_table(st.ksubset_structure(n, 1))
+        w = self.weights(False)
+        p, potential = lg._min_energy_flow(n, member[0], w)
+        assert len(calls) == 1
+        p_ref, potential_ref = direct_flow(n, member[0], w)
+        assert_close_relative(p, p_ref, 1e-10)
+        assert_close_relative(potential, potential_ref, 1e-10)
+
+    def test_reference_objective_ksubset_12_1(self):
+        cert = st.ksubset_structure(12, 1)
+        sol = lg.solve_primal(cert, lg.SolverParams(max_iterations=2))
+        assert sol.objective == pytest.approx(4.091815722046466, rel=1e-12)
+        lg._check_primal(cert, sol)
+
+
+class TestSolverParams:
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_nonpositive_iteration_limit_rejected(self, iterations):
+        with pytest.raises(ParameterError, match="max_iterations"):
+            lg.SolverParams(max_iterations=iterations)
 
 
 @given(
