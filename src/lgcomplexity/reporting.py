@@ -531,7 +531,7 @@ def _general_checks(config):
         beta = adv.difference_coefficients(witness, 1)
         worst = 0.0
         for m in range(len(cert)):
-            classes = fo.equivalence_classes(inst, m, beta, cap=1 << 24)
+            classes = fo.equivalence_classes(inst, m, beta)
             for cls in classes[:64]:
                 block = fo._class_gap_matrix(inst, m, beta[m], cls)
                 for r, vr in enumerate(cls.members):

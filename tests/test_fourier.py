@@ -1,6 +1,7 @@
 """Character sums, low-bias sets, overlaps, and the product-alphabet gap."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lgcomplexity import lgsolver as lg
 from lgcomplexity import structures as st
 from lgcomplexity import witnesses as wt
 from lgcomplexity.errors import CapacityError, ParameterError
+from lgcomplexity.indexing import all_inputs, decode
 
 
 class TestFourierBias:
@@ -373,3 +375,125 @@ class TestRestrictionGap:
         ))
         with pytest.raises(CapacityError):
             fo.restriction_gap(inst, witness, 1, 0)
+
+
+def _full_scan_grid(instance):
+    """All q^n digit rows in code order, with each row's support mask."""
+    digits = all_inputs(instance.q, instance.n, 1 << 24)
+    support_masks = np.zeros(len(digits), dtype=np.int64)
+    for j in range(instance.n):
+        support_masks |= (digits[:, j] != 0).astype(np.int64) << j
+    return digits, support_masks
+
+
+def _classes_by_full_scan(instance, m, beta, grid=None):
+    """Oracle: decode all q^n inputs, keep the nonzero-coefficient ones in code order."""
+    q = instance.q
+    beta_row = np.asarray(beta)[m]
+
+    def support_ok(mask):
+        return beta_row[mask] != 0
+
+    digits, support_masks = grid if grid is not None else _full_scan_grid(instance)
+    keep = beta_row[support_masks] != 0
+    symbols = [tuple(decode([c], instance.p, instance.ell)[0].tolist()) for c in range(q)]
+    classes = []
+    done = set()
+    for code in np.flatnonzero(keep):
+        v = tuple(symbols[d] for d in digits[code])
+        if v in done:
+            continue
+        cls = fo._class_of(instance, m, v, support_ok)
+        done.update(cls.members)
+        classes.append(cls)
+    return classes
+
+
+def _two_set_witness(cert):
+    """Witness of test_big_support_over_cap_refused: supported on |S| <= 2."""
+    alpha = np.maximum(3.0 - st.subset_sizes(4).astype(float), 0.0)
+    return lg.DualWitness(4, np.where(st.membership_table(cert), 0.0, alpha[None, :]))
+
+
+def _enumerated_count(instance, beta_row):
+    return sum((instance.q - 1) ** int(s).bit_count() for s in np.flatnonzero(beta_row))
+
+
+class TestSupportEnumeration:
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_matches_full_scan_on_hidden_shift(self, p):
+        cert = st.hidden_shift_structure(2)
+        witness = wt.hidden_shift_witness(2)
+        inst = fo.build_general_instance(cert, p, seed=0)
+        grid = _full_scan_grid(inst)
+        for j in (1, 2):
+            beta = adv.difference_coefficients(witness, j)
+            for m in (0, 1):
+                assert fo.equivalence_classes(inst, m, beta) == \
+                    _classes_by_full_scan(inst, m, beta, grid)
+
+    def test_matches_full_scan_on_single_component(self):
+        cert = st.CertificateStructure(3, (st.Certificate.from_sets([(1, 2)]),))
+        inst = fo.GeneralInstance(
+            cert=cert, p=5, ell=1, biased_set=fo.random_low_bias_set(5, 0.2, seed=0)
+        )
+        witness = lg.DualWitness(3, np.where(
+            st.membership_table(cert), 0.0,
+            np.maximum(2.0 - st.subset_sizes(3).astype(float), 0.0)[None, :],
+        ))
+        beta = adv.difference_coefficients(witness, 3)
+        assert fo.equivalence_classes(inst, 0, beta) == _classes_by_full_scan(inst, 0, beta)
+
+    def test_matches_full_scan_on_two_set_supports(self):
+        cert = st.hidden_shift_structure(2)
+        inst = fo.build_general_instance(cert, 4, seed=0)
+        beta = adv.difference_coefficients(_two_set_witness(cert), 1)
+        classes = fo.equivalence_classes(inst, 0, beta)
+        assert classes == _classes_by_full_scan(inst, 0, beta)
+        assert sum(len(cls) for cls in classes) == _enumerated_count(inst, beta[0])
+
+    def test_partition_beyond_int64_codes(self):
+        # q^n = 4096^6 = 2^72: digit codes would wrap in int64
+        cert = st.hidden_shift_structure(3)
+        inst = fo.build_general_instance(cert, 16, seed=0)
+        assert inst.q ** inst.n > 2 ** 63
+        beta = adv.difference_coefficients(wt.hidden_shift_witness(3), 2)
+        classes = fo.equivalence_classes(inst, 0, beta)
+        members = [member for cls in classes for member in cls.members]
+        assert len(members) == _enumerated_count(inst, beta[0]) == 20476
+        assert len(set(members)) == len(members)
+        assert all(beta[0][fo._vector_support_mask(v)] != 0 for v in members)
+        representatives = [cls.representative for cls in classes]
+        assert representatives == sorted(representatives)
+
+    def test_cap_counts_enumerated_vectors(self):
+        cert = st.hidden_shift_structure(2)
+        inst = fo.build_general_instance(cert, 64, seed=0)
+        beta = adv.difference_coefficients(_two_set_witness(cert), 1)
+        assert _enumerated_count(inst, beta[0]) == 33550336
+        started = time.perf_counter()
+        with pytest.raises(CapacityError):
+            fo.equivalence_classes(inst, 0, beta)
+        assert time.perf_counter() - started < 0.1
+
+    def test_small_supports_accepted_beyond_q_to_the_n(self):
+        cert = st.hidden_shift_structure(2)
+        inst = fo.build_general_instance(cert, 16, seed=0)
+        assert inst.q ** inst.n > fo._BRUTE_CAP
+        beta = adv.difference_coefficients(wt.hidden_shift_witness(2), 1)
+        classes = fo.equivalence_classes(inst, 0, beta)
+        assert sum(len(cls) for cls in classes) == _enumerated_count(inst, beta[0])
+
+    @pytest.mark.parametrize("p", [16, 32, 64])
+    def test_closed_form_matches_exhaustive_gap(self, p):
+        cert = st.hidden_shift_structure(2)
+        witness = wt.hidden_shift_witness(2)
+        inst = fo.build_general_instance(cert, p, seed=0)
+        beta = adv.difference_coefficients(witness, 1)
+        for m in (0, 1):
+            exhaustive = max(
+                float(np.linalg.norm(fo._class_gap_matrix(inst, m, beta[m], cls), 2))
+                for cls in fo.equivalence_classes(inst, m, beta) if len(cls) > 1
+            )
+            closed = fo.restriction_gap(inst, witness, 1, m)
+            assert closed == pytest.approx(exhaustive, abs=1e-12)
