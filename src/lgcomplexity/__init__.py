@@ -74,7 +74,6 @@ from .adversary import (
     AdversaryReport,
     BlockOperator,
     LabeledMatrix,
-    MaskedOperator,
     SpectralReport,
     UnitBasis,
     adversary_ratio,

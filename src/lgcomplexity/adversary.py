@@ -8,33 +8,46 @@ set X_M (scaled by sqrt(q^n/|X_M|)) and columns to the negative set Y yields an
 adversary matrix whose spectral norm, against the norms of its coordinate-
 masked versions, certifies a query lower bound.
 
-Within the dense cap a block is gathered entry by entry: E_S[x, y] depends
-only on which coordinates of x and y agree, E_S[x, y] = prod_{j in S}
-([x_j = y_j] - 1/q) * q^-(n-|S|), so each block is a table over the 2^n
-equality patterns indexed by the pattern of every (row, column) pair.  It is
-real and independent of the basis flavor.  A dense norm is sigma_max =
-sqrt(lambda_max) of the smaller Gram matrix, accurate to order eps relative
-like an SVD.  Above the cap the implicit operators apply the blocks in the
-unit basis.
+Every block entry depends only on which coordinates of x and y agree:
+E_S[x, y] = prod_{j in S} ([x_j = y_j] - 1/q) * q^-(n-|S|).  Three per-axis
+2 x 2 transforms of the 2^n coefficients follow from that, and one
+`BlockOperator` serves every norm of the pipeline:
+
+- the pattern table g[e], the block entry for the equality bitmask e;
+- the Moebius coefficients d with sum_S c_S E_S = sum_U d_U A_U, where A_U
+  averages over the coordinates outside U and broadcasts back, which is how
+  a block is applied without a basis in about 3n (q+1)^n flops;
+- the inverse of the table, so the coordinate mask "x_j != y_j" (the table
+  with bit j zeroed) is again a `BlockOperator`.
+
+The blocks are real and symmetric, so the transpose applies the same blocks.
+A `BlockOperator`'s norm comes from ARPACK (scipy's `eigsh` on the smaller
+Gram side, as `svds` does, with seeded draws) at every size and fails loudly
+when ARPACK does not converge.  Dense matrices (`dense`,
+`block_dense`, `pattern_projector`, `LabeledMatrix`) stay as the test oracle
+within `DENSE_SIDE_CAP`; their norm is sqrt(lambda_max) of the smaller Gram
+matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import (
     CapacityError,
+    ConsistencyError,
     InvariantViolation,
     ParameterError,
     StructuralError,
 )
 from .arrays import HardInstance, verify_orthogonality_property
-from .indexing import decode
+from .indexing import ENUMERATION_CAP, check_enumerable, decode
 from .lgsolver import DualWitness, dual_feasibility_margin
 from .structures import (
     CertificateStructure,
@@ -107,27 +120,53 @@ def pattern_projector(q: int, n: int, subset_mask: int) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-@lru_cache(maxsize=16)
-def _unit_basis(q: int, flavor: str) -> np.ndarray:
-    """The read-only basis matrix of build_basis, built and checked once per (q, flavor)."""
-    return build_basis(q, flavor).matrix
+def _pattern_matrix(q: int) -> np.ndarray:
+    """f[b, s]: the entry of E_0 (s = 0) or E_1 (s = 1) where digits differ (b = 0) or agree."""
+    return np.array([[1.0 / q, -1.0 / q],
+                     [1.0 / q, 1.0 - 1.0 / q]])
 
 
-def _pattern_table(coeffs: np.ndarray, q: int, n: int) -> np.ndarray:
-    """g[e] = sum_S coeffs[S] E_S[x, y] for any x, y whose equality bitmask is e.
+# d_U = sum_{S >= U} (-1)^{|S - U|} c_S, from E_1 = I - E_0 on every coordinate of S
+_MOEBIUS = np.array([[1.0, -1.0],
+                     [0.0, 1.0]])
 
-    E_S[x, y] = prod_{j in S} ([x_j = y_j] - 1/q) * q^-(n-|S|): per coordinate
-    the entry is E_1's if j is in S, E_0's otherwise, and both depend only on
-    whether the digits agree.  So g is coeffs under the n-fold tensor power of
-    f[b, s] (b the equality bit, s the membership bit), applied one axis at a
-    time in O(n 2^n).  f is the same on every axis, so the axis order is moot.
+
+def _per_axis(mat: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """mat applied to each of the n subset bits of coeffs' last axis (length 2^n).
+
+    Applied with the pattern matrix f, this turns coefficients c into the
+    pattern table g[e] = sum_S c_S E_S[x, y] for every x, y whose equality
+    bitmask is e, in O(n 2^n); with f's inverse it turns a table back into
+    coefficients; with _MOEBIUS it gives the Moebius coefficients d.  The
+    matrix is the same on every bit, so the order of the axes is moot.
     """
-    f = np.array([[1.0 / q, -1.0 / q],
-                  [1.0 / q, 1.0 - 1.0 / q]])
-    t = coeffs.reshape((2,) * n)
-    for axis in range(n):
-        t = np.moveaxis(np.tensordot(f, t, axes=(1, axis)), 0, axis)
-    return t.reshape(-1)
+    lead = coeffs.shape[:-1]
+    t = coeffs.reshape(lead + (2,) * n)
+    for axis in range(len(lead), len(lead) + n):
+        t = np.moveaxis(np.tensordot(mat, t, axes=(1, axis)), 0, axis)
+    return t.reshape(lead + (1 << n,))
+
+
+def _average_out(x: np.ndarray, q: int, n: int) -> np.ndarray:
+    """(..., q^n) -> (..., (q+1)^n): each variable's axis gains its mean as index q.
+
+    Entry (i_1, .., i_n) is then (A_U x) at the digits i_j for j in U, where
+    U = {j : i_j < q} and A_U averages over the variables outside U.
+    """
+    lead = x.shape[:-1]
+    t = x.reshape(lead + (q,) * n)
+    for axis in range(len(lead), len(lead) + n):
+        t = np.concatenate([t, t.sum(axis=axis, keepdims=True) / q], axis=axis)
+    return t
+
+
+def _spread_back(t: np.ndarray, n: int) -> np.ndarray:
+    """Adjoint gather of _average_out's layout: out[x] = sum_U t[x on U, mean elsewhere]."""
+    lead = t.shape[:t.ndim - n]
+    for axis in range(len(lead), len(lead) + n):
+        head = (slice(None),) * axis
+        t = t[head + (slice(-1),)] + t[head + (slice(-1, None),)]
+    return t.reshape(lead + (-1,))
 
 
 def _equality_masks(row_codes: np.ndarray, col_codes: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -136,18 +175,6 @@ def _equality_masks(row_codes: np.ndarray, col_codes: np.ndarray, q: int, n: int
     masks = np.zeros((len(rows), len(cols)), dtype=np.min_scalar_type((1 << n) - 1))
     for j in range(n):  # decode column j is variable j + 1, i.e. bit j
         masks |= (rows[:, j, None] == cols[None, :, j]).astype(masks.dtype) << j
-    return masks
-
-
-@lru_cache(maxsize=16)
-def _eigen_subset_masks(q: int, n: int) -> np.ndarray:
-    """For each eigen index v in [q]^n, the bitmask of coordinates with v_j != 0."""
-    digits = decode(np.arange(q ** n), q, n)
-    bits = (digits != 0).astype(np.int64)
-    masks = np.zeros(q ** n, dtype=np.int64)
-    for j in range(n):
-        masks |= bits[:, j] << j
-    masks.setflags(write=False)
     return masks
 
 
@@ -175,52 +202,7 @@ class SpectralReport:
     norm: float
     iterations: int
     residual: float
-    method: str  # "dense_eigen" | "power_iteration"
-
-
-def _power_run(matvec, rmatvec, start: np.ndarray, tolerance: float, max_iterations: int):
-    v = start / np.linalg.norm(start)
-    sigma = 0.0
-    stable = 0
-    for it in range(1, max_iterations + 1):
-        av = matvec(v)
-        new_sigma = float(np.linalg.norm(av))
-        if new_sigma == 0.0:
-            return 0.0, it, 0.0
-        w = rmatvec(av)
-        wnorm = float(np.linalg.norm(w))
-        if wnorm == 0.0:
-            return new_sigma, it, abs(new_sigma - sigma)
-        v = w / wnorm
-        change = abs(new_sigma - sigma)
-        sigma = new_sigma
-        # demand sustained stability: a single tiny increment can just be slow
-        # convergence towards a different singular value
-        stable = stable + 1 if change <= tolerance * max(new_sigma, 1.0) else 0
-        if stable >= 3 and it >= 10:
-            return sigma, it, change
-    return sigma, max_iterations, math.inf
-
-
-def _power_iteration(matvec, rmatvec, num_cols: int, tolerance: float, max_iterations: int = 5000):
-    """Largest singular value from two deterministic starts.
-
-    The all-ones start alone is blind to top singular subspaces that are
-    orthogonal to it (masked operators routinely have mean-zero singular
-    vectors), so a fixed oscillating start is run as well and the larger
-    estimate wins.
-    """
-    ones = np.ones(num_cols)
-    ramp = np.sin(np.arange(1, num_cols + 1, dtype=float)) + 0.5
-    best = (0.0, 0, 0.0)
-    total_iterations = 0
-    for start in (ones, ramp):
-        norm, used, residual = _power_run(matvec, rmatvec, start, tolerance,
-                                          max_iterations)
-        total_iterations += used
-        if norm > best[0]:
-            best = (norm, used, residual)
-    return best[0], total_iterations, best[2]
+    method: str  # "dense_eigen" | "arpack"
 
 
 @dataclass(frozen=True)
@@ -247,25 +229,43 @@ class BlockOperator:
     Rows are (input, certificate) pairs; when a hard instance is attached each
     block keeps only rows in X_M with scale sqrt(q^n/|X_M|), and columns are
     either all inputs or the negative set Y.
+
+    Applied without a basis: block m is sum_U d_U A_U with d the Moebius
+    coefficients, so one application averages the input over the variables
+    outside every U at once (`_average_out`), weights each entry by its d_U
+    and sums the broadcasts back (`_spread_back`).  Each block is real and
+    symmetric, so `rmatvec` applies the same blocks.
     """
 
     def __init__(self, coeffs: np.ndarray, q: int, n: int,
-                 flavor: str = "real_householder",
                  row_sets: Sequence[np.ndarray] | None = None,
                  row_scales: Sequence[float] | None = None,
                  col_codes: np.ndarray | None = None):
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != 2 or coeffs.shape[1] != (1 << n):
             raise StructuralError(f"coefficients must have shape (certificates, {1 << n})")
+        side = check_enumerable(q, n)
+        if (q + 1) ** n > ENUMERATION_CAP:
+            raise CapacityError(f"applying blocks needs (q+1)^n = {q + 1}^{n} entries, "
+                                f"over the enumeration cap {ENUMERATION_CAP}")
         self.coeffs = coeffs
         self.q = q
         self.n = n
-        self.flavor = flavor
-        self.row_sets = None if row_sets is None else [np.asarray(r, dtype=np.int64) for r in row_sets]
-        self.row_scales = None if row_scales is None else [float(s) for s in row_scales]
-        self.col_codes = (np.arange(q ** n, dtype=np.int64) if col_codes is None
-                          else np.asarray(col_codes, dtype=np.int64))
-        self._columns_restricted = col_codes is not None
+        every = np.arange(side, dtype=np.int64)
+        self.row_sets = ([every] * len(coeffs) if row_sets is None
+                         else [np.asarray(r, dtype=np.int64) for r in row_sets])
+        self.row_scales = ([1.0] * len(coeffs) if row_scales is None
+                           else [float(s) for s in row_scales])
+        self.col_codes = every if col_codes is None else np.asarray(col_codes, dtype=np.int64)
+        # d_U per certificate on _average_out's layout: axis j is variable j
+        # (bit j-1 of U, so the C-order bit axes are reversed), its digit
+        # indices 0..q-1 have j in U and its mean index q has j outside U
+        weights = _per_axis(_MOEBIUS, coeffs, n).reshape((len(coeffs),) + (2,) * n)
+        weights = weights.transpose((0,) + tuple(range(n, 0, -1)))
+        in_u = np.r_[np.ones(q, dtype=np.int64), 0]
+        for axis in range(1, n + 1):
+            weights = np.take(weights, in_u, axis=axis)
+        self._weights = weights
 
     @property
     def num_certificates(self) -> int:
@@ -273,46 +273,29 @@ class BlockOperator:
 
     @property
     def shape(self) -> tuple[int, int]:
-        if self.row_sets is None:
-            rows = self.num_certificates * self.q ** self.n
-        else:
-            rows = sum(len(r) for r in self.row_sets)
-        return rows, len(self.col_codes)
+        return sum(len(r) for r in self.row_sets), len(self.col_codes)
 
     def row_labels(self) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated (input code, certificate index) labels in block order."""
-        if self.row_sets is None:
-            per = self.q ** self.n
-            codes = np.tile(np.arange(per, dtype=np.int64), self.num_certificates)
-            certs = np.repeat(np.arange(self.num_certificates), per)
-        else:
-            codes = np.concatenate(self.row_sets) if self.row_sets else np.empty(0, np.int64)
-            certs = np.concatenate([
-                np.full(len(r), m, dtype=np.int64) for m, r in enumerate(self.row_sets)
-            ])
-        return codes, certs
-
-    def _eigenvalues(self, m: int) -> np.ndarray:
-        return self.coeffs[m, _eigen_subset_masks(self.q, self.n)]
+        if not self.row_sets:
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        certs = [np.full(len(r), m, dtype=np.int64) for m, r in enumerate(self.row_sets)]
+        return np.concatenate(self.row_sets), np.concatenate(certs)
 
     def block_dense(self, m: int) -> np.ndarray:
-        """Block m restricted to its rows and columns, as a real array.
+        """Block m restricted to its rows and columns, as a real array (test oracle).
 
         Gathered from the equality-pattern table: entry (x, y) is
         g_m[e(x, y)] times the row scale, where e(x, y) is the bitmask of
         coordinates on which x and y agree.  The cost is O(n |rows| |cols|)
-        with no q^n x q^n intermediate, and the block is the same for every
-        basis flavor.
+        with no q^n x q^n intermediate.
         """
         side = self.q ** self.n
         if side > DENSE_SIDE_CAP:
             raise CapacityError(f"dense block needs q^n <= {DENSE_SIDE_CAP}, got {side}")
-        table = _pattern_table(self.coeffs[m], self.q, self.n)
-        if self.row_sets is None:
-            rows, scale = np.arange(side, dtype=np.int64), 1.0
-        else:
-            rows, scale = self.row_sets[m], self.row_scales[m]
-        return table[_equality_masks(rows, self.col_codes, self.q, self.n)] * scale
+        table = _per_axis(_pattern_matrix(self.q), self.coeffs[m], self.n)
+        masks = _equality_masks(self.row_sets[m], self.col_codes, self.q, self.n)
+        return table[masks] * self.row_scales[m]
 
     def dense(self) -> np.ndarray:
         return np.vstack([self.block_dense(m) for m in range(self.num_certificates)])
@@ -321,43 +304,21 @@ class BlockOperator:
         codes, _ = self.row_labels()
         return LabeledMatrix(self.dense(), self.q, self.n, codes, self.col_codes.copy())
 
-    # implicit application, used above the dense cap
-    def _apply_full(self, vec: np.ndarray, m: int) -> np.ndarray:
-        u = _unit_basis(self.q, self.flavor)
-        shape = (self.q,) * self.n
-        t = vec.reshape(shape)
-        for axis in range(self.n):
-            t = np.moveaxis(np.tensordot(u.conj().T, t, axes=(1, axis)), 0, axis)
-        t = (t.reshape(-1) * self._eigenvalues(m)).reshape(shape)
-        for axis in range(self.n):
-            t = np.moveaxis(np.tensordot(u, t, axes=(1, axis)), 0, axis)
-        return t.reshape(-1)
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.q ** self.n, dtype=complex if self.flavor == "fourier" else float)
+        full = np.zeros(self.q ** self.n)
         full[self.col_codes] = v
-        out = []
-        for m in range(self.num_certificates):
-            img = self._apply_full(full, m)
-            if self.row_sets is not None:
-                img = img[self.row_sets[m]] * self.row_scales[m]
-            out.append(img)
-        return np.concatenate(out)
+        images = _spread_back(self._weights * _average_out(full, self.q, self.n), self.n)
+        return np.concatenate([images[m, rows] * scale for m, (rows, scale)
+                               in enumerate(zip(self.row_sets, self.row_scales))])
 
-    def rmatvec(self, u_vec: np.ndarray) -> np.ndarray:
-        acc = np.zeros(self.q ** self.n, dtype=complex if self.flavor == "fourier" else float)
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        full = np.zeros((self.num_certificates, self.q ** self.n))
         offset = 0
-        for m in range(self.num_certificates):
-            rows = (self.q ** self.n if self.row_sets is None else len(self.row_sets[m]))
-            seg = u_vec[offset:offset + rows]
-            offset += rows
-            full = np.zeros_like(acc)
-            if self.row_sets is None:
-                full[:] = seg
-            else:
-                full[self.row_sets[m]] = seg * self.row_scales[m]
-            acc += self._apply_full(full.conj(), m).conj()
-        return acc[self.col_codes]
+        for m, (rows, scale) in enumerate(zip(self.row_sets, self.row_scales)):
+            full[m, rows] = u[offset:offset + len(rows)] * scale
+            offset += len(rows)
+        t = (self._weights * _average_out(full, self.q, self.n)).sum(axis=0)
+        return _spread_back(t, self.n)[self.col_codes]
 
 
 def assemble(
@@ -366,7 +327,6 @@ def assemble(
     *,
     q: int | None = None,
     n: int | None = None,
-    flavor: str = "real_householder",
     restrict_columns: bool = True,
     verify_orthogonality: bool = True,
 ) -> BlockOperator:
@@ -384,7 +344,7 @@ def assemble(
     if instance is None:
         if q is None:
             raise ParameterError("q is required when no instance is given")
-        return BlockOperator(coeffs, q, wit_n, flavor=flavor)
+        return BlockOperator(coeffs, q, wit_n)
 
     if instance.n != wit_n:
         raise StructuralError(
@@ -409,7 +369,7 @@ def assemble(
     scales = [math.sqrt(total / len(instance.x_sets[m])) for m in range(len(instance.cert))]
     col_codes = instance.y_codes if restrict_columns else None
     return BlockOperator(
-        coeffs, instance.q, wit_n, flavor=flavor,
+        coeffs, instance.q, wit_n,
         row_sets=instance.x_sets, row_scales=scales, col_codes=col_codes,
     )
 
@@ -431,86 +391,106 @@ def _dense_norm(a: np.ndarray) -> SpectralReport:
     return SpectralReport(norm=norm, iterations=0, residual=0.0, method="dense_eigen")
 
 
+def _arpack_norm(op: BlockOperator, tolerance: float) -> SpectralReport:
+    """sigma_max of a block operator by ARPACK (scipy's eigsh) on its smaller Gram side.
+
+    This is scipy's svds(k=1) with every random draw seeded.  The start vector
+    is fixed pseudo-random, because a structured start such as the all-ones
+    vector can be orthogonal to the top singular subspace.  ARPACK asks for a
+    fresh random vector whenever the Krylov space turns invariant, which the
+    symmetric blocks make common (8 to 13 times in one adversary report of
+    ksubset(3,2) at q = 8 to 16), and svds draws it from an unseeded
+    generator, so its results could differ from run to run.  `iterations`
+    counts every application of A or A^T; `residual` is
+    max(|A v - s u|, |A^T u - s v|) / s of the returned triple.  Without
+    ARPACK: a zero operator or an empty side gives 0.0, and a side of length
+    1 gives the norm of one application.
+    """
+    rows, cols = op.shape
+    applications = 0
+    last_input = None
+
+    def count(apply):
+        def counted(x):
+            nonlocal applications
+            applications += 1
+            return apply(np.ravel(x))
+        return counted
+
+    # the Gram side is the smaller one: A^T A on columns or A A^T on rows
+    first, second = count(op.matvec), count(op.rmatvec)
+    if rows < cols:
+        first, second = second, first
+
+    def gram(x):
+        nonlocal last_input
+        last_input = np.ravel(x)
+        return second(first(last_input))
+
+    def triple(x):
+        """sigma = |first(x)| for unit x, and the residual of (u, sigma, v) built from it."""
+        x = x / np.linalg.norm(x)
+        image = first(x)
+        sigma = float(np.linalg.norm(image))
+        misfit = float(np.linalg.norm(second(image) - sigma ** 2 * x))
+        return sigma, misfit / sigma ** 2 if sigma else misfit
+
+    side = min(rows, cols)
+    if side == 0 or not op.coeffs.any():
+        return SpectralReport(norm=0.0, iterations=0, residual=0.0, method="arpack")
+    if side == 1:
+        norm = float(np.linalg.norm(first(np.ones(1))))
+        return SpectralReport(norm=norm, iterations=1, residual=0.0, method="arpack")
+    linear = LinearOperator((side, side), matvec=gram, dtype=float)
+    try:
+        _, vectors = eigsh(linear, k=1, tol=tolerance ** 2,
+                           v0=np.random.default_rng(0).standard_normal(side),
+                           rng=np.random.default_rng(1))
+    except (ArpackNoConvergence, ArpackError) as exc:
+        used = applications
+        last = math.inf if last_input is None else triple(last_input)[1]
+        raise ConsistencyError(
+            f"ARPACK did not converge on the {rows} x {cols} operator after "
+            f"{used} applications (last residual {last:.3g}): {exc}"
+        ) from exc
+    norm, residual = triple(vectors[:, 0])
+    return SpectralReport(norm=norm, iterations=applications, residual=residual, method="arpack")
+
+
 def spectral_norm(op, tolerance: float = 1e-9) -> SpectralReport:
-    """Largest singular value: dense Gram eigenvalue when small, else power iteration."""
+    """Largest singular value: dense Gram eigenvalue for arrays, ARPACK for block operators."""
     if isinstance(op, LabeledMatrix):
         op = op.matrix
     if isinstance(op, np.ndarray):
         return _dense_norm(op)
-    if isinstance(op, MaskedOperator):
-        norm, iterations, residual = _power_iteration(
-            op.matvec, op.rmatvec, op.shape[1], tolerance
-        )
-        return SpectralReport(norm=norm, iterations=iterations, residual=residual,
-                              method="power_iteration")
     if not isinstance(op, BlockOperator):
         raise ParameterError(f"cannot take the norm of {type(op).__name__}")
-    rows, cols = op.shape
-    if max(rows, cols) <= DENSE_SIDE_CAP and op.q ** op.n <= DENSE_SIDE_CAP:
-        return _dense_norm(op.dense())
-    norm, iterations, residual = _power_iteration(op.matvec, op.rmatvec, cols, tolerance)
-    # an infinite residual flags non-convergence; the best estimate is still returned
-    return SpectralReport(norm=norm, iterations=iterations, residual=residual,
-                          method="power_iteration")
-
-
-class MaskedOperator:
-    """Implicit entrywise mask A - sum_c P_{x_j=c} A P_{y_j=c}, matvec only.
-
-    Used above the dense cap: each application costs q+1 applications of the
-    underlying operator.
-    """
-
-    def __init__(self, op: BlockOperator, j: int):
-        if not 1 <= j <= op.n:
-            raise ParameterError(f"j must be in [1, {op.n}], got {j}")
-        self.op = op
-        self.j = j
-        row_codes, _ = op.row_labels()
-        scale = op.q ** (op.n - j)
-        self.row_digit = (row_codes // scale) % op.q
-        self.col_digit = (op.col_codes // scale) % op.q
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.op.shape
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.op.matvec(v)
-        for c in range(self.op.q):
-            vc = np.where(self.col_digit == c, v, 0)
-            out = out - np.where(self.row_digit == c, self.op.matvec(vc), 0)
-        return out
-
-    def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        out = self.op.rmatvec(u)
-        for c in range(self.op.q):
-            uc = np.where(self.row_digit == c, u, 0)
-            out = out - np.where(self.col_digit == c, self.op.rmatvec(uc), 0)
-        return out
+    return _arpack_norm(op, tolerance)
 
 
 def hadamard_mask(op, j: int):
     """Entrywise product with the indicator of rows and columns differing at j.
 
-    Dense inputs (or block operators within the dense cap) give a
-    LabeledMatrix; larger block operators give an implicit MaskedOperator.
+    A LabeledMatrix gives a LabeledMatrix.  A BlockOperator gives a
+    BlockOperator at every size: its pattern table with bit j-1 (the
+    "x_j = y_j" patterns) zeroed, mapped back to coefficients by f's inverse
+    [[q-1, 1], [-1, 1]] (det f = 1/q).
     """
-    if isinstance(op, BlockOperator):
-        rows, cols = op.shape
-        if max(rows, cols) <= DENSE_SIDE_CAP and op.q ** op.n <= DENSE_SIDE_CAP:
-            op = op.labeled()
-        else:
-            return MaskedOperator(op, j)
-    if not isinstance(op, LabeledMatrix):
+    if not isinstance(op, (BlockOperator, LabeledMatrix)):
         raise ParameterError(f"cannot mask a {type(op).__name__}")
-    lm = op
-    if not 1 <= j <= lm.n:
-        raise ParameterError(f"j must be in [1, {lm.n}], got {j}")
-    row_d = lm.digit(lm.row_codes, j)
-    col_d = lm.digit(lm.col_codes, j)
+    if not 1 <= j <= op.n:
+        raise ParameterError(f"j must be in [1, {op.n}], got {j}")
+    if isinstance(op, BlockOperator):
+        table = _per_axis(_pattern_matrix(op.q), op.coeffs, op.n)
+        table[:, (np.arange(1 << op.n) >> (j - 1)) & 1 == 1] = 0.0
+        inverse = np.array([[op.q - 1.0, 1.0],
+                            [-1.0, 1.0]])
+        return BlockOperator(_per_axis(inverse, table, op.n), op.q, op.n, op.row_sets,
+                             op.row_scales, op.col_codes)
+    row_d = op.digit(op.row_codes, j)
+    col_d = op.digit(op.col_codes, j)
     mask = row_d[:, None] != col_d[None, :]
-    return LabeledMatrix(lm.matrix * mask, lm.q, lm.n, lm.row_codes, lm.col_codes)
+    return LabeledMatrix(op.matrix * mask, op.q, op.n, op.row_codes, op.col_codes)
 
 
 @dataclass(frozen=True)
@@ -555,10 +535,9 @@ def adversary_ratio(
             f"witness is infeasible (margin {margin} > 1); normalize it first"
         )
     op = assemble(witness, instance)
-    lm = op.labeled()
-    if not np.any(lm.matrix):
+    gamma_norm = spectral_norm(op).norm
+    if gamma_norm == 0.0:
         raise InvariantViolation("adversary matrix is zero; the witness gives no signal")
-    gamma_norm = spectral_norm(lm).norm
 
     alpha0 = witness.alpha[:, 0]
     obj2 = float(np.sum(alpha0 ** 2))
@@ -568,12 +547,12 @@ def adversary_ratio(
         for m in range(len(instance.cert))
     ]
     u = np.concatenate(u_blocks)
-    v = np.full(lm.matrix.shape[1], 1.0 / math.sqrt(lm.matrix.shape[1]))
-    identity = float(u @ lm.matrix @ v)
+    cols = op.shape[1]
+    identity = float(u @ op.matvec(np.full(cols, 1.0 / math.sqrt(cols))))
     predicted = math.sqrt(instance.y_size() / instance.input_count * obj2)
 
     def masked_norm(j):
-        return spectral_norm(hadamard_mask(lm, j)).norm
+        return spectral_norm(hadamard_mask(op, j)).norm
 
     if parallel:
         from concurrent.futures import ThreadPoolExecutor
@@ -658,7 +637,7 @@ def bounded_norm_certificates(
     prime_op = assemble(beta, instance, restrict_columns=True, verify_orthogonality=False)
     prime_norm = spectral_norm(prime_op).norm
 
-    gamma = assemble(witness, instance, verify_orthogonality=False).labeled()
+    gamma = assemble(witness, instance, verify_orthogonality=False)
     masked = tuple(
         spectral_norm(hadamard_mask(gamma, jj)).norm for jj in range(1, instance.n + 1)
     )

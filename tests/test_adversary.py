@@ -1,16 +1,25 @@
 """Projector algebra, block operators, masked norms, and the ratio pipeline."""
 
 import math
+import time
+from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from lgcomplexity import adversary as adv
 from lgcomplexity import arrays as ar
 from lgcomplexity import lgsolver as lg
 from lgcomplexity import structures as st
 from lgcomplexity import witnesses as wt
-from lgcomplexity.errors import InvariantViolation, ParameterError, StructuralError
+from lgcomplexity.errors import (
+    CapacityError,
+    ConsistencyError,
+    InvariantViolation,
+    ParameterError,
+    StructuralError,
+)
 
 
 class TestBasis:
@@ -175,13 +184,15 @@ class TestAssemble:
 
 
 class TestSpectralNorm:
-    def test_power_iteration_matches_dense_on_random(self):
+    def test_arpack_matches_dense_on_random_operator(self):
         rng = np.random.default_rng(0)
-        a = rng.standard_normal((50, 30))
-        norm, iters, residual = adv._power_iteration(
-            lambda v: a @ v, lambda u: a.T @ u, 30, 1e-12
-        )
-        assert norm == pytest.approx(np.linalg.norm(a, 2), abs=1e-8)
+        op = adv.BlockOperator(rng.standard_normal((2, 8)), 3, 3,
+                               row_sets=[rng.choice(27, 25, replace=False) for _ in range(2)],
+                               row_scales=rng.uniform(0.5, 2.0, 2),
+                               col_codes=rng.choice(27, 15, replace=False))
+        report = adv.spectral_norm(op, tolerance=1e-12)
+        assert report.method == "arpack"
+        assert report.norm == pytest.approx(np.linalg.norm(op.dense(), 2), abs=1e-8)
 
     def test_block_operator_matvec_consistent_with_dense(self):
         cert = st.ksubset_structure(3, 2)
@@ -211,33 +222,42 @@ class TestSpectralNorm:
         dense = adv.assemble(witness, q=4).dense()
         assert np.linalg.norm(dense, 2) == pytest.approx(0.9, abs=1e-12)
 
-    def test_power_iteration_path_above_dense_cap(self):
-        # q^n = 5^7 = 78125 forces the implicit tensor-apply route
+    def test_arpack_path_above_dense_cap(self):
+        # q^n = 5^7 = 78125 is past the dense oracle's cap
         witness = lg.DualWitness.from_entries(7, 1, {((), 0): 1.0})
         op = adv.assemble(witness, q=5)
         report = adv.spectral_norm(op, tolerance=1e-10)
-        assert report.method == "power_iteration"
+        assert report.method == "arpack"
         assert report.norm == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("flavor", ["real_householder", "fourier"])
     def test_flavors_assemble_identical_operators(self, flavor):
         # any orthonormal completion of the uniform vector gives the same
-        # projector combination
+        # projector combination as the basis-free operator
         witness = lg.DualWitness.from_entries(
             2, 1, {((), 0): 0.7, ((2,), 0): -0.2, ((1, 2), 0): 0.5}
         )
-        dense = adv.assemble(witness, q=3, flavor=flavor).dense()
+        dense = adv.assemble(witness, q=3).dense()
         reference = (
-            0.7 * adv.pattern_projector(3, 2, 0b00)
-            - 0.2 * adv.pattern_projector(3, 2, 0b10)
-            + 0.5 * adv.pattern_projector(3, 2, 0b11)
+            0.7 * _basis_projector(3, 2, 0b00, flavor)
+            - 0.2 * _basis_projector(3, 2, 0b10, flavor)
+            + 0.5 * _basis_projector(3, 2, 0b11, flavor)
         )
         assert np.allclose(dense, reference, atol=1e-10)
 
 
-def _projector_sums(coeffs, q, n):
-    """Oracle blocks sum_S coeffs[m, S] E_S from the dense Kronecker projectors."""
-    return [sum(c[s] * adv.pattern_projector(q, n, s) for s in range(1 << n)) for c in coeffs]
+def _basis_projector(q, n, subset_mask, flavor):
+    """Dense E_S from a unit basis: e_0 e_0^H on coordinates outside S, the rest on S."""
+    basis = adv.build_basis(q, flavor).matrix
+    e0 = np.outer(basis[:, 0], basis[:, 0].conj())
+    e1 = basis[:, 1:] @ basis[:, 1:].conj().T
+    return reduce(np.kron, [e1 if (subset_mask >> (j - 1)) & 1 else e0 for j in range(1, n + 1)])
+
+
+def _projector_sums(coeffs, q, n, flavor):
+    """Oracle blocks sum_S coeffs[m, S] E_S, the projectors built in the flavor's basis."""
+    projectors = [_basis_projector(q, n, s, flavor) for s in range(1 << n)]
+    return [sum(c[s] * projectors[s] for s in range(1 << n)) for c in coeffs]
 
 
 _SMALL_ALPHABETS = [(q, n) for q in (2, 3, 4) for n in (1, 2, 3)]
@@ -252,14 +272,14 @@ class TestDenseKernels:
         rng = np.random.default_rng(10 * q + n)
         side = q ** n
         coeffs = rng.standard_normal((2, 1 << n))
-        full = _projector_sums(coeffs, q, n)
+        full = _projector_sums(coeffs, q, n, flavor)
         every = np.arange(side)
         rows = [rng.choice(side, size=max(1, side // 2), replace=False) for _ in range(2)]
         scales = rng.uniform(0.5, 2.0, size=2)
         cols = rng.permutation(side)[:max(1, side - 1)]
         cases = [
-            (adv.assemble(coeffs, q=q, n=n, flavor=flavor), [every] * 2, [1.0] * 2, every),
-            (adv.BlockOperator(coeffs, q, n, flavor=flavor, row_sets=rows,
+            (adv.assemble(coeffs, q=q, n=n), [every] * 2, [1.0] * 2, every),
+            (adv.BlockOperator(coeffs, q, n, row_sets=rows,
                                row_scales=scales, col_codes=cols), rows, scales, cols),
         ]
         for op, row_sets, row_scales, col_codes in cases:
@@ -276,9 +296,9 @@ class TestDenseKernels:
         inst = ar.build_bounded_instance(cert, q)
         rng = np.random.default_rng(10 * q + n)
         coeffs = rng.standard_normal((len(cert), 1 << n))
-        full = _projector_sums(coeffs, q, n)
+        full = _projector_sums(coeffs, q, n, flavor)
         for restrict in (True, False):
-            op = adv.assemble(coeffs, inst, n=n, flavor=flavor, restrict_columns=restrict)
+            op = adv.assemble(coeffs, inst, n=n, restrict_columns=restrict)
             cols = inst.y_codes if restrict else np.arange(q ** n)
             for m, rows in enumerate(inst.x_sets):
                 scale = math.sqrt(q ** n / len(rows))
@@ -306,15 +326,15 @@ class TestDenseKernels:
         q, n = 3, 3
         rng = np.random.default_rng(7)
         coeffs = rng.standard_normal((2, 1 << n))
-        full = _projector_sums(coeffs, q, n)
+        full = _projector_sums(coeffs, q, n, flavor)
         rows = [rng.choice(q ** n, size=10, replace=False) for _ in range(2)]
         scales = [1.5, 0.7]
         cols = rng.choice(q ** n, size=20, replace=False)
-        op = adv.BlockOperator(coeffs, q, n, flavor=flavor, row_sets=rows,
+        op = adv.BlockOperator(coeffs, q, n, row_sets=rows,
                                row_scales=scales, col_codes=cols)
         oracle = np.vstack([full[m][np.ix_(rows[m], cols)] * scales[m] for m in range(2)])
         report = adv.spectral_norm(op)
-        assert report.method == "dense_eigen"
+        assert report.method == "arpack"
         assert report.norm == pytest.approx(np.linalg.norm(oracle, 2), rel=1e-12, abs=0)
 
 
@@ -367,17 +387,151 @@ class TestHadamardMask:
         witness = lg.normalize_witness(wt.ksubset_witness(3, 2), cert)
         op = adv.assemble(witness, inst)
         for j in (1, 3):
-            dense_norm = adv.spectral_norm(adv.hadamard_mask(op, j)).norm
-            implicit = adv.MaskedOperator(op, j)
+            lm = adv.hadamard_mask(op.labeled(), j)
+            dense_norm = adv.spectral_norm(lm).norm
+            implicit = adv.hadamard_mask(op, j)
             report = adv.spectral_norm(implicit, tolerance=1e-12)
-            assert report.method == "power_iteration"
+            assert report.method == "arpack"
             assert report.norm == pytest.approx(dense_norm, abs=1e-7)
             rng = np.random.default_rng(j)
             v = rng.standard_normal(op.shape[1])
-            lm = adv.hadamard_mask(op, j)
             assert np.allclose(implicit.matvec(v), lm.matrix @ v, atol=1e-9)
             u = rng.standard_normal(op.shape[0])
             assert np.allclose(implicit.rmatvec(u), lm.matrix.T @ u, atol=1e-9)
+
+
+def _random_operator(rng, q, n, certificates=2):
+    """Random non-symmetric coefficients with random row sets, row scales and columns."""
+    side = q ** n
+    return adv.BlockOperator(
+        rng.standard_normal((certificates, 1 << n)), q, n,
+        row_sets=[rng.choice(side, size=int(rng.integers(1, side + 1)), replace=False)
+                  for _ in range(certificates)],
+        row_scales=rng.uniform(0.5, 2.0, certificates),
+        col_codes=rng.choice(side, size=int(rng.integers(1, side + 1)), replace=False),
+    )
+
+
+def _assert_matches_oracle(op, oracle, rng):
+    """matvec, rmatvec and the norm of a BlockOperator against its dense oracle, to 1e-12."""
+    a = oracle.matrix
+    assert op.shape == a.shape
+    v = rng.standard_normal(a.shape[1])
+    u = rng.standard_normal(a.shape[0])
+    assert np.allclose(op.matvec(v), a @ v, rtol=0, atol=1e-12)
+    assert np.allclose(op.rmatvec(u), a.T @ u, rtol=0, atol=1e-12)
+    report = adv.spectral_norm(op)
+    assert report.method == "arpack"
+    assert report.norm == pytest.approx(np.linalg.norm(a, 2), rel=1e-12, abs=1e-12)
+    assert report.residual <= 1e-9
+
+
+class TestImplicitOperator:
+    """The one implicit path: blocks and coordinate masks applied without a basis."""
+
+    @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5) for n in (2, 3)])
+    def test_operator_and_masks_match_dense_oracle(self, q, n):
+        rng = np.random.default_rng(100 * q + n)
+        for op in (adv.BlockOperator(rng.standard_normal((2, 1 << n)), q, n),
+                   _random_operator(rng, q, n)):
+            _assert_matches_oracle(op, op.labeled(), rng)
+            for j in range(1, n + 1):
+                masked = adv.hadamard_mask(op, j)
+                assert isinstance(masked, adv.BlockOperator)
+                _assert_matches_oracle(masked, adv.hadamard_mask(op.labeled(), j), rng)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 9), (9, 1), (1, 1)])
+    def test_single_row_or_column_is_exact(self, rows, cols):
+        rng = np.random.default_rng(rows + 10 * cols)
+        q, n = 3, 2
+        op = adv.BlockOperator(rng.standard_normal((1, 1 << n)), q, n,
+                               row_sets=[rng.choice(q ** n, rows, replace=False)],
+                               row_scales=[1.3], col_codes=rng.choice(q ** n, cols, replace=False))
+        for target in [op] + [adv.hadamard_mask(op, j) for j in (1, 2)]:
+            report = adv.spectral_norm(target)
+            assert (report.method, report.iterations) == ("arpack", 1)
+            expected = np.linalg.norm(target.dense(), 2)
+            assert report.norm == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_empty_side_and_zero_coefficients(self):
+        q, n = 3, 2
+        coeffs = np.random.default_rng(3).standard_normal((2, 1 << n))
+        empty_rows = adv.BlockOperator(coeffs, q, n, row_sets=[np.arange(0), np.arange(0)],
+                                       row_scales=[1.0, 1.0])
+        empty_cols = adv.BlockOperator(coeffs, q, n, col_codes=np.arange(0))
+        zero = adv.BlockOperator(np.zeros((2, 1 << n)), q, n)
+        for op, shape in ((empty_rows, (0, 9)), (empty_cols, (18, 0)), (zero, (18, 9))):
+            assert op.shape == shape
+            report = adv.spectral_norm(op)
+            assert (report.norm, report.iterations, report.method) == (0.0, 0, "arpack")
+        assert not zero.matvec(np.ones(9)).any()
+        assert empty_cols.matvec(np.zeros(0)).shape == (18,)
+        assert empty_rows.rmatvec(np.zeros(0)).shape == (9,)
+
+    def test_mask_rejects_bad_direction(self):
+        op = adv.BlockOperator(np.ones((1, 4)), 3, 2)
+        for j in (0, 3):
+            with pytest.raises(ParameterError):
+                adv.hadamard_mask(op, j)
+
+    def test_capacity_checked_before_allocating(self):
+        # q^n = 64^5 = 2^30 inputs would be 8 GB of int64 codes
+        witness = lg.normalize_witness(wt.ksubset_witness(5, 2), st.ksubset_structure(5, 2))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            adv.assemble(witness, q=64)
+        # q^n = 2^20 is inside the cap, but one application's (q+1)^n = 3^20 layout is not
+        with pytest.raises(CapacityError):
+            adv.BlockOperator(np.ones((1, 1 << 20)), 2, 20)
+        assert time.perf_counter() - start < 0.1
+
+
+def _raise_no_convergence(*args, **kwargs):
+    raise ArpackNoConvergence("No convergence", np.empty(0), np.empty((0, 0)))
+
+
+class TestNonConvergence:
+    """A norm that ARPACK cannot converge raises instead of returning an estimate."""
+
+    def test_spectral_norm_raises(self, monkeypatch):
+        monkeypatch.setattr(adv, "eigsh", _raise_no_convergence)
+        op = adv.BlockOperator(np.random.default_rng(0).standard_normal((2, 4)), 3, 2)
+        with pytest.raises(ConsistencyError, match=r"18 x 9 operator after 0 applications"):
+            adv.spectral_norm(op)
+
+    def test_message_names_last_residual(self, monkeypatch):
+        def stop_after_some_steps(linear, **kwargs):
+            x = kwargs["v0"]
+            for _ in range(5):
+                x = linear.matvec(x)
+                x = x / np.linalg.norm(x)
+            _raise_no_convergence()
+
+        monkeypatch.setattr(adv, "eigsh", stop_after_some_steps)
+        op = adv.BlockOperator(np.random.default_rng(0).standard_normal((2, 4)), 3, 2)
+        with pytest.raises(ConsistencyError, match=r"after 10 applications \(last residual \d"):
+            adv.spectral_norm(op)
+
+    def test_suite_records_plumbing_failure(self, monkeypatch):
+        from lgcomplexity.reporting import run_suite, validate_config
+
+        monkeypatch.setattr(adv, "eigsh", _raise_no_convergence)
+        config, errors = validate_config({"suite": "adversary"})
+        assert not errors
+        records = {r.check_id: r for r in run_suite(config).records}
+        pipeline = records["adversary/pipeline"]
+        assert pipeline.claim.startswith("plumbing: ConsistencyError")
+        assert not pipeline.passed
+        assert records["adversary/hadamard-mask"].passed
+
+    def test_cli_exits_2(self, monkeypatch, capsys):
+        from lgcomplexity.cli import main
+
+        monkeypatch.setattr(adv, "eigsh", _raise_no_convergence)
+        code = main(["adversary", "report", "--kind", "ksubset", "--params", "3", "2",
+                     "--q", "8"])
+        assert code == 2
+        assert "ARPACK did not converge" in capsys.readouterr().err
 
 
 class TestGeneratorPartition:

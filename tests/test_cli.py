@@ -173,6 +173,16 @@ class TestAdversaryCommand:
         assert len(doc["per_j_norms"]) == 3
         assert all(check["passed"] for check in doc["bound_checks"])
 
+    def test_report_above_dense_cap(self, capsys):
+        # q^n = 32^3 = 32768 is past the dense oracle's cap of 2^14
+        code, out, _ = run(capsys, "adversary", "report", "--kind", "ksubset",
+                           "--params", "3", "2", "--q", "32")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["bound_checks"]) == 4
+        assert all(check["passed"] for check in doc["bound_checks"])
+        assert doc["gamma_norm"] >= doc["rayleigh_identity"]
+
 
 class TestFourierCommands:
     def test_bias(self, capsys):
