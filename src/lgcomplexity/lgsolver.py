@@ -16,13 +16,18 @@ Solvers:
     it by Jacobi-preconditioned CG, whose answer is kept only when the
     recomputed residual max|L x - b| is at most 1e-12, else by sparse LU.
     Given flows, weights take the stationary form w_e = sqrt(sum_M mu_M
-    p_e(M)^2) with the multipliers mu fitted by multiplicative updates.
-  * solve_dual - the witness carried by the solved primal: alpha_S(M) is the
-    flow-conservation multiplier nu = 2 mu_M (potential at S), zero on member
-    subsets, scaled down by the square root of its exhaustively measured arc-load
-    margin (normalize_witness).  The scaled witness is feasible by construction,
-    so by weak duality its objective is a certified lower bound whatever the
-    primal's convergence; the primal's objective is the matching upper bound.
+    p_e(M)^2) with the multipliers mu fitted by multiplicative updates.  Each
+    update first sets mu's overall scale to its closed-form optimum, and the
+    fit stops once its certified relative gap max_M sum_e p_e(M)^2 / w_e - 1
+    is at most 1e-12 (at most 200 steps).
+  * solve_dual - the witness carried by the solved primal: alpha_S(M) is
+    sqrt(mu_M) times certificate M's potential at S (the flow-conservation
+    multiplier nu = 2 mu_M (potential at S) divided by 2 sqrt(mu_M)), zero on
+    member subsets, scaled down by the square root of its exhaustively measured
+    arc-load margin (normalize_witness).  The scaled witness is feasible by
+    construction, so by weak duality its objective is a certified lower bound
+    whatever the primal's convergence; the primal's objective is the matching
+    upper bound.
 
 The primal is validated globally by the certified duality gap, not by a
 convergence proof.  SolverParams.seed is accepted but no solver reads it.
@@ -422,27 +427,33 @@ def _min_energy_flow(n: int, member_row: np.ndarray, w: np.ndarray):
 def _optimize_weights(p2: np.ndarray, mu: np.ndarray, inner_iterations: int = 200):
     """Fit w_e = sqrt(sum_M mu_M p_e(M)^2) so every constraint value is <= 1, max tight.
 
-    Multiplicative ascent on the concave multiplier dual; the final rescale
-    makes the largest constraint exactly 1, which any optimal weighting must.
+    Multiplicative ascent on the concave multiplier dual
+    2 sum_e sqrt(sum_M mu_M p_e(M)^2) - sum_M mu_M.  Its value at lambda*mu has
+    a closed-form best lambda, so each step first sets mu's scale: with
+    s = sqrt(mu @ p2) and c = sum(s) / sum(mu), mu becomes c^2 mu and w = c s.
+    At that scale sum_M mu_M vals_M = sum_M mu_M = sum_e w_e, so max_M vals_M - 1
+    is the certified relative gap of the fit for the given flows; the steps stop
+    once it is at most 1e-12, or after inner_iterations steps.  The final
+    rescale makes the largest constraint exactly 1, which any optimal weighting
+    must.  Returns (w, mu, steps taken), with w before the rescale equal to
+    sqrt(mu @ p2) up to the weight floor.
     """
     totals = p2.sum(axis=1)
     if not totals.any():
-        return np.zeros(p2.shape[1]), mu
+        return np.zeros(p2.shape[1]), mu, 0
     mu = np.where(totals > 0, np.maximum(mu, 1e-300), 0.0)
-    w = None
-    for _ in range(inner_iterations):
-        w = np.sqrt(mu @ p2)
-        floor = _WEIGHT_FLOOR * max(1.0, float(w.max(initial=0.0)))
-        w = np.maximum(w, floor)
+    for steps in range(1, inner_iterations + 1):
+        s = np.sqrt(mu @ p2)
+        scale = s.sum() / mu.sum()
+        mu = mu * scale ** 2
+        w = s * scale
+        w = np.maximum(w, _WEIGHT_FLOOR * max(1.0, float(w.max(initial=0.0))))
         vals = (p2 / w).sum(axis=1)
-        if np.all(np.abs(vals[totals > 0] - 1.0) < 1e-12):
+        top = float(vals.max())
+        if top <= 1.0 + 1e-12 or steps == inner_iterations:
             break
-        mu = mu * np.where(totals > 0, vals, 1.0)
-    vals = (p2 / w).sum(axis=1)
-    top = float(vals.max())
-    if top > 0:
-        w = w * top
-    return w, mu
+        mu = mu * vals           # a certificate without flow keeps mu = 0
+    return w * top, mu, steps
 
 
 def optimize_weights(flow: FlowAssignment, reference: WeightAssignment | None = None) -> WeightAssignment:
@@ -452,7 +463,7 @@ def optimize_weights(flow: FlowAssignment, reference: WeightAssignment | None = 
     it, the reference is returned, so the result never increases the total.
     """
     p2 = flow.values ** 2
-    w, _ = _optimize_weights(p2, np.ones(flow.num_certificates))
+    w, _, _ = _optimize_weights(p2, np.ones(flow.num_certificates))
     candidate = WeightAssignment(flow.n, w)
     if reference is not None:
         ref_vals = primal_constraint_values(flow, reference)
@@ -482,7 +493,7 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
     for iterations in range(1, params.max_iterations + 1):
         for m, laplacian in enumerate(laplacians):
             p[m], potentials[m] = laplacian.flow(w)
-        w, mu = _optimize_weights(p ** 2, mu)
+        w, mu, _ = _optimize_weights(p ** 2, mu)
         new_objective = math.sqrt(w.sum())
         residual = abs(new_objective - objective) / max(new_objective, 1e-30)
         objective = new_objective
@@ -510,12 +521,19 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
 
 
 def _multiplier_witness(cert: CertificateStructure, primal: PrimalSolution) -> DualWitness:
-    """The primal's conservation multipliers, zeroed on member subsets and normalized.
+    """Each certificate's potentials scaled by sqrt(mu_M), zeroed on member subsets, normalized.
 
-    The witness's info carries the primal's iterations and convergence flag, and
-    as residual the certified relative gap (primal - dual) / primal.
+    The potentials are phi = nu / (2 mu), and 0 where mu_M = 0.  At a fixed
+    point of the alternation sum_M mu_M (phi_S(M) - phi_{S+j}(M))^2 = 1 on every
+    arc with w_e > 0 and phi_empty(M) = 1 for every active M, so alpha =
+    sqrt(mu) phi is feasible with objective sqrt(sum_M mu_M), the primal's;
+    elsewhere the normalization keeps it feasible.  The witness's info carries
+    the primal's iterations and convergence flag, and as residual the certified
+    relative gap (primal - dual) / primal.
     """
-    alpha = np.where(membership_table(cert), 0.0, primal.nu)
+    mu = primal.mu[:, None]
+    phi = np.divide(primal.nu, 2.0 * mu, out=np.zeros_like(primal.nu), where=mu > 0)
+    alpha = np.where(membership_table(cert), 0.0, np.sqrt(mu) * phi)
     witness = normalize_witness(DualWitness(cert.n, alpha), cert)
     dual = dual_objective(witness)
     gap = (primal.objective - dual) / primal.objective if primal.objective > 0 else 0.0

@@ -240,6 +240,32 @@ class TestGeneralInstance:
         with pytest.raises(ParameterError):
             fo.build_general_instance(st.hidden_shift_structure(2), 3, seed=0)
 
+    def test_first_draw_is_the_random_set(self):
+        # the 8 draws come from one seeded stream; at p = 4 every draw is one
+        # element with bias 1/4, so the first is kept
+        inst = fo.build_general_instance(st.hidden_shift_structure(2), 4, seed=3)
+        assert inst.biased_set == fo.random_low_bias_set(4, 1 / 8, seed=3)
+
+    def test_keeps_the_lowest_bias_draw(self):
+        inst = fo.build_general_instance(st.hidden_shift_structure(2), 64, seed=6)
+        rng = np.random.default_rng(6)
+        biases = [fo.fourier_bias(rng.choice(64, size=8, replace=False), 64) for _ in range(8)]
+        assert inst.biased_set.bias == min(biases)
+
+    def test_modulus_ladder_strictly_decreasing_at_seeds_0_to_199(self):
+        # verify-all's general/gap-decreasing-m0/-m1 on the default ladder; with
+        # one draw per modulus 30 of these seeds tie or increase
+        cert = st.hidden_shift_structure(2)
+        witness = wt.hidden_shift_witness(2)
+        failing = []
+        for seed in range(200):
+            instances = [fo.build_general_instance(cert, p, seed) for p in (16, 32, 64)]
+            for m in range(len(cert)):
+                gaps = [fo.restriction_gap(inst, witness, 1, m) for inst in instances]
+                if not gaps[0] > gaps[1] > gaps[2]:
+                    failing.append((seed, m, gaps))
+        assert failing == []
+
 
 class TestEquivalenceClasses:
     def test_single_component_classes_at_most_n(self):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -56,6 +57,40 @@ def oracle_one_subset_n2() -> float:
                 for a in np.linspace(0.9, 1.0, 21):
                     best = min(best, total(w0, w1, a))
     return math.sqrt(best)
+
+
+def structure(n: int, *certificates) -> st.CertificateStructure:
+    """A structure from each certificate's list of minimal sets."""
+    return st.CertificateStructure(n, tuple(st.Certificate.from_sets(c) for c in certificates))
+
+
+def fit_without_stop(p2: np.ndarray, steps: int) -> np.ndarray:
+    """Reference weight fit: plain multiplicative steps on mu from 1, no stop, rescaled tight."""
+    mu = np.ones(len(p2))
+    for _ in range(steps):
+        w = np.sqrt(mu @ p2)
+        w = np.maximum(w, 1e-14 * max(1.0, float(w.max())))
+        values = (p2 / w).sum(axis=1)
+        mu = mu * values
+    return w * values.max()
+
+
+def random_antichain_structures(seed: int, count: int) -> list[st.CertificateStructure]:
+    """n in 2..4, 1-4 certificates, each 1-3 pairwise-incomparable random masks."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        certificates = []
+        for _ in range(rng.randint(1, 4)):
+            masks = []
+            for _ in range(rng.randint(1, 3)):
+                mask = rng.randrange(1, 1 << n)
+                if all(mask & ~other and other & ~mask for other in masks):
+                    masks.append(mask)
+            certificates.append(st.Certificate(tuple(masks)))
+        out.append(st.CertificateStructure(n, tuple(certificates)))
+    return out
 
 
 def exact_unit_decay_witness(n: int) -> lg.DualWitness:
@@ -169,6 +204,56 @@ class TestOptimizeWeights:
             values = lg.primal_constraint_values(flow, improved)
             assert np.all(values <= 1.0 + 1e-9)
             assert improved.total <= w_ref.total + 1e-12
+
+    def test_certified_stop_with_a_zero_multiplier(self):
+        # the optimal mu of the {1 or 2 or 3} certificate is 0, so no
+        # constraint test of the form |vals_M - 1| < tol can end the fit
+        cert = structure(3, [(3,)], [(2,)], [(1,), (2,), (3,)], [(3,)])
+        sol = lg.solve_primal(cert, lg.SolverParams(max_iterations=5))
+        p2 = sol.flow.values ** 2
+        w, _, steps = lg._optimize_weights(p2, np.ones(len(cert)))
+        assert steps <= 60
+        assert w.sum() == pytest.approx(fit_without_stop(p2, 5000).sum(), abs=1e-10)
+
+    @pytest.mark.parametrize("scale", [1.0, 7.0])
+    def test_one_step_on_warm_started_ksubset(self, scale):
+        # mu's overall scale is set in closed form, so any multiple of a
+        # converged mu fits in one step
+        sol = lg.solve_primal(st.ksubset_structure(4, 1))
+        _, _, steps = lg._optimize_weights(sol.flow.values ** 2, scale * sol.mu)
+        assert steps == 1
+
+    def test_closed_form_scale_and_tight_rescale(self):
+        # at this seed the fit ends at the 200-step cap, not at the certified stop
+        rng = np.random.default_rng(5)
+        p2 = rng.uniform(0.0, 1.0, (4, 12)) ** 2
+        p2[2] = 0.0
+        w, mu, _ = lg._optimize_weights(p2, np.ones(4))
+        assert mu[2] == 0.0
+        values = (p2 / w).sum(axis=1)
+        assert abs(values.max() - 1.0) <= 1e-15
+        # the returned mu is at its optimal scale: w before the rescale is
+        # sqrt(mu @ p2), whose total equals sum(mu)
+        unscaled = np.sqrt(mu @ p2)
+        assert np.allclose(w, unscaled * (p2 / unscaled).sum(axis=1).max(), rtol=1e-12, atol=0)
+        assert mu.sum() == pytest.approx(unscaled.sum(), rel=1e-12)
+
+    def test_ladder_iterations_and_one_step_per_fit(self, monkeypatch):
+        fit = lg._optimize_weights
+        steps = []
+
+        def counted(*args):
+            result = fit(*args)
+            steps.append(result[2])
+            return result
+
+        monkeypatch.setattr(lg, "_optimize_weights", counted)
+        for kind, params, iterations in [("ksubset", (4, 1), 658), ("ksubset", (4, 2), 17),
+                                         ("hidden_shift", (3,), 495), ("collision", (2,), 18)]:
+            steps.clear()
+            sol = lg.solve_primal(st.build_named_structure(kind, params))
+            assert sol.iterations == iterations
+            assert steps == [1] * iterations
 
 
 class TestDualObjective:
@@ -377,6 +462,27 @@ class TestMultiplierWitness:
         monkeypatch.setattr(lg, "solve_primal", shrunk)
         with pytest.raises(ConsistencyError, match="primal constraint violated"):
             lg.duality_report(cert)
+
+
+class TestAsymmetricWitness:
+    """Structures whose multipliers mu differ between certificates."""
+
+    @pytest.mark.parametrize("n,certificates", [
+        (3, ([(2,)], [(3,)], [(3,)])),                  # alpha = nu: gap 0.134
+        (4, ([(1, 2)], [(2, 3)], [(3, 4)])),            # alpha = nu: gap 5.0e-2
+        (3, ([(1,)], [(2, 3)])),                        # alpha = nu: gap 7.8e-2
+    ], ids=["2-3-3", "path-12-23-34", "1-23"])
+    def test_named_case_tight(self, n, certificates):
+        cert = structure(n, *certificates)
+        rep = lg.duality_report(cert)
+        assert lg.dual_feasibility_margin(cert, rep.witness) <= 1.0 + 1e-12
+        assert 0.0 <= rep.relative_gap <= 1e-4
+
+    def test_seeded_sweep_tight(self):
+        for cert in random_antichain_structures(seed=0, count=40):
+            rep = lg.duality_report(cert)
+            assert lg.dual_feasibility_margin(cert, rep.witness) <= 1.0 + 1e-12
+            assert rep.relative_gap <= 1e-4, cert
 
 
 def direct_flow(n: int, member_row: np.ndarray, w: np.ndarray):
