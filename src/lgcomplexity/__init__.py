@@ -75,11 +75,9 @@ from .adversary import (
     BlockOperator,
     LabeledMatrix,
     SpectralReport,
-    UnitBasis,
     adversary_ratio,
     assemble,
     bounded_norm_certificates,
-    build_basis,
     difference_coefficients,
     generator_partition,
     hadamard_mask,

@@ -3,10 +3,11 @@
 A witness with coefficients alpha_S(M) turns into a stacked operator with one
 q^n x q^n block per certificate, each block sum_S alpha_S(M) E_S, where E_S is
 the tensor projector with the all-ones-direction projector E_0 on coordinates
-outside S and its complement E_1 on S.  Restricting block rows to the positive
-set X_M (scaled by sqrt(q^n/|X_M|)) and columns to the negative set Y yields an
-adversary matrix whose spectral norm, against the norms of its coordinate-
-masked versions, certifies a query lower bound.
+outside S and its complement E_1 on S.  Both depend only on the all-ones
+direction, never on a basis completing it.  Restricting block rows to the
+positive set X_M (scaled by sqrt(q^n/|X_M|)) and columns to the negative set Y
+yields an adversary matrix whose spectral norm, against the norms of its
+coordinate-masked versions, certifies a query lower bound.
 
 Every block entry depends only on which coordinates of x and y agree:
 E_S[x, y] = prod_{j in S} ([x_j = y_j] - 1/q) * q^-(n-|S|).  Three per-axis
@@ -16,7 +17,7 @@ E_S[x, y] = prod_{j in S} ([x_j = y_j] - 1/q) * q^-(n-|S|).  Three per-axis
 - the pattern table g[e], the block entry for the equality bitmask e;
 - the Moebius coefficients d with sum_S c_S E_S = sum_U d_U A_U, where A_U
   averages over the coordinates outside U and broadcasts back, which is how
-  a block is applied without a basis in about 3n (q+1)^n flops;
+  a block is applied in about 3n (q+1)^n flops;
 - the inverse of the table, so the coordinate mask "x_j != y_j" (the table
   with bit j zeroed) is again a `BlockOperator`.
 
@@ -56,49 +57,6 @@ from .structures import (
 )
 
 DENSE_SIDE_CAP = 1 << 14
-BASIS_FLAVORS = ("real_householder", "fourier")
-
-
-@dataclass(frozen=True)
-class UnitBasis:
-    """An orthonormal basis of C^q whose first vector is the normalized all-ones."""
-
-    q: int
-    flavor: str
-    matrix: np.ndarray  # columns are e_0 .. e_{q-1}
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        gram = m.conj().T @ m
-        if not np.allclose(gram, np.eye(self.q), atol=1e-12):
-            raise InvariantViolation("basis columns must be orthonormal to 1e-12")
-        if not np.allclose(m[:, 0], np.full(self.q, 1 / math.sqrt(self.q)), atol=1e-12):
-            raise InvariantViolation("e_0 must be the normalized all-ones vector")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def build_basis(q: int, flavor: str = "real_householder") -> UnitBasis:
-    """Real Householder completion of the all-ones direction, or character basis."""
-    if q < 2:
-        raise ParameterError(f"need q >= 2, got {q}")
-    if flavor == "real_householder":
-        target = np.full(q, 1 / math.sqrt(q))
-        v = np.zeros(q)
-        v[0] = 1.0
-        v -= target
-        norm = np.linalg.norm(v)
-        if norm < 1e-15:
-            matrix = np.eye(q)
-        else:
-            v /= norm
-            matrix = np.eye(q) - 2.0 * np.outer(v, v)
-    elif flavor == "fourier":
-        a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="xy")
-        matrix = np.exp(2j * np.pi * a * b / q) / math.sqrt(q)
-    else:
-        raise ParameterError(f"flavor must be one of {BASIS_FLAVORS}, got {flavor!r}")
-    return UnitBasis(q=q, flavor=flavor, matrix=matrix)
 
 
 def ones_projector(q: int) -> np.ndarray:
@@ -230,7 +188,7 @@ class BlockOperator:
     block keeps only rows in X_M with scale sqrt(q^n/|X_M|), and columns are
     either all inputs or the negative set Y.
 
-    Applied without a basis: block m is sum_U d_U A_U with d the Moebius
+    Applied implicitly: block m is sum_U d_U A_U with d the Moebius
     coefficients, so one application averages the input over the variables
     outside every U at once (`_average_out`), weights each entry by its d_U
     and sums the broadcasts back (`_spread_back`).  Each block is real and

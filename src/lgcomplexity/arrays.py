@@ -62,9 +62,6 @@ class OrthogonalArray:
     def row_codes(self) -> np.ndarray:
         return np.sort(encode(np.array(self.rows, dtype=np.int64), self.q))
 
-    def contains_row(self, row: Sequence[int]) -> bool:
-        return tuple(int(v) for v in row) in set(self.rows)
-
 
 def sum_array(q: int, k: int) -> OrthogonalArray:
     """All rows of [q]^k whose entries sum to 0 mod q; size q^(k-1)."""
@@ -249,15 +246,6 @@ class HardInstance:
         }
 
 
-def _x_mask_for_certificate(cert, q, n, arrays_m, certificate, digits) -> np.ndarray:
-    mask = np.ones(len(digits), dtype=bool)
-    for gen_mask, array in zip(certificate.minimal_sets, arrays_m):
-        members = [j - 1 for j in mask_members(gen_mask)]
-        codes = encode(digits[:, members], q)
-        mask &= np.isin(codes, array.row_codes())
-    return mask
-
-
 def build_instance(
     cert: CertificateStructure,
     q: int,
@@ -276,12 +264,13 @@ def build_instance(
     x_sets = []
     avoid_all = np.ones(len(digits), dtype=bool)
     for m, certificate in enumerate(cert.certificates):
+        hit_all = np.ones(len(digits), dtype=bool)
         for gen_mask, array in zip(certificate.minimal_sets, arrays[m]):
             members = [j - 1 for j in mask_members(gen_mask)]
-            codes = encode(digits[:, members], q)
-            avoid_all &= ~np.isin(codes, array.row_codes())
-        x_mask = _x_mask_for_certificate(cert, q, cert.n, arrays[m], certificate, digits)
-        x_sets.append(np.flatnonzero(x_mask).astype(np.int64))
+            hit = np.isin(encode(digits[:, members], q), array.row_codes())
+            hit_all &= hit
+            avoid_all &= ~hit
+        x_sets.append(np.flatnonzero(hit_all).astype(np.int64))
     y = np.flatnonzero(avoid_all).astype(np.int64)
     return HardInstance(cert=cert, q=q, arrays=arrays, x_sets=tuple(x_sets), y_codes=y)
 

@@ -27,11 +27,7 @@ from .reporting import (
 
 
 def _solver_params(args) -> lg.SolverParams:
-    return lg.SolverParams(
-        tolerance=args.tolerance,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-    )
+    return lg.SolverParams(tolerance=args.tolerance, max_iterations=args.max_iterations)
 
 
 def _emit(args, payload: dict, csv_rows: list[list] | None = None):
@@ -206,12 +202,12 @@ def cmd_instance(args) -> int:
 
 
 def cmd_adversary_report(args) -> int:
-    cert = _build_structure(args)
-    inst = ar.build_bounded_instance(cert, args.q)
     if args.kind != "ksubset":
         print("adversary report uses the matching uniform-decay witness; "
               "only ksubset structures are supported", file=sys.stderr)
         return 2
+    cert = _build_structure(args)
+    inst = ar.build_bounded_instance(cert, args.q)
     witness = lg.normalize_witness(wt.ksubset_witness(*args.params), cert)
     rep = adv.adversary_ratio(inst, witness, parallel=args.parallel)
     bn = adv.bounded_norm_certificates(inst, witness, 1)
@@ -287,17 +283,19 @@ def cmd_verify_all(args) -> int:
     if args.config:
         with open(args.config) as handle:
             doc = json.load(handle)
-    if args.suite:
-        doc["suite"] = args.suite
-    if args.seed is not None:
-        doc.setdefault("solver", {})["seed"] = args.seed
-        doc.setdefault("instance", {})["seed"] = args.seed
+    if isinstance(doc, dict):  # anything else is left for validate_config to reject
+        if args.suite:
+            doc["suite"] = args.suite
+        if args.seed is not None:
+            for section in ("solver", "instance"):
+                if isinstance(doc.setdefault(section, {}), dict):
+                    doc[section]["seed"] = args.seed
     config, errors = validate_config(doc)
     if errors:
         for err in errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
-    report = run_suite(config, parallel=args.parallel)
+    report = run_suite(config)
     if args.out:
         paths = write_report(report, args.out)
         print(json.dumps({"config_hash": report.config_hash,
@@ -316,7 +314,6 @@ def cmd_verify_all(args) -> int:
 
 
 def _add_common(parser, with_solver=False, with_gap=False):
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="directory for the artifact")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     if with_solver:
@@ -410,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     fb = f_sub.add_parser("bias")
     fb.add_argument("--p", type=int, required=True)
     fb.add_argument("--delta", type=float, default=0.5)
+    fb.add_argument("--seed", type=int, default=0)
     fs = f_sub.add_parser("scan")
     fs.add_argument("--p", type=int, nargs="+", required=True)
     fs.add_argument("--delta", type=float, default=0.5)
@@ -425,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     gg.add_argument("--params", type=int, nargs="+", default=[2])
     gg.add_argument("--p", type=int, nargs="+", default=[16, 32, 64])
     gg.add_argument("--j", type=int, default=1)
+    gg.add_argument("--seed", type=int, default=0)
     _add_common(gg)
     gg.set_defaults(func=cmd_general_gap)
 
@@ -435,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--seed", type=int, default=None)
     p_all.add_argument("--out", default=None)
     p_all.add_argument("--format", choices=("json", "csv"), default="json")
-    p_all.add_argument("--parallel", action="store_true")
     p_all.set_defaults(func=cmd_verify_all)
 
     return parser

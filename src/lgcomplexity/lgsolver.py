@@ -419,11 +419,6 @@ class _GroundedLaplacian:
         return p, potential
 
 
-def _min_energy_flow(n: int, member_row: np.ndarray, w: np.ndarray):
-    """Unit electrical flow and potentials for one certificate; see _GroundedLaplacian.flow."""
-    return _GroundedLaplacian(n, member_row).flow(w)
-
-
 def _optimize_weights(p2: np.ndarray, mu: np.ndarray, inner_iterations: int = 200):
     """Fit w_e = sqrt(sum_M mu_M p_e(M)^2) so every constraint value is <= 1, max tight.
 
@@ -454,22 +449,6 @@ def _optimize_weights(p2: np.ndarray, mu: np.ndarray, inner_iterations: int = 20
             break
         mu = mu * vals           # a certificate without flow keeps mu = 0
     return w * top, mu, steps
-
-
-def optimize_weights(flow: FlowAssignment, reference: WeightAssignment | None = None) -> WeightAssignment:
-    """Weights minimizing the total subject to constraint values <= 1 for the flow.
-
-    When a feasible reference weighting is supplied and the fit does not beat
-    it, the reference is returned, so the result never increases the total.
-    """
-    p2 = flow.values ** 2
-    w, _, _ = _optimize_weights(p2, np.ones(flow.num_certificates))
-    candidate = WeightAssignment(flow.n, w)
-    if reference is not None:
-        ref_vals = primal_constraint_values(flow, reference)
-        if np.all(ref_vals <= 1 + 1e-12) and reference.total < candidate.total:
-            return reference
-    return candidate
 
 
 def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams()) -> PrimalSolution:

@@ -51,6 +51,20 @@ DEFAULT_CONFIG = {
 }
 
 
+def _overlay(defaults: dict, doc: dict, prefix: str, errors: list[str]) -> None:
+    """Copy doc's values onto defaults; a key whose default is an object takes only an object."""
+    for key, value in doc.items():
+        name = prefix + key
+        if key not in defaults:
+            errors.append(f"unknown config key {name!r}")
+        elif not isinstance(defaults[key], dict):
+            defaults[key] = value
+        elif isinstance(value, dict):
+            _overlay(defaults[key], value, name + ".", errors)
+        else:
+            errors.append(f"config key {name!r} must be an object, got {type(value).__name__}")
+
+
 def validate_config(doc: dict | None) -> tuple[dict, list[str]]:
     """Fill defaults, normalize deterministically, and collect cap violations."""
     errors: list[str] = []
@@ -58,25 +72,13 @@ def validate_config(doc: dict | None) -> tuple[dict, list[str]]:
     doc = doc or {}
     if not isinstance(doc, dict):
         return config, ["config must be a JSON object"]
-    for key, value in doc.items():
-        if key not in config and key != "out":
-            errors.append(f"unknown config key {key!r}")
-            continue
-        if isinstance(value, dict) and isinstance(config.get(key), dict):
-            merged = config[key]
-            for sub, subval in value.items():
-                if sub not in merged:
-                    errors.append(f"unknown config key {key}.{sub}")
-                else:
-                    merged[sub] = subval
-        else:
-            config[key] = value
+    _overlay(config, {k: v for k, v in doc.items() if k != "out"}, "", errors)
+    if "out" in doc:
+        config["out"] = doc["out"]
     if config["schema"] != SCHEMA_VERSION:
         errors.append(f"schema must be {SCHEMA_VERSION}, got {config['schema']}")
     if config["suite"] not in SUITES:
         errors.append(f"suite must be one of {SUITES}, got {config['suite']!r}")
-    if "seed" not in doc.get("solver", {}):
-        config["solver"]["seed"] = DEFAULT_CONFIG["solver"]["seed"]
 
     # dry-run the referenced builders and caps
     for kind, params in config["structures"]["duality"]:
@@ -566,33 +568,23 @@ _SUITE_BUILDERS = {
 }
 
 
-def run_suite(config: dict, parallel: bool = False) -> RunReport:
+def run_suite(config: dict) -> RunReport:
     """Execute the configured suite; per-check errors become failing records."""
     suite = config["suite"]
     names = list(_SUITE_BUILDERS) if suite == "all" else [suite]
     jobs: list[tuple[str, Callable[[], list[CheckRecord]]]] = []
     for name in names:
         jobs.extend(_SUITE_BUILDERS[name](config))
-
-    def run_job(job):
-        check_id, fn = job
+    records: list[CheckRecord] = []
+    for check_id, fn in jobs:
         try:
-            return fn()
+            records.extend(fn())
         except LgError as exc:
-            return [CheckRecord(check_id, f"plumbing: {type(exc).__name__}: {exc}",
-                                math.inf, 0.0, False)]
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(run_job, jobs))
-    else:
-        results = [run_job(job) for job in jobs]
-    records = tuple(record for group in results for record in group)
+            records.append(CheckRecord(check_id, f"plumbing: {type(exc).__name__}: {exc}",
+                                       math.inf, 0.0, False))
     return RunReport(
         config_hash=config_hash(config),
-        records=records,
+        records=tuple(records),
         environment=environment_fingerprint(),
     )
 

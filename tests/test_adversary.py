@@ -22,6 +22,23 @@ from lgcomplexity.errors import (
 )
 
 
+FLAVORS = ("real_householder", "fourier")
+
+
+def _unit_basis(q, flavor):
+    """An orthonormal basis of C^q (columns) whose first vector is the normalized all-ones.
+
+    E_0 and E_1 do not depend on the completion, so the test oracle builds
+    them in two: a real Householder reflection and the characters of Z_q.
+    """
+    if flavor == "fourier":
+        a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="xy")
+        return np.exp(2j * np.pi * a * b / q) / math.sqrt(q)
+    v = np.eye(q)[0] - np.full(q, 1 / math.sqrt(q))
+    v /= np.linalg.norm(v)
+    return np.eye(q) - 2.0 * np.outer(v, v)
+
+
 class TestBasis:
     def test_complement_projector_entries_q2(self):
         assert np.allclose(adv.complement_projector(2),
@@ -36,26 +53,22 @@ class TestBasis:
             total = adv.ones_projector(q) + adv.complement_projector(q)
             assert np.allclose(total, np.eye(q))
 
-    @pytest.mark.parametrize("flavor", ["real_householder", "fourier"])
+    @pytest.mark.parametrize("flavor", FLAVORS)
     def test_orthonormal_with_uniform_first_vector(self, flavor):
         for q in (2, 3, 5, 8):
-            basis = adv.build_basis(q, flavor)
-            gram = basis.matrix.conj().T @ basis.matrix
+            basis = _unit_basis(q, flavor)
+            gram = basis.conj().T @ basis
             assert np.allclose(gram, np.eye(q), atol=1e-12)
-            assert np.allclose(basis.matrix[:, 0], np.full(q, q ** -0.5))
+            assert np.allclose(basis[:, 0], np.full(q, q ** -0.5))
 
     def test_fourier_characters(self):
         q = 5
-        basis = adv.build_basis(q, "fourier")
+        basis = _unit_basis(q, "fourier")
         for a in range(q):
             for b in range(q):
-                assert basis.matrix[b, a] == pytest.approx(
+                assert basis[b, a] == pytest.approx(
                     np.exp(2j * np.pi * a * b / q) / math.sqrt(q)
                 )
-
-    def test_unknown_flavor(self):
-        with pytest.raises(ParameterError):
-            adv.build_basis(3, "hadamard")
 
 
 class TestPatternProjectors:
@@ -230,7 +243,7 @@ class TestSpectralNorm:
         assert report.method == "arpack"
         assert report.norm == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("flavor", ["real_householder", "fourier"])
+    @pytest.mark.parametrize("flavor", FLAVORS)
     def test_flavors_assemble_identical_operators(self, flavor):
         # any orthonormal completion of the uniform vector gives the same
         # projector combination as the basis-free operator
@@ -248,7 +261,7 @@ class TestSpectralNorm:
 
 def _basis_projector(q, n, subset_mask, flavor):
     """Dense E_S from a unit basis: e_0 e_0^H on coordinates outside S, the rest on S."""
-    basis = adv.build_basis(q, flavor).matrix
+    basis = _unit_basis(q, flavor)
     e0 = np.outer(basis[:, 0], basis[:, 0].conj())
     e1 = basis[:, 1:] @ basis[:, 1:].conj().T
     return reduce(np.kron, [e1 if (subset_mask >> (j - 1)) & 1 else e0 for j in range(1, n + 1)])
@@ -266,7 +279,7 @@ _SMALL_ALPHABETS = [(q, n) for q in (2, 3, 4) for n in (1, 2, 3)]
 class TestDenseKernels:
     """The gathered blocks and the Gram-eigenvalue norm against direct oracles."""
 
-    @pytest.mark.parametrize("flavor", adv.BASIS_FLAVORS)
+    @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize("q,n", _SMALL_ALPHABETS)
     def test_block_dense_matches_projector_sum(self, q, n, flavor):
         rng = np.random.default_rng(10 * q + n)
@@ -289,7 +302,7 @@ class TestDenseKernels:
                 expected = full[m][np.ix_(row_sets[m], col_codes)] * row_scales[m]
                 assert np.allclose(block, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("flavor", adv.BASIS_FLAVORS)
+    @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize("q,n", _SMALL_ALPHABETS)
     def test_block_dense_on_bounded_instance(self, q, n, flavor):
         cert = st.ksubset_structure(n, n)
@@ -321,7 +334,7 @@ class TestDenseKernels:
             assert (report.method, report.iterations, report.residual) == ("dense_eigen", 0, 0.0)
             assert report.norm == pytest.approx(np.linalg.norm(a, 2), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("flavor", adv.BASIS_FLAVORS)
+    @pytest.mark.parametrize("flavor", FLAVORS)
     def test_restricted_operator_norm_matches_svd_of_oracle(self, flavor):
         q, n = 3, 3
         rng = np.random.default_rng(7)

@@ -5,10 +5,20 @@ import json
 
 import pytest
 
+from lgcomplexity import arrays as ar
 from lgcomplexity import lgsolver as lg
 from lgcomplexity import structures as st
 from lgcomplexity.cli import main
 from lgcomplexity.reporting import validate_config
+
+
+# documents whose object-valued section holds something else, with that section's key
+NON_OBJECT_SECTIONS = pytest.mark.parametrize("doc,key", [
+    ({"solver": 5}, "solver"),
+    ({"instance": 3}, "instance"),
+    ({"structures": []}, "structures"),
+    ({"structures": {"witnesses": 7}}, "structures.witnesses"),
+], ids=["solver", "instance", "structures", "structures.witnesses"])
 
 
 def run(capsys, *argv):
@@ -183,6 +193,22 @@ class TestAdversaryCommand:
         assert all(check["passed"] for check in doc["bound_checks"])
         assert doc["gamma_norm"] >= doc["rayleigh_identity"]
 
+    def test_kind_checked_before_the_instance_is_built(self, capsys, monkeypatch):
+        calls = []
+        build = ar.build_bounded_instance
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ar, "build_bounded_instance", recorded)
+        code, out, err = run(capsys, "adversary", "report", "--kind", "triangle",
+                             "--params", "4", "--q", "8")
+        assert code == 2
+        assert out == ""
+        assert "only ksubset" in err
+        assert calls == []
+
 
 class TestFourierCommands:
     def test_bias(self, capsys):
@@ -199,6 +225,44 @@ class TestFourierCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "p,seed,size,bias,bound"
         assert len(lines) == 5
+
+
+# every subcommand without a seeded draw, with arguments it would otherwise accept
+# (`fourier scan` is seeded by --seeds, which argparse lets --seed abbreviate)
+UNSEEDED_COMMANDS = {
+    "structure-build": ["structure", "build", "--kind", "ksubset", "--params", "2", "1"],
+    "structure-show": ["structure", "show", "--kind", "ksubset", "--params", "2", "1"],
+    "lg-primal": ["lg", "primal", "--kind", "ksubset", "--params", "2", "1"],
+    "lg-dual": ["lg", "dual", "--kind", "ksubset", "--params", "2", "1"],
+    "lg-gap": ["lg", "gap", "--kind", "ksubset", "--params", "2", "1"],
+    "witness-ksubset": ["witness", "ksubset", "--n", "4", "--k", "1"],
+    "witness-hiddenshift": ["witness", "hiddenshift", "--n", "2"],
+    "witness-triangle": ["witness", "triangle", "--n", "4"],
+    "oa-make": ["oa", "make", "--q", "3", "--k", "2"],
+    "oa-verify": ["oa", "verify", "--q", "3", "--k", "2"],
+    "instance-build": ["instance", "build", "--kind", "ksubset", "--params", "3", "2", "--q", "8"],
+    "instance-verify": ["instance", "verify", "--kind", "ksubset", "--params", "3", "2", "--q", "8"],
+    "adversary-report": ["adversary", "report", "--kind", "ksubset", "--params", "3", "2",
+                         "--q", "8"],
+}
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", UNSEEDED_COMMANDS.values(), ids=UNSEEDED_COMMANDS.keys())
+    def test_rejected_where_nothing_is_seeded(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "0"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fourier", "bias", "--p", "101"],
+        ["general", "gap", "--params", "2", "--p", "16"],
+    ], ids=["fourier-bias", "general-gap"])
+    def test_accepted_where_a_draw_is_seeded(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--seed", "3")
+        assert code == 0
+        assert out
 
 
 class TestGeneralCommand:
@@ -259,17 +323,15 @@ class TestVerifyAll:
         assert code == 0
         assert out.splitlines()[0] == "check_id,claim,measured,bound,passed"
 
-
-class TestParallelSuite:
-    def test_parallel_matches_sequential_records(self):
-        from lgcomplexity.reporting import run_suite
-
-        config, errors = validate_config({"suite": "arrays"})
-        assert not errors
-        sequential = run_suite(config, parallel=False)
-        parallel = run_suite(config, parallel=True)
-        assert parallel.records == sequential.records
-        assert parallel.config_hash == sequential.config_hash
+    @NON_OBJECT_SECTIONS
+    @pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["no-seed", "seed"])
+    def test_non_object_section_is_usage_error(self, capsys, tmp_path, doc, key, seed):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-all", "--config", str(config), *seed)
+        assert code == 2
+        assert out == ""
+        assert f"config error: config key '{key}' must be an object" in err
 
 
 class TestValidateConfig:
@@ -299,6 +361,21 @@ class TestValidateConfig:
     def test_bad_iteration_limit_reported(self, iterations, message):
         _, errors = validate_config({"solver": {"max_iterations": iterations}})
         assert any("solver.max_iterations" in e and message in e for e in errors)
+
+    @NON_OBJECT_SECTIONS
+    def test_non_object_section_reported(self, doc, key):
+        _, errors = validate_config(doc)
+        assert any(f"config key '{key}' must be an object" in e for e in errors)
+
+    def test_nested_section_keeps_unset_defaults(self):
+        config, errors = validate_config({"structures": {"witnesses": {"triangle": [4]}}})
+        assert not errors
+        assert config["structures"]["witnesses"]["triangle"] == [4]
+        assert config["structures"]["witnesses"]["ksubset"] == [[4, 1], [6, 2]]
+
+    def test_unknown_nested_key_reported(self):
+        _, errors = validate_config({"structures": {"witnesses": {"nonsense": 1}}})
+        assert any("structures.witnesses.nonsense" in e for e in errors)
 
     def test_normalization_is_deterministic(self):
         a, _ = validate_config({"suite": "arrays"})
