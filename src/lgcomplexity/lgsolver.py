@@ -11,10 +11,12 @@ Solvers:
   * solve_primal - alternating minimization.  Given weights, each certificate's
     minimum-energy unit flow is an electrical flow (weighted-Laplacian solve on
     the lattice with the certificate's member sets grounded as a super-sink).
-    Each certificate's Laplacian pattern is built once per solve_primal call.
-    Up to _DENSE_NODE_CUT non-member subsets the system is solved dense; above
-    it by Jacobi-preconditioned CG, whose answer is kept only when the
-    recomputed residual max|L x - b| is at most 1e-12, else by sparse LU.
+    The Laplacian patterns of all certificates are built once per solve_primal
+    call, grouped by the number of non-member subsets.  Up to _DENSE_NODE_CUT
+    of them a group is solved dense, by one stacked np.linalg.solve per
+    array of at most _STACK_BYTES; above it each certificate is solved by
+    Jacobi-preconditioned CG, whose answer is kept only when the recomputed
+    residual max|L x - b| is at most 1e-12, else by sparse LU.
     Given flows, weights take the stationary form w_e = sqrt(sum_M mu_M
     p_e(M)^2) with the multipliers mu fitted by multiplicative updates.  Each
     update first sets mu's overall scale to its closed-form optimum, and the
@@ -65,8 +67,12 @@ from .structures import (
 _WEIGHT_FLOOR = 1e-14
 _PRIMAL_TOLERANCE = 1e-9             # conservation residual and constraint excess
 _SOLVE_RESIDUAL = 1e-12              # max |L x - b| accepted from CG
-# measured per solve on 2 cores, dense vs Jacobi-CG: 0.28 vs 1.5 ms at 128 nodes, even at 256, 6 vs 1.7 ms at 512
+# measured per certificate on 2 cores, stacked dense vs Jacobi-CG on ksubset flows at random
+# weights: 0.25-0.29 vs 1.2-1.6 ms at 128 nodes, 0.9-1.2 vs 1.4-1.9 ms at 256, 2.6-3.0 vs
+# 1.4-2.1 ms at 384, 4.9-5.8 vs 1.6-2.1 ms at 512; the crossover lies between 256 and 384
+# nodes, and the cut stays at 200 so that no structure changes path
 _DENSE_NODE_CUT = 200
+_STACK_BYTES = 32 << 20              # largest stacked dense Laplacian array
 
 
 @dataclass(frozen=True)
@@ -346,77 +352,120 @@ def normalize_witness(witness: DualWitness, cert: CertificateStructure) -> DualW
 # ---------------------------------------------------------------------------
 # primal solver
 
-class _GroundedLaplacian:
-    """One certificate's weighted Laplacian with its member sets grounded.
+class _LaplacianGroup:
+    """Grounded Laplacians of certificates with equal numbers of non-member subsets.
 
-    Rows and columns are the non-member subsets.  The pattern (node order, arc
-    masks, row/column indices, CSR indices) is built once; each solve only
-    refills the conductances.
+    Certificate M's rows and columns are its non-member subsets in ascending
+    mask order, so the empty set is node 0.  The pattern of every certificate
+    (diagonal, off-diagonal and potential positions) is built once, with
+    per-certificate offsets; each solve only refills the conductances.
     """
 
-    def __init__(self, n: int, member_row: np.ndarray):
-        self.src, _, self.dst = arc_arrays(n)
-        self.num_subsets = 1 << n
-        self.grounded_source = bool(member_row[0])
-        self.nodes = np.flatnonzero(~member_row)
-        self.size = size = len(self.nodes)
-        pos = np.full(1 << n, -1, dtype=np.int64)
-        pos[self.nodes] = np.arange(size)
-        src_in = ~member_row[self.src]
-        both = src_in & ~member_row[self.dst]
-        self.source = pos[0]
+    def __init__(self, certs: np.ndarray, member: np.ndarray, src: np.ndarray, dst: np.ndarray):
+        nonmember = ~member[certs]
+        count = len(certs)
+        self.size = size = int(nonmember[0].sum())
+        self.count = count
+        k_node, node = np.nonzero(nonmember)
+        pos = np.zeros(nonmember.shape, dtype=np.int64)
+        pos[k_node, node] = np.tile(np.arange(size), count)
+        self.pot_at = certs[k_node] * member.shape[1] + node
+        src_in = nonmember[:, src]
+        k_out, out_arcs = np.nonzero(src_in)
+        k_in, self.in_arcs = np.nonzero(src_in & nonmember[:, dst])
         # each node's diagonal sums the conductances of its out-arcs, then its in-arcs
-        self.diag_arcs = np.concatenate([np.flatnonzero(src_in), np.flatnonzero(both)])
-        self.diag_at = np.concatenate([pos[self.src[src_in]], pos[self.dst[both]]])
-        self.both = np.flatnonzero(both)
-        self.rows = pos[self.src[both]]
-        self.cols = pos[self.dst[both]]
-        if size > _DENSE_NODE_CUT:
-            all_rows = np.concatenate([np.arange(size), self.rows, self.cols])
-            all_cols = np.concatenate([np.arange(size), self.cols, self.rows])
-            self.order = np.lexsort((all_cols, all_rows))
-            self.indices = all_cols[self.order].astype(np.int32)
-            self.indptr = np.zeros(size + 1, dtype=np.int32)
-            np.cumsum(np.bincount(all_rows, minlength=size), out=self.indptr[1:])
-
-    def _solve(self, c: np.ndarray) -> np.ndarray:
-        size = self.size
-        diag = np.bincount(self.diag_at, weights=c[self.diag_arcs], minlength=size)
-        off = -c[self.both]
-        b = np.zeros(size)
-        b[self.source] = 1.0
+        self.diag_arcs = np.concatenate([out_arcs, self.in_arcs])
+        self.diag_at = np.concatenate([k_out * size + pos[k_out, src[out_arcs]],
+                                       k_in * size + pos[k_in, dst[self.in_arcs]]])
+        rows = k_in * size + pos[k_in, src[self.in_arcs]]
+        cols = k_in * size + pos[k_in, dst[self.in_arcs]]
+        nodes = np.arange(count * size)
         if size <= _DENSE_NODE_CUT:
-            lap = np.zeros((size, size))
-            lap[self.rows, self.cols] = off
-            lap[self.cols, self.rows] = off
-            np.fill_diagonal(lap, diag)
-            return np.linalg.solve(lap, b)
-        lap = scipy.sparse.csr_matrix(
-            (np.concatenate([diag, off, off])[self.order], self.indices, self.indptr),
-            shape=(size, size),
-        )
-        x, info = scipy.sparse.linalg.cg(
-            lap, b, rtol=1e-13, atol=0.0, maxiter=size, M=scipy.sparse.diags(1.0 / diag)
-        )
-        # the conservation residual at a non-member node is exactly +-(L x - b)
-        if info != 0 or not np.max(np.abs(lap @ x - b)) <= _SOLVE_RESIDUAL:
-            x = scipy.sparse.linalg.spsolve(lap, b)
-        return x
+            # flat positions in the stacked (count, size, size) array
+            self.upper = rows * size + cols % size
+            self.lower = cols * size + rows % size
+            self.diagonal = nodes * size + nodes % size
+            self.rhs = np.zeros((count, size, 1))
+            self.rhs[:, 0] = 1.0
+            return
+        all_rows = np.concatenate([nodes, rows, cols])
+        all_cols = np.concatenate([nodes, cols, rows]) % size
+        self.order = np.argsort(all_rows * size + all_cols, kind="stable")
+        self.indices = all_cols[self.order].astype(np.int32)
+        self.indptr = np.zeros(count * size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(all_rows, minlength=count * size), out=self.indptr[1:])
+
+    def solve(self, c: np.ndarray, potentials: np.ndarray) -> None:
+        """Write every certificate's potentials into the flat per-(certificate, subset) array."""
+        size, count = self.size, self.count
+        diag = np.bincount(self.diag_at, weights=c[self.diag_arcs], minlength=count * size)
+        off = -c[self.in_arcs]
+        if size <= _DENSE_NODE_CUT:
+            lap = np.zeros(count * size * size)
+            lap[self.upper] = off
+            lap[self.lower] = off
+            lap[self.diagonal] = diag
+            x = np.linalg.solve(lap.reshape(count, size, size), self.rhs)
+            potentials[self.pot_at] = x.reshape(-1)
+            return
+        data = np.concatenate([diag, off, off])[self.order]
+        b = np.zeros(size)
+        b[0] = 1.0
+        for k in range(count):
+            lo, hi = self.indptr[k * size], self.indptr[(k + 1) * size]
+            lap = scipy.sparse.csr_matrix(
+                (data[lo:hi], self.indices[lo:hi],
+                 (self.indptr[k * size:(k + 1) * size + 1] - lo).astype(np.int32)),
+                shape=(size, size),
+            )
+            x, info = scipy.sparse.linalg.cg(
+                lap, b, rtol=1e-13, atol=0.0, maxiter=size,
+                M=scipy.sparse.diags(1.0 / diag[k * size:(k + 1) * size]),
+            )
+            # the conservation residual at a non-member node is exactly +-(L x - b)
+            if info != 0 or not np.max(np.abs(lap @ x - b)) <= _SOLVE_RESIDUAL:
+                x = scipy.sparse.linalg.spsolve(lap, b)
+            potentials[self.pot_at[k * size:(k + 1) * size]] = x
+
+
+class _StackedLaplacian:
+    """Every certificate's weighted Laplacian with its member sets grounded.
+
+    Certificates whose empty set is not a member are grouped by their number
+    of non-member subsets.  Dense groups are split so that one stacked array
+    holds at most _STACK_BYTES; certificates whose empty set is a member keep
+    zero flow and potential.
+    """
+
+    def __init__(self, n: int, member: np.ndarray):
+        self.src, _, self.dst = arc_arrays(n)
+        self.shape = member.shape
+        sizes = (~member).sum(axis=1)
+        active = ~member[:, 0]
+        self.groups = []
+        for size in np.unique(sizes[active]):
+            certs = np.flatnonzero(active & (sizes == size))
+            step = (len(certs) if size > _DENSE_NODE_CUT
+                    else max(1, _STACK_BYTES // (8 * int(size) ** 2)))
+            self.groups += [_LaplacianGroup(certs[i:i + step], member, self.src, self.dst)
+                            for i in range(0, len(certs), step)]
 
     def flow(self, w: np.ndarray):
-        """Unit electrical flow from the empty set into the member super-sink.
+        """Unit electrical flows from the empty set into each member super-sink.
 
-        Returns (per-arc flow, per-subset potential); both zero when the empty
-        set is itself a member.  Conductances are the weights; member nodes
-        are grounded, so flow conservation holds at every non-member node.
+        Returns (per-certificate, per-arc flows; per-certificate, per-subset
+        potentials).  Conductances are the weights, floored; member nodes are
+        grounded, so flow conservation holds at every non-member node.
         """
-        if self.grounded_source:
-            return np.zeros(len(self.src)), np.zeros(self.num_subsets)
         c = np.maximum(w, _WEIGHT_FLOOR * max(1.0, float(w.max(initial=0.0))))
-        potential = np.zeros(self.num_subsets)
-        potential[self.nodes] = self._solve(c)
-        p = c * (potential[self.src] - potential[self.dst])
-        return p, potential
+        potentials = np.zeros(self.shape)
+        for group in self.groups:
+            group.solve(c, potentials.reshape(-1))
+        # np.take keeps the rows C-ordered, and so the weight step's sums bit-stable
+        p = np.take(potentials, self.src, axis=1)
+        p -= np.take(potentials, self.dst, axis=1)
+        p *= c
+        return p, potentials
 
 
 def _optimize_weights(p2: np.ndarray, mu: np.ndarray, inner_iterations: int = 200):
@@ -460,18 +509,15 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
     num_certs = len(cert)
     num_arcs = arc_count(n)
 
-    laplacians = [_GroundedLaplacian(n, member[m]) for m in range(num_certs)]
+    laplacian = _StackedLaplacian(n, member)
     w = np.ones(num_arcs)
     mu = np.ones(num_certs)
-    p = np.zeros((num_certs, num_arcs))
-    potentials = np.zeros((num_certs, 1 << n))
     objective = math.sqrt(w.sum())
     residual = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, params.max_iterations + 1):
-        for m, laplacian in enumerate(laplacians):
-            p[m], potentials[m] = laplacian.flow(w)
+        p, potentials = laplacian.flow(w)
         w, mu, _ = _optimize_weights(p ** 2, mu)
         new_objective = math.sqrt(w.sum())
         residual = abs(new_objective - objective) / max(new_objective, 1e-30)
@@ -480,7 +526,7 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
             converged = True
             break
 
-    flow = FlowAssignment(n, p.copy())
+    flow = FlowAssignment(n, p)
     weights = WeightAssignment(n, w.copy())
     nu = 2.0 * mu[:, None] * potentials
     return PrimalSolution(

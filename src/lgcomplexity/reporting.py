@@ -51,18 +51,30 @@ DEFAULT_CONFIG = {
 }
 
 
+def _config_type(value) -> str:
+    """A config value's type: an object, a list, a number (int or float, not bool) or a string."""
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "a list"
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "a number (integer or float)"
+    return "a string" if isinstance(value, str) else type(value).__name__
+
+
 def _overlay(defaults: dict, doc: dict, prefix: str, errors: list[str]) -> None:
-    """Copy doc's values onto defaults; a key whose default is an object takes only an object."""
+    """Copy doc's values onto defaults; each value must have its default's config type."""
     for key, value in doc.items():
         name = prefix + key
         if key not in defaults:
             errors.append(f"unknown config key {name!r}")
-        elif not isinstance(defaults[key], dict):
-            defaults[key] = value
+        elif _config_type(value) != _config_type(defaults[key]):
+            errors.append(f"config key {name!r} must be {_config_type(defaults[key])}, "
+                          f"got {type(value).__name__}")
         elif isinstance(value, dict):
             _overlay(defaults[key], value, name + ".", errors)
         else:
-            errors.append(f"config key {name!r} must be an object, got {type(value).__name__}")
+            defaults[key] = value
 
 
 def validate_config(doc: dict | None) -> tuple[dict, list[str]]:
@@ -104,14 +116,11 @@ def validate_config(doc: dict | None) -> tuple[dict, list[str]]:
             f"instance alphabet q={q} violates q >= 2|C| = {2 * len(bounded_cert)} "
             "for the bounded instance checks"
         )
-    try:
-        tol = float(config["solver"]["tolerance"])
-        if tol <= 0:
-            errors.append("solver.tolerance must be positive")
-    except (TypeError, ValueError):
-        errors.append("solver.tolerance must be a number")
+    # _overlay leaves only numbers in the solver section
+    if config["solver"]["tolerance"] <= 0:
+        errors.append("solver.tolerance must be positive")
     iterations = config["solver"]["max_iterations"]
-    if isinstance(iterations, bool) or not isinstance(iterations, int):
+    if not isinstance(iterations, int):
         errors.append("solver.max_iterations must be an integer")
     elif iterations < 1:
         errors.append("solver.max_iterations must be at least 1")

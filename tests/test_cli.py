@@ -20,6 +20,12 @@ NON_OBJECT_SECTIONS = pytest.mark.parametrize("doc,key", [
     ({"structures": {"witnesses": 7}}, "structures.witnesses"),
 ], ids=["solver", "instance", "structures", "structures.witnesses"])
 
+MISTYPED_VALUES = pytest.mark.parametrize("doc,key,expected", [
+    ({"structures": {"duality": 5}}, "structures.duality", "a list"),
+    ({"instance": {"q": "x"}}, "instance.q", "a number (integer or float)"),
+    ({"gap_tolerance": "x"}, "gap_tolerance", "a number (integer or float)"),
+], ids=["structures.duality", "instance.q", "gap_tolerance"])
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -333,6 +339,15 @@ class TestVerifyAll:
         assert out == ""
         assert f"config error: config key '{key}' must be an object" in err
 
+    @MISTYPED_VALUES
+    def test_mistyped_value_is_usage_error(self, capsys, tmp_path, doc, key, expected):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-all", "--suite", "arrays", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"config error: config key '{key}' must be {expected}" in err
+
 
 class TestValidateConfig:
     def test_defaults_filled(self):
@@ -366,6 +381,25 @@ class TestValidateConfig:
     def test_non_object_section_reported(self, doc, key):
         _, errors = validate_config(doc)
         assert any(f"config key '{key}' must be an object" in e for e in errors)
+
+    @MISTYPED_VALUES
+    def test_mistyped_value_reported(self, doc, key, expected):
+        _, errors = validate_config(doc)
+        assert any(f"config key '{key}' must be {expected}" in e for e in errors)
+
+    @pytest.mark.parametrize("doc,key,expected", [
+        ({"instance": {"q": True}}, "instance.q", "a number (integer or float), got bool"),
+        ({"solver": {"tolerance": [1e-6]}}, "solver.tolerance", "a number (integer or float), got list"),
+        ({"suite": 3}, "suite", "a string, got int"),
+    ], ids=["bool-for-number", "list-for-number", "number-for-string"])
+    def test_other_mistyped_values_reported(self, doc, key, expected):
+        _, errors = validate_config(doc)
+        assert f"config key '{key}' must be {expected}" in errors
+
+    def test_float_accepted_for_integer_default(self):
+        config, errors = validate_config({"instance": {"q": 8.0}, "gap_tolerance": 1})
+        assert not errors
+        assert config["gap_tolerance"] == 1
 
     def test_nested_section_keeps_unset_defaults(self):
         config, errors = validate_config({"structures": {"witnesses": {"triangle": [4]}}})

@@ -519,14 +519,12 @@ class TestLaplacianSolve:
         cert = st.ksubset_structure(n, 1)
         member = st.membership_table(cert)
         w = self.weights(spread)
-        flows = []
+        p, potential = lg._StackedLaplacian(n, member).flow(w)
         for m in range(len(cert)):
-            p, potential = lg._GroundedLaplacian(n, member[m]).flow(w)
             p_ref, potential_ref = direct_flow(n, member[m], w)
-            assert_close_relative(p, p_ref, 1e-10)
-            assert_close_relative(potential, potential_ref, 1e-10)
-            flows.append(p)
-        residuals = lg.flow_residuals(cert, lg.FlowAssignment(n, np.stack(flows)))
+            assert_close_relative(p[m], p_ref, 1e-10)
+            assert_close_relative(potential[m], potential_ref, 1e-10)
+        residuals = lg.flow_residuals(cert, lg.FlowAssignment(n, p))
         assert max(abs(r) for r in residuals.values()) <= 1e-12
 
     @staticmethod
@@ -545,7 +543,7 @@ class TestLaplacianSolve:
     def test_cg_answer_accepted(self, monkeypatch, spread):
         calls = self.count_direct_solves(monkeypatch)
         member = st.membership_table(st.ksubset_structure(self.N, 1))
-        lg._GroundedLaplacian(self.N, member[0]).flow(self.weights(spread))
+        lg._StackedLaplacian(self.N, member[:1]).flow(self.weights(spread))
         assert not calls
 
     @pytest.mark.parametrize("failure", ["info", "wrong-x"])
@@ -565,17 +563,79 @@ class TestLaplacianSolve:
         n = self.N
         member = st.membership_table(st.ksubset_structure(n, 1))
         w = self.weights(False)
-        p, potential = lg._GroundedLaplacian(n, member[0]).flow(w)
+        p, potential = lg._StackedLaplacian(n, member[:1]).flow(w)
         assert len(calls) == 1
         p_ref, potential_ref = direct_flow(n, member[0], w)
-        assert_close_relative(p, p_ref, 1e-10)
-        assert_close_relative(potential, potential_ref, 1e-10)
+        assert_close_relative(p[0], p_ref, 1e-10)
+        assert_close_relative(potential[0], potential_ref, 1e-10)
 
     def test_reference_objective_ksubset_12_1(self):
         cert = st.ksubset_structure(12, 1)
         sol = lg.solve_primal(cert, lg.SolverParams(max_iterations=2))
         assert sol.objective == pytest.approx(4.091815722046466, rel=1e-12)
         lg._check_primal(cert, sol)
+
+
+class TestStackedLaplacian:
+    """Below the dense cut, one stacked solve per group of equal non-member counts."""
+
+    @staticmethod
+    def flows_match_direct_solves(cert: st.CertificateStructure) -> None:
+        n = cert.n
+        member = st.membership_table(cert)
+        w = np.random.default_rng(3).uniform(0.1, 2.0, st.arc_count(n))
+        p, potential = lg._StackedLaplacian(n, member).flow(w)
+        for m in range(len(cert)):
+            if member[m, 0]:
+                assert not p[m].any() and not potential[m].any()
+                continue
+            p_ref, potential_ref = direct_flow(n, member[m], w)
+            assert_close_relative(p[m], p_ref, 1e-10)
+            assert_close_relative(potential[m], potential_ref, 1e-10)
+
+    def test_asymmetric_two_group_sizes(self, monkeypatch):
+        # {1,2} and {1,3} leave 6 non-member subsets and {3} leaves 4, so
+        # certificate 2 is the second of its group and certificate 1 the first
+        cert = structure(3, [(1, 2)], [(3,)], [(1, 3)])
+        assert list((~st.membership_table(cert)).sum(axis=1)) == [6, 4, 6]
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        self.flows_match_direct_solves(cert)
+        assert calls == [(1, 4, 4), (2, 6, 6)]
+
+    def test_empty_set_member_gives_zero_rows(self):
+        cert = st.CertificateStructure(
+            3, (st.Certificate((0,)),
+                st.Certificate.from_sets([(1,)]), st.Certificate.from_sets([(2, 3)]))
+        )
+        self.flows_match_direct_solves(cert)
+
+    def test_ksubset_4_2(self):
+        self.flows_match_direct_solves(st.ksubset_structure(4, 2))
+
+    def test_chunked_stack_is_bit_identical(self, monkeypatch):
+        member = st.membership_table(st.ksubset_structure(4, 2))  # 6 certificates of 12 nodes
+        w = np.random.default_rng(5).uniform(0.1, 2.0, st.arc_count(4))
+        whole = lg._StackedLaplacian(4, member)
+        monkeypatch.setattr(lg, "_STACK_BYTES", 2 * 8 * 12 ** 2)
+        chunked = lg._StackedLaplacian(4, member)
+        assert (len(whole.groups), len(chunked.groups)) == (1, 3)
+        for a, b in zip(whole.flow(w), chunked.flow(w)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind,params,iterations", [
+        ("ksubset", (4, 1), 658), ("ksubset", (4, 2), 17),
+        ("hidden_shift", (3,), 495), ("collision", (2,), 18),
+    ])
+    def test_ladder_iteration_counts(self, kind, params, iterations):
+        sol = lg.solve_primal(st.build_named_structure(kind, params))
+        assert sol.iterations == iterations
 
 
 class TestSolverParams:
@@ -597,10 +657,7 @@ def test_weak_duality_random_feasible_pairs(data, n):
     rng = np.random.default_rng(seed)
     # feasible primal pair: exact flows for random weights, then fitted weights
     w0 = lg.WeightAssignment(n, rng.uniform(0.1, 2.0, st.arc_count(n)))
-    flows = np.stack([
-        lg._GroundedLaplacian(n, st.membership_table(cert)[m]).flow(w0.values)[0]
-        for m in range(n)
-    ])
+    flows = lg._StackedLaplacian(n, st.membership_table(cert)).flow(w0.values)[0]
     flow = lg.FlowAssignment(n, flows)
     weights = lg.WeightAssignment(n, lg._optimize_weights(flow.values ** 2, np.ones(n))[0])
     assert np.all(lg.primal_constraint_values(flow, weights) <= 1 + 1e-9)
