@@ -475,10 +475,34 @@ class AdversaryReport:
         return doc
 
 
+# a witness counts as feasible while its arc-load margin stays within 1 + this slack
+FEASIBILITY_SLACK = 1e-6
+
+
+def _require_feasible(instance: HardInstance, witness: DualWitness) -> None:
+    margin = dual_feasibility_margin(instance.cert, witness)
+    if margin > 1.0 + FEASIBILITY_SLACK:
+        raise InvariantViolation(f"witness is infeasible (margin {margin} > 1); normalize it first")
+
+
+def _masked_norms(gamma: BlockOperator, parallel: bool = False) -> tuple[float, ...]:
+    """Norms of gamma masked at each variable j = 1..n; parallel runs them on a thread pool."""
+    def masked_norm(j):
+        return spectral_norm(hadamard_mask(gamma, j)).norm
+
+    variables = range(1, gamma.n + 1)
+    if parallel:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor() as pool:
+            return tuple(pool.map(masked_norm, variables))
+    return tuple(map(masked_norm, variables))
+
+
 def adversary_ratio(
     instance: HardInstance,
     witness: DualWitness,
-    tolerance: float = 1e-6,
+    *,
     parallel: bool = False,
 ) -> AdversaryReport:
     """Norm of the adversary matrix against its coordinate-masked norms.
@@ -487,11 +511,7 @@ def adversary_ratio(
     up to a universal constant.  Requires a feasible witness and a nonzero
     matrix.
     """
-    margin = dual_feasibility_margin(instance.cert, witness)
-    if margin > 1.0 + tolerance:
-        raise InvariantViolation(
-            f"witness is infeasible (margin {margin} > 1); normalize it first"
-        )
+    _require_feasible(instance, witness)
     op = assemble(witness, instance)
     gamma_norm = spectral_norm(op).norm
     if gamma_norm == 0.0:
@@ -508,17 +528,7 @@ def adversary_ratio(
     cols = op.shape[1]
     identity = float(u @ op.matvec(np.full(cols, 1.0 / math.sqrt(cols))))
     predicted = math.sqrt(instance.y_size() / instance.input_count * obj2)
-
-    def masked_norm(j):
-        return spectral_norm(hadamard_mask(op, j)).norm
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            per_j = tuple(pool.map(masked_norm, range(1, instance.n + 1)))
-    else:
-        per_j = tuple(masked_norm(j) for j in range(1, instance.n + 1))
+    per_j = _masked_norms(op, parallel)
     ratio = gamma_norm / max(per_j)
     return AdversaryReport(
         gamma_norm=gamma_norm,
@@ -563,12 +573,23 @@ class BoundedNormReport:
     masked_norms: tuple[float, ...]     # per-j norms of the masked adversary matrix
     j: int
 
+    def bound_checks(self) -> list[dict]:
+        """The chain's four claims, each as {claim, measured, bound, passed}."""
+        checks = [
+            ("part norms at most 1", max(self.hat_part_norms), 1.0 + 1e-6),
+            ("stacked difference norm at most k", self.hat_norm, self.k + 1e-6),
+            ("restricted norm below the unrestricted one", self.prime_norm,
+             self.hat_norm + 1e-9),
+            ("masked norms at most 2k", max(self.masked_norms), 2.0 * self.k + 1e-6),
+        ]
+        return [{"claim": claim, "measured": measured, "bound": bound,
+                 "passed": measured <= bound} for claim, measured, bound in checks]
+
 
 def bounded_norm_certificates(
     instance: HardInstance,
     witness: DualWitness,
     j: int,
-    tolerance: float = 1e-6,
 ) -> BoundedNormReport:
     """Per-part norms certifying the bounded-generation norm chain.
 
@@ -576,11 +597,7 @@ def bounded_norm_certificates(
     parts of norm at most 1 each, so the column-unrestricted operator has norm
     at most k and the masked adversary-matrix norms stay below 2k.
     """
-    margin = dual_feasibility_margin(instance.cert, witness)
-    if margin > 1.0 + tolerance:
-        raise InvariantViolation(
-            f"witness is infeasible (margin {margin} > 1); normalize it first"
-        )
+    _require_feasible(instance, witness)
     part = generator_partition(instance.cert)
     k = int(part.max())
     beta = difference_coefficients(witness, j)
@@ -596,14 +613,11 @@ def bounded_norm_certificates(
     prime_norm = spectral_norm(prime_op).norm
 
     gamma = assemble(witness, instance, verify_orthogonality=False)
-    masked = tuple(
-        spectral_norm(hadamard_mask(gamma, jj)).norm for jj in range(1, instance.n + 1)
-    )
     return BoundedNormReport(
         k=k,
         hat_part_norms=tuple(hat_parts),
         hat_norm=hat_norm,
         prime_norm=prime_norm,
-        masked_norms=masked,
+        masked_norms=_masked_norms(gamma),
         j=j,
     )

@@ -18,7 +18,8 @@ from . import structures as st
 from . import witnesses as wt
 from .errors import LgError
 from .reporting import (
-    config_hash,
+    DEFAULT_CONFIG,
+    SUITES,
     report_csv_body,
     run_suite,
     validate_config,
@@ -31,18 +32,17 @@ def _solver_params(args) -> lg.SolverParams:
 
 
 def _emit(args, payload: dict, csv_rows: list[list] | None = None):
-    if getattr(args, "format", "json") == "csv" and csv_rows is not None:
+    if args.format == "csv" and csv_rows is not None:
         lines = [",".join(str(x) for x in row) for row in csv_rows]
         text = "\n".join(lines) + "\n"
     else:
         # payloads are built in their documented field order; keep it
         text = json.dumps(payload, indent=2) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         import os
 
         os.makedirs(args.out, exist_ok=True)
-        suffix = "csv" if getattr(args, "format", "json") == "csv" else "json"
-        path = os.path.join(args.out, f"{args.artifact_name}.{suffix}")
+        path = os.path.join(args.out, f"{args.artifact_name}.{args.format}")
         with open(path, "w") as handle:
             handle.write(text)
         print(path)
@@ -118,12 +118,7 @@ def _witness_for(args) -> tuple[st.CertificateStructure, lg.DualWitness, str]:
                 wt.ksubset_witness(args.n, args.k),
                 f"ksubset-{args.n}-{args.k}")
     if args.witness_command == "hiddenshift":
-        builder = {
-            "hidden_shift": st.hidden_shift_structure,
-            "set_equality": st.set_equality_structure,
-            "collision": st.collision_structure,
-        }[args.target]
-        return (builder(args.n),
+        return (wt.HIDDEN_SHIFT_TARGETS[args.target](args.n),
                 wt.hidden_shift_witness(args.n, args.target),
                 f"hiddenshift-{args.n}-{args.target}")
     return (st.triangle_structure(args.n),
@@ -137,15 +132,11 @@ def cmd_witness(args) -> int:
     if args.measure_margin:
         objective = lg.dual_objective(witness)
         margin = lg.dual_feasibility_margin(cert, witness)
-        n_for_log = args.n
+        per_log2n = margin / math.log2(max(args.n, 2))
         rows = [["n", "objective", "margin", "margin_per_log2n"],
-                [n_for_log, f"{objective:.9g}", f"{margin:.9g}",
-                 f"{margin / math.log2(max(n_for_log, 2)):.9g}"]]
-        _emit(args, {
-            "witness": name, "n": n_for_log, "objective": objective,
-            "margin": margin,
-            "margin_per_log2n": margin / math.log2(max(n_for_log, 2)),
-        }, csv_rows=rows)
+                [args.n, f"{objective:.9g}", f"{margin:.9g}", f"{per_log2n:.9g}"]]
+        _emit(args, {"witness": name, "n": args.n, "objective": objective, "margin": margin,
+                     "margin_per_log2n": per_log2n}, csv_rows=rows)
         return 0
     _emit(args, witness.to_dict())
     return 0
@@ -217,17 +208,7 @@ def cmd_adversary_report(args) -> int:
         json.dumps(witness.to_dict(), sort_keys=True).encode()
     ).hexdigest()
     payload = rep.to_dict(witness_hash=witness_hash)
-    payload["bound_checks"] = [
-        {"claim": "part norms at most 1", "measured": max(bn.hat_part_norms),
-         "bound": 1.0 + 1e-6, "passed": max(bn.hat_part_norms) <= 1.0 + 1e-6},
-        {"claim": "stacked difference norm at most k", "measured": bn.hat_norm,
-         "bound": bn.k + 1e-6, "passed": bn.hat_norm <= bn.k + 1e-6},
-        {"claim": "restricted norm below the unrestricted one",
-         "measured": bn.prime_norm, "bound": bn.hat_norm + 1e-9,
-         "passed": bn.prime_norm <= bn.hat_norm + 1e-9},
-        {"claim": "masked norms at most 2k", "measured": max(bn.masked_norms),
-         "bound": 2.0 * bn.k + 1e-6, "passed": max(bn.masked_norms) <= 2.0 * bn.k + 1e-6},
-    ]
+    payload["bound_checks"] = bn.bound_checks()
     args.artifact_name = f"adversary-{args.kind}-q{args.q}"
     _emit(args, payload)
     return 0 if all(c["passed"] for c in payload["bound_checks"]) else 1
@@ -245,7 +226,7 @@ def cmd_fourier(args) -> int:
     for p in args.p:
         for seed in args.seeds:
             biased = fo.random_low_bias_set(p, args.delta, seed)
-            bound = 4.0 * math.sqrt(math.log(p) / p)
+            bound = fo.random_bias_bound(p)
             rows.append([p, seed, len(biased), f"{biased.bias:.9g}", f"{bound:.9g}"])
             payload.append({"p": p, "seed": seed, "size": len(biased),
                             "bias": biased.bias, "bound": bound})
@@ -255,24 +236,16 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_general_gap(args) -> int:
+    # --kind allows only hidden_shift, the one structure with a matching witness
     cert = st.build_named_structure(args.kind, tuple(args.params))
-    witness = wt.hidden_shift_witness(args.params[0]) if args.kind == "hidden_shift" else None
-    if witness is None:
-        print("general gap currently pairs hidden_shift structures with their witness",
-              file=sys.stderr)
-        return 2
+    witness = wt.hidden_shift_witness(args.params[0])
     rows = [["p", "m", "gap", "bound"]]
     payload = []
     ok = True
-    for p in args.p:
-        inst = fo.build_general_instance(cert, p, args.seed)
-        beta = adv.difference_coefficients(witness, args.j)
-        for m in range(len(cert)):
-            gap = fo.restriction_gap(inst, witness, args.j, m)
-            bound = fo.restriction_gap_bound(inst, beta, m)
-            ok = ok and gap <= bound
-            rows.append([p, m, f"{gap:.9g}", f"{bound:.9g}"])
-            payload.append({"p": p, "m": m, "gap": gap, "bound": bound})
+    for p, m, gap, bound in fo.restriction_gap_ladder(cert, witness, args.p, args.j, args.seed):
+        ok = ok and gap <= bound
+        rows.append([p, m, f"{gap:.9g}", f"{bound:.9g}"])
+        payload.append({"p": p, "m": m, "gap": gap, "bound": bound})
     args.artifact_name = f"general-gap-{args.kind}"
     _emit(args, {"ladder": payload}, csv_rows=rows)
     return 0 if ok else 1
@@ -317,12 +290,13 @@ def _add_common(parser, with_solver=False, with_gap=False):
     parser.add_argument("--out", default=None, help="directory for the artifact")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     if with_solver:
-        parser.add_argument("--tolerance", type=float, default=1e-6)
+        defaults = lg.SolverParams()
+        parser.add_argument("--tolerance", type=float, default=defaults.tolerance)
         parser.add_argument("--max-iterations", dest="max_iterations", type=int,
-                            default=10000)
+                            default=defaults.max_iterations)
     if with_gap:
         parser.add_argument("--gap-tolerance", dest="gap_tolerance", type=float,
-                            default=0.02)
+                            default=DEFAULT_CONFIG["gap_tolerance"])
 
 
 def _add_structure_args(parser):
@@ -361,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--k", type=int, required=True)
     wh = w_sub.add_parser("hiddenshift")
     wh.add_argument("--n", type=int, required=True)
-    wh.add_argument("--target", default="hidden_shift",
-                    choices=("hidden_shift", "set_equality", "collision"))
+    wh.add_argument("--target", default="hidden_shift", choices=tuple(wt.HIDDEN_SHIFT_TARGETS))
     wtri = w_sub.add_parser("triangle")
     wtri.add_argument("--n", type=int, required=True)
     for sp in (wp, wh, wtri):
@@ -421,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     gg = g_sub.add_parser("gap")
     gg.add_argument("--kind", default="hidden_shift", choices=("hidden_shift",))
     gg.add_argument("--params", type=int, nargs="+", default=[2])
-    gg.add_argument("--p", type=int, nargs="+", default=[16, 32, 64])
+    gg.add_argument("--p", type=int, nargs="+", default=DEFAULT_CONFIG["instance"]["p_ladder"])
     gg.add_argument("--j", type=int, default=1)
     gg.add_argument("--seed", type=int, default=0)
     _add_common(gg)
@@ -429,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_all = sub.add_parser("verify-all", help="run a verification suite")
     p_all.add_argument("--config", default=None)
-    p_all.add_argument("--suite", default=None, choices=(None,) + tuple(
-        ("duality", "witnesses", "arrays", "adversary", "fourier", "general", "all")))
+    p_all.add_argument("--suite", default=None, choices=(None,) + SUITES)
     p_all.add_argument("--seed", type=int, default=None)
     p_all.add_argument("--out", default=None)
     p_all.add_argument("--format", choices=("json", "csv"), default="json")
@@ -443,14 +415,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-    except LgError as exc:
+        return args.func(args)
+    except (LgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return code
 
 
 if __name__ == "__main__":

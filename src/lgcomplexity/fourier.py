@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -122,6 +122,11 @@ def _draw_biased_set(rng: np.random.Generator, p: int, delta: float) -> BiasedSe
 def random_low_bias_set(p: int, delta: float, seed: int = 0) -> BiasedSet:
     """round(delta*p) elements uniform without replacement; bias cached."""
     return _draw_biased_set(np.random.default_rng(seed), p, delta)
+
+
+def random_bias_bound(p: int) -> float:
+    """4*sqrt(ln p / p), the bias bound checked for a random half-density subset of Z_p."""
+    return 4.0 * math.sqrt(math.log(p) / p)
 
 
 def shift(w: Sequence[int], subset, c: int, p: int) -> tuple[int, ...]:
@@ -526,3 +531,16 @@ def restriction_gap(
             continue
         worst = max(worst, abs(b0) * abs(b1) * bias / instance.delta)
     return worst
+
+
+def restriction_gap_ladder(cert: CertificateStructure, witness: DualWitness, ps: Iterable[int],
+                           j: int, seed: int) -> Iterator[tuple[int, int, float, float]]:
+    """Yield (p, m, gap, bound) across direction j per p in ps, then per certificate m.
+
+    Each p runs on build_general_instance(cert, p, seed); bound is restriction_gap_bound.
+    """
+    beta = difference_coefficients(witness, j)
+    for p in ps:
+        inst = build_general_instance(cert, p, seed)
+        for m in range(len(cert)):
+            yield p, m, restriction_gap(inst, witness, j, m), restriction_gap_bound(inst, beta, m)

@@ -10,6 +10,7 @@ metadata file).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -45,7 +46,7 @@ DEFAULT_CONFIG = {
             "triangle": [5],
         },
     },
-    "solver": {"tolerance": 1e-6, "max_iterations": 10000, "seed": 0},
+    "solver": dataclasses.asdict(lg.SolverParams()),
     "instance": {"q": 8, "p_ladder": [16, 32, 64], "seed": 0},
     "gap_tolerance": 0.02,
 }
@@ -62,6 +63,33 @@ def _config_type(value) -> str:
     return "a string" if isinstance(value, str) else type(value).__name__
 
 
+# what the type check in _overlay leaves open, per key: int is an integer (an integral float such
+# as 8.0 counts), str a string, [s] a list of s, and (s, t) a two-element list of s then t
+_SHAPES = {
+    "instance.q": (int, "an integer"),
+    "instance.seed": (int, "an integer"),
+    "solver.seed": (int, "an integer"),
+    "instance.p_ladder": ([int], "a list of integers"),
+    "structures.witnesses.hidden_shift": ([int], "a list of integers"),
+    "structures.witnesses.triangle": ([int], "a list of integers"),
+    "structures.witnesses.ksubset": ([(int, int)], "a list of [n, k] integer pairs"),
+    "structures.duality": ([(str, [int])], "a list of [kind, [integers]] pairs"),
+}
+
+
+def _has_shape(value, shape) -> bool:
+    if shape is int:
+        return ((isinstance(value, int) and not isinstance(value, bool))
+                or (isinstance(value, float) and value.is_integer()))
+    if shape is str:
+        return isinstance(value, str)
+    if not isinstance(value, list):
+        return False
+    if isinstance(shape, tuple):
+        return len(value) == len(shape) and all(map(_has_shape, value, shape))
+    return all(_has_shape(item, shape[0]) for item in value)
+
+
 def _overlay(defaults: dict, doc: dict, prefix: str, errors: list[str]) -> None:
     """Copy doc's values onto defaults; each value must have its default's config type."""
     for key, value in doc.items():
@@ -71,6 +99,8 @@ def _overlay(defaults: dict, doc: dict, prefix: str, errors: list[str]) -> None:
         elif _config_type(value) != _config_type(defaults[key]):
             errors.append(f"config key {name!r} must be {_config_type(defaults[key])}, "
                           f"got {type(value).__name__}")
+        elif name in _SHAPES and not _has_shape(value, _SHAPES[name][0]):
+            errors.append(f"config key {name!r} must be {_SHAPES[name][1]}, got {value!r}")
         elif isinstance(value, dict):
             _overlay(defaults[key], value, name + ".", errors)
         else:
@@ -234,74 +264,49 @@ def _duality_checks(config) -> list[tuple[str, Callable[[], list[CheckRecord]]]]
     ]
 
 
+# per witness kind, in report order: check-id name, builder, the objective's claim and closed
+# form, and the margin's claim and bound
+_WITNESS_FAMILIES = {
+    "ksubset": ("ksubset", wt.ksubset_witness,
+                "witness objective equals n^(k/(k+1))", lambda n, k: float(n) ** (k / (k + 1.0)),
+                "exhaustive arc-load margin stays below 8", lambda n, k: 8.0),
+    "hidden_shift": ("hidden-shift", wt.hidden_shift_witness,
+                     "witness objective equals n^(1/3)", lambda n: float(n) ** (1.0 / 3.0),
+                     "exhaustive arc-load margin stays below 2", lambda n: 2.0 + 1e-9),
+    "triangle": ("triangle", wt.triangle_witness,
+                 "witness objective equals sqrt(C(n,3)) * n^(-3/14)",
+                 lambda n: math.sqrt(math.comb(n, 3)) * float(n) ** (-3.0 / 14.0),
+                 "exhaustive margin is finite and below 100*log2(n)",
+                 lambda n: 100.0 * math.log2(n)),
+}
+
+
 def _witness_checks(config):
+    def make(tag, kind, params):
+        _, build, objective_claim, objective, margin_claim, margin_bound = _WITNESS_FAMILIES[kind]
+
+        def run():
+            witness = build(*params)
+            err = abs(lg.dual_objective(witness) - objective(*params))
+            records = [CheckRecord(f"{tag}/objective", objective_claim, err, 1e-9, err <= 1e-9)]
+            if kind == "triangle":  # the one family whose empty-set value is exact
+                exact = bool(np.all(witness.alpha[:, 0] == float(params[0]) ** (-3.0 / 14.0)))
+                records.append(CheckRecord(f"{tag}/empty",
+                                           "alpha at the empty set equals n^(-3/14) exactly",
+                                           0.0 if exact else 1.0, 0.0, exact))
+            margin = lg.dual_feasibility_margin(st.build_named_structure(kind, params), witness)
+            bound = margin_bound(*params)
+            records.append(CheckRecord(f"{tag}/margin", margin_claim, margin, bound,
+                                       margin <= bound))
+            return records
+        return run
+
     entries = []
-
-    def ksubset_run(n, k):
-        def run():
-            cert = st.ksubset_structure(n, k)
-            witness = wt.ksubset_witness(n, k)
-            obj = lg.dual_objective(witness)
-            target = float(n) ** (k / (k + 1.0))
-            margin = lg.dual_feasibility_margin(cert, witness)
-            tag = f"witnesses/ksubset-{n}-{k}"
-            return [
-                CheckRecord(f"{tag}/objective",
-                            "witness objective equals n^(k/(k+1))",
-                            abs(obj - target), 1e-9, abs(obj - target) <= 1e-9),
-                CheckRecord(f"{tag}/margin",
-                            "exhaustive arc-load margin stays below 8",
-                            margin, 8.0, margin <= 8.0),
-            ]
-        return run
-
-    def hs_run(n):
-        def run():
-            cert = st.hidden_shift_structure(n)
-            witness = wt.hidden_shift_witness(n)
-            obj = lg.dual_objective(witness)
-            target = float(n) ** (1.0 / 3.0)
-            margin = lg.dual_feasibility_margin(cert, witness)
-            tag = f"witnesses/hidden-shift-{n}"
-            return [
-                CheckRecord(f"{tag}/objective",
-                            "witness objective equals n^(1/3)",
-                            abs(obj - target), 1e-9, abs(obj - target) <= 1e-9),
-                CheckRecord(f"{tag}/margin",
-                            "exhaustive arc-load margin stays below 2",
-                            margin, 2.0 + 1e-9, margin <= 2.0 + 1e-9),
-            ]
-        return run
-
-    def tri_run(n):
-        def run():
-            cert = st.triangle_structure(n)
-            witness = wt.triangle_witness(n)
-            obj = lg.dual_objective(witness)
-            target = math.sqrt(math.comb(n, 3)) * float(n) ** (-3.0 / 14.0)
-            margin = lg.dual_feasibility_margin(cert, witness)
-            bound = 100.0 * math.log2(n)
-            empty_ok = bool(np.all(witness.alpha[:, 0] == float(n) ** (-3.0 / 14.0)))
-            tag = f"witnesses/triangle-{n}"
-            return [
-                CheckRecord(f"{tag}/objective",
-                            "witness objective equals sqrt(C(n,3)) * n^(-3/14)",
-                            abs(obj - target), 1e-9, abs(obj - target) <= 1e-9),
-                CheckRecord(f"{tag}/empty",
-                            "alpha at the empty set equals n^(-3/14) exactly",
-                            0.0 if empty_ok else 1.0, 0.0, empty_ok),
-                CheckRecord(f"{tag}/margin",
-                            "exhaustive margin is finite and below 100*log2(n)",
-                            margin, bound, math.isfinite(margin) and margin <= bound),
-            ]
-        return run
-
-    for n, k in config["structures"]["witnesses"]["ksubset"]:
-        entries.append((f"witnesses/ksubset-{n}-{k}", ksubset_run(n, k)))
-    for n in config["structures"]["witnesses"]["hidden_shift"]:
-        entries.append((f"witnesses/hidden-shift-{n}", hs_run(n)))
-    for n in config["structures"]["witnesses"]["triangle"]:
-        entries.append((f"witnesses/triangle-{n}", tri_run(n)))
+    for kind, (name, *_) in _WITNESS_FAMILIES.items():
+        for entry in config["structures"]["witnesses"][kind]:
+            params = tuple(int(v) for v in (entry if isinstance(entry, list) else [entry]))
+            tag = f"witnesses/{name}-{'-'.join(map(str, params))}"
+            entries.append((tag, make(tag, kind, params)))
     return entries
 
 
@@ -390,7 +395,7 @@ def _adversary_checks(config):
         inst = ar.build_bounded_instance(cert, q)
         witness = lg.normalize_witness(wt.ksubset_witness(3, 2), cert)
         rep = adv.adversary_ratio(inst, witness)
-        bn = adv.bounded_norm_certificates(inst, witness, 1)
+        part, _, _, masked = adv.bounded_norm_certificates(inst, witness, 1).bound_checks()
         identity_err = abs(rep.rayleigh_identity - rep.rayleigh_predicted)
         return [
             CheckRecord("adversary/rayleigh-identity",
@@ -398,12 +403,10 @@ def _adversary_checks(config):
                         identity_err, 1e-9, identity_err <= 1e-9),
             CheckRecord("adversary/part-norms",
                         "each generator-partition part has norm at most 1",
-                        max(bn.hat_part_norms), 1.0 + 1e-6,
-                        max(bn.hat_part_norms) <= 1.0 + 1e-6),
+                        part["measured"], part["bound"], part["passed"]),
             CheckRecord("adversary/masked-norms",
                         "every coordinate-masked norm stays below 2k",
-                        max(bn.masked_norms), 2.0 * bn.k + 1e-6,
-                        max(bn.masked_norms) <= 2.0 * bn.k + 1e-6),
+                        masked["measured"], masked["bound"], masked["passed"]),
             CheckRecord("adversary/ratio",
                         "the norm ratio certifies at least a quarter of the witness objective",
                         rep.ratio, 0.25 * rep.witness_objective,
@@ -451,7 +454,7 @@ def _fourier_checks(config):
         seed = int(config["instance"]["seed"])
         for p in (1009, 10007):
             biased = fo.random_low_bias_set(p, 0.5, seed)
-            bound = 4.0 * math.sqrt(math.log(p) / p)
+            bound = fo.random_bias_bound(p)
             records.append(CheckRecord(
                 f"fourier/random-bias-{p}",
                 "a random half-density set has bias at most 4*sqrt(ln p / p)",
@@ -512,18 +515,13 @@ def _general_checks(config):
         witness = wt.hidden_shift_witness(2)
         records = []
         per_m_gaps = {m: [] for m in range(len(cert))}
-        for p in ladder_ps:
-            inst = fo.build_general_instance(cert, p, seed)
-            beta = adv.difference_coefficients(witness, 1)
-            for m in range(len(cert)):
-                gap = fo.restriction_gap(inst, witness, 1, m)
-                bound = fo.restriction_gap_bound(inst, beta, m)
-                per_m_gaps[m].append(gap)
-                records.append(CheckRecord(
-                    f"general/gap-bound-p{p}-m{m}",
-                    "block deviation stays below n^ell * (bias/density) * max beta^2",
-                    gap, bound, gap <= bound,
-                ))
+        for p, m, gap, bound in fo.restriction_gap_ladder(cert, witness, ladder_ps, 1, seed):
+            per_m_gaps[m].append(gap)
+            records.append(CheckRecord(
+                f"general/gap-bound-p{p}-m{m}",
+                "block deviation stays below n^ell * (bias/density) * max beta^2",
+                gap, bound, gap <= bound,
+            ))
         for m, gaps in per_m_gaps.items():
             decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
             records.append(CheckRecord(

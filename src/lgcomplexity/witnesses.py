@@ -73,7 +73,7 @@ def ksubset_witness(n: int, k: int) -> DualWitness:
     return DualWitness(n, alpha)
 
 
-_HIDDEN_SHIFT_TARGETS = {
+HIDDEN_SHIFT_TARGETS = {
     "hidden_shift": hidden_shift_structure,
     "set_equality": set_equality_structure,
     "collision": collision_structure,
@@ -86,11 +86,11 @@ def hidden_shift_witness(n: int, target: str = "hidden_shift") -> DualWitness:
     Certificates of the target that are not cyclic-shift matchings get zero;
     the objective is n^(1/3) regardless of the target.
     """
-    if target not in _HIDDEN_SHIFT_TARGETS:
+    if target not in HIDDEN_SHIFT_TARGETS:
         raise ParameterError(
-            f"target must be one of {sorted(_HIDDEN_SHIFT_TARGETS)}, got {target!r}"
+            f"target must be one of {sorted(HIDDEN_SHIFT_TARGETS)}, got {target!r}"
         )
-    structure = _HIDDEN_SHIFT_TARGETS[target](n)
+    structure = HIDDEN_SHIFT_TARGETS[target](n)
     shift_keys = {c.minimal_sets for c in hidden_shift_structure(n).certificates}
     member = membership_table(structure)
     sizes = subset_sizes(structure.n).astype(float)

@@ -666,6 +666,12 @@ class TestAdversaryRatio:
         par = adv.adversary_ratio(inst, witness, parallel=True)
         assert par.per_j_norms == pytest.approx(seq.per_j_norms)
 
+    def test_parallel_is_keyword_only(self, pipeline_parts):
+        # a stale positional tolerance must fail loudly, not turn the pool on
+        _, inst, witness = pipeline_parts
+        with pytest.raises(TypeError):
+            adv.adversary_ratio(inst, witness, 1e-6)
+
 
 class TestBoundedNormCertificates:
     def test_acceptance_scale_bounds(self, pipeline_parts):
@@ -684,3 +690,23 @@ class TestBoundedNormCertificates:
         report = adv.bounded_norm_certificates(inst, witness, 1)
         assert report.k == 1
         assert report.prime_norm <= 1 + 1e-6
+
+    def test_infeasible_witness_rejected(self, pipeline_parts):
+        _, inst, witness = pipeline_parts
+        inflated = lg.DualWitness(3, 3.0 * witness.alpha)
+        with pytest.raises(InvariantViolation):
+            adv.bounded_norm_certificates(inst, inflated, 1)
+
+    def test_suite_records_match_bound_checks(self, pipeline_parts):
+        from lgcomplexity.reporting import run_suite, validate_config
+
+        _, inst, witness = pipeline_parts
+        config, errors = validate_config({"suite": "adversary"})
+        assert not errors and config["instance"]["q"] == inst.q
+        records = {r.check_id: r for r in run_suite(config).records}
+        part, _, _, masked = adv.bounded_norm_certificates(inst, witness, 1).bound_checks()
+        for check_id, check in (("adversary/part-norms", part),
+                                ("adversary/masked-norms", masked)):
+            record = records[check_id]
+            assert (record.measured, record.bound, record.passed) == (
+                check["measured"], check["bound"], check["passed"])

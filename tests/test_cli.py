@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from lgcomplexity import adversary as adv
 from lgcomplexity import arrays as ar
 from lgcomplexity import lgsolver as lg
 from lgcomplexity import structures as st
+from lgcomplexity import witnesses as wt
 from lgcomplexity.cli import main
 from lgcomplexity.reporting import validate_config
 
@@ -24,7 +26,21 @@ MISTYPED_VALUES = pytest.mark.parametrize("doc,key,expected", [
     ({"structures": {"duality": 5}}, "structures.duality", "a list"),
     ({"instance": {"q": "x"}}, "instance.q", "a number (integer or float)"),
     ({"gap_tolerance": "x"}, "gap_tolerance", "a number (integer or float)"),
-], ids=["structures.duality", "instance.q", "gap_tolerance"])
+    ({"structures": {"duality": [["ksubset", "x"]]}}, "structures.duality",
+     "a list of [kind, [integers]] pairs"),
+    ({"structures": {"duality": [5]}}, "structures.duality", "a list of [kind, [integers]] pairs"),
+    ({"structures": {"witnesses": {"triangle": ["x"]}}}, "structures.witnesses.triangle",
+     "a list of integers"),
+    ({"structures": {"witnesses": {"ksubset": [[4]]}}}, "structures.witnesses.ksubset",
+     "a list of [n, k] integer pairs"),
+    ({"structures": {"witnesses": {"hidden_shift": [1.5]}}},
+     "structures.witnesses.hidden_shift", "a list of integers"),
+    ({"instance": {"p_ladder": ["a"]}}, "instance.p_ladder", "a list of integers"),
+    ({"instance": {"q": 8.5}}, "instance.q", "an integer"),
+    ({"instance": {"seed": 1.5}}, "instance.seed", "an integer"),
+], ids=["structures.duality", "instance.q", "gap_tolerance", "duality-params",
+        "duality-entry", "triangle-element", "ksubset-arity", "hidden-shift-element",
+        "p_ladder-element", "fractional-q", "fractional-seed"])
 
 
 def run(capsys, *argv):
@@ -188,6 +204,10 @@ class TestAdversaryCommand:
                 "ratio", "bound_checks"} <= set(doc)
         assert len(doc["per_j_norms"]) == 3
         assert all(check["passed"] for check in doc["bound_checks"])
+        cert = st.ksubset_structure(3, 2)
+        witness = lg.normalize_witness(wt.ksubset_witness(3, 2), cert)
+        bn = adv.bounded_norm_certificates(ar.build_bounded_instance(cert, 8), witness, 1)
+        assert doc["bound_checks"] == bn.bound_checks()
 
     def test_report_above_dense_cap(self, capsys):
         # q^n = 32^3 = 32768 is past the dense oracle's cap of 2^14
