@@ -136,18 +136,25 @@ def _equality_masks(row_codes: np.ndarray, col_codes: np.ndarray, q: int, n: int
     return masks
 
 
-def difference_coefficients(witness: DualWitness | np.ndarray, j: int, n: int | None = None) -> np.ndarray:
+def _coefficients(witness_or_coeffs) -> tuple[np.ndarray, int]:
+    """A witness's alpha, or a raw (certificates, 2^n) array, with its n."""
+    if isinstance(witness_or_coeffs, DualWitness):
+        return witness_or_coeffs.alpha, witness_or_coeffs.n
+    coeffs = np.asarray(witness_or_coeffs, dtype=float)
+    width = coeffs.shape[1] if coeffs.ndim == 2 else 0
+    if width == 0 or width & (width - 1):
+        raise StructuralError(f"coefficients must have shape (certificates, 2^n), "
+                              f"got {coeffs.shape}")
+    return coeffs, width.bit_length() - 1
+
+
+def difference_coefficients(witness: DualWitness | np.ndarray, j: int) -> np.ndarray:
     """Per-(subset, certificate) drop across direction j: alpha_S - alpha_{S+j}.
 
     Zero automatically whenever j is in S or S is a member set (members of an
     upward-closed family keep zero alpha above them).
     """
-    if isinstance(witness, DualWitness):
-        alpha, n = witness.alpha, witness.n
-    else:
-        alpha = np.asarray(witness, dtype=float)
-        if n is None:
-            raise ParameterError("n is required when passing a raw coefficient array")
+    alpha, n = _coefficients(witness)
     if not 1 <= j <= n:
         raise ParameterError(f"j must be in [1, {n}], got {j}")
     masks = np.arange(1 << n)
@@ -284,21 +291,16 @@ def assemble(
     instance: HardInstance | None = None,
     *,
     q: int | None = None,
-    n: int | None = None,
     restrict_columns: bool = True,
-    verify_orthogonality: bool = True,
 ) -> BlockOperator:
     """Build the stacked operator for witness coefficients (or differences).
 
     Without an instance: the full operator on ([q]^n x certificates) x [q]^n;
     q is required.  With an instance: block rows restrict to X_M with scale
     sqrt(q^n/|X_M|), and columns restrict to Y unless restrict_columns=False.
+    The instance's soundness is the caller's to check (`_require_sound`).
     """
-    if isinstance(witness_or_coeffs, DualWitness):
-        coeffs, wit_n = witness_or_coeffs.alpha, witness_or_coeffs.n
-    else:
-        coeffs = np.asarray(witness_or_coeffs, dtype=float)
-        wit_n = n if n is not None else (coeffs.shape[1].bit_length() - 1)
+    coeffs, wit_n = _coefficients(witness_or_coeffs)
     if instance is None:
         if q is None:
             raise ParameterError("q is required when no instance is given")
@@ -314,15 +316,6 @@ def assemble(
         raise StructuralError("witness certificate count does not match the instance")
     if not instance.explicit:
         raise CapacityError("assembling restricted operators needs an explicit instance")
-    if verify_orthogonality:
-        for m in range(len(instance.cert)):
-            check = verify_orthogonality_property(instance, m)
-            if not check.ok:
-                raise InvariantViolation(
-                    f"X_M fails the uniform-projection property at certificate {m}, "
-                    f"S={check.subset}, assignment={check.assignment} "
-                    f"(count {check.count}, expected {check.expected})"
-                )
     total = instance.input_count
     scales = [math.sqrt(total / len(instance.x_sets[m])) for m in range(len(instance.cert))]
     col_codes = instance.y_codes if restrict_columns else None
@@ -479,39 +472,35 @@ class AdversaryReport:
 FEASIBILITY_SLACK = 1e-6
 
 
-def _require_feasible(instance: HardInstance, witness: DualWitness) -> None:
+def _require_sound(instance: HardInstance, witness: DualWitness) -> None:
+    """The lower bound's two preconditions: a feasible witness, and positive sets
+    X_M that project uniformly onto every subset outside their certificate."""
     margin = dual_feasibility_margin(instance.cert, witness)
     if margin > 1.0 + FEASIBILITY_SLACK:
         raise InvariantViolation(f"witness is infeasible (margin {margin} > 1); normalize it first")
+    for m in range(len(instance.cert)):
+        check = verify_orthogonality_property(instance, m)
+        if not check.ok:
+            raise InvariantViolation(
+                f"X_M fails the uniform-projection property at certificate {m}, "
+                f"S={check.subset}, assignment={check.assignment} "
+                f"(count {check.count}, expected {check.expected})"
+            )
 
 
-def _masked_norms(gamma: BlockOperator, parallel: bool = False) -> tuple[float, ...]:
-    """Norms of gamma masked at each variable j = 1..n; parallel runs them on a thread pool."""
-    def masked_norm(j):
-        return spectral_norm(hadamard_mask(gamma, j)).norm
-
-    variables = range(1, gamma.n + 1)
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            return tuple(pool.map(masked_norm, variables))
-    return tuple(map(masked_norm, variables))
+def _masked_norms(gamma: BlockOperator) -> tuple[float, ...]:
+    """Norms of gamma masked at each variable j = 1..n."""
+    return tuple(spectral_norm(hadamard_mask(gamma, j)).norm for j in range(1, gamma.n + 1))
 
 
-def adversary_ratio(
-    instance: HardInstance,
-    witness: DualWitness,
-    *,
-    parallel: bool = False,
-) -> AdversaryReport:
+def adversary_ratio(instance: HardInstance, witness: DualWitness) -> AdversaryReport:
     """Norm of the adversary matrix against its coordinate-masked norms.
 
     The ratio lower-bounds the quantum query cost of the instance's function
-    up to a universal constant.  Requires a feasible witness and a nonzero
-    matrix.
+    up to a universal constant.  Requires a sound instance and witness
+    (`_require_sound`) and a nonzero matrix.
     """
-    _require_feasible(instance, witness)
+    _require_sound(instance, witness)
     op = assemble(witness, instance)
     gamma_norm = spectral_norm(op).norm
     if gamma_norm == 0.0:
@@ -528,7 +517,7 @@ def adversary_ratio(
     cols = op.shape[1]
     identity = float(u @ op.matvec(np.full(cols, 1.0 / math.sqrt(cols))))
     predicted = math.sqrt(instance.y_size() / instance.input_count * obj2)
-    per_j = _masked_norms(op, parallel)
+    per_j = _masked_norms(op)
     ratio = gamma_norm / max(per_j)
     return AdversaryReport(
         gamma_norm=gamma_norm,
@@ -597,22 +586,21 @@ def bounded_norm_certificates(
     parts of norm at most 1 each, so the column-unrestricted operator has norm
     at most k and the masked adversary-matrix norms stay below 2k.
     """
-    _require_feasible(instance, witness)
+    _require_sound(instance, witness)
     part = generator_partition(instance.cert)
     k = int(part.max())
     beta = difference_coefficients(witness, j)
     hat_parts = []
     for i in range(1, k + 1):
         coeffs_i = np.where(part == i, beta, 0.0)
-        op_i = assemble(coeffs_i, instance, restrict_columns=False,
-                        verify_orthogonality=False)
+        op_i = assemble(coeffs_i, instance, restrict_columns=False)
         hat_parts.append(spectral_norm(op_i).norm)
-    hat_op = assemble(beta, instance, restrict_columns=False, verify_orthogonality=False)
+    hat_op = assemble(beta, instance, restrict_columns=False)
     hat_norm = spectral_norm(hat_op).norm
-    prime_op = assemble(beta, instance, restrict_columns=True, verify_orthogonality=False)
+    prime_op = assemble(beta, instance, restrict_columns=True)
     prime_norm = spectral_norm(prime_op).norm
 
-    gamma = assemble(witness, instance, verify_orthogonality=False)
+    gamma = assemble(witness, instance)
     return BoundedNormReport(
         k=k,
         hat_part_norms=tuple(hat_parts),

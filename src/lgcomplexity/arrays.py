@@ -373,6 +373,38 @@ def verify_orthogonality_property(instance: HardInstance, m: int) -> Orthogonali
     return OrthogonalityCheck(ok=True)
 
 
+@dataclass(frozen=True)
+class BoundedInstanceClaims:
+    """A bounded instance's two claims: every X_M projects uniformly outside its
+    certificate, and the negative set keeps |Y| >= q^n/2 of the inputs."""
+
+    orthogonality: tuple[OrthogonalityCheck, ...]   # one per certificate
+    y_size: int
+    y_bound: float
+
+    @property
+    def orthogonal(self) -> bool:
+        return all(check.ok for check in self.orthogonality)
+
+    @property
+    def y_bounded(self) -> bool:
+        return self.y_size >= self.y_bound
+
+    @property
+    def ok(self) -> bool:
+        return self.orthogonal and self.y_bounded
+
+
+def bounded_instance_claims(instance: HardInstance) -> BoundedInstanceClaims:
+    """Check both claims of an explicit bounded instance."""
+    return BoundedInstanceClaims(
+        orthogonality=tuple(verify_orthogonality_property(instance, m)
+                            for m in range(len(instance.cert))),
+        y_size=instance.y_size(),
+        y_bound=instance.input_count / 2,
+    )
+
+
 def evaluate_f(instance: HardInstance, x) -> FValue:
     """Classify an input: ONE in some X_M, ZERO in Y, otherwise outside the promise."""
     digits = np.asarray(x, dtype=np.int64)

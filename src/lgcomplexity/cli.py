@@ -16,7 +16,7 @@ from . import fourier as fo
 from . import lgsolver as lg
 from . import structures as st
 from . import witnesses as wt
-from .errors import LgError
+from .errors import LgError, ParameterError
 from .reporting import (
     DEFAULT_CONFIG,
     SUITES,
@@ -31,8 +31,16 @@ def _solver_params(args) -> lg.SolverParams:
     return lg.SolverParams(tolerance=args.tolerance, max_iterations=args.max_iterations)
 
 
+def _load_json(path: str, what: str):
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{what} {path} is not JSON: {exc}") from exc
+
+
 def _emit(args, payload: dict, csv_rows: list[list] | None = None):
-    if args.format == "csv" and csv_rows is not None:
+    if args.format == "csv":
         lines = [",".join(str(x) for x in row) for row in csv_rows]
         text = "\n".join(lines) + "\n"
     else:
@@ -127,6 +135,8 @@ def _witness_for(args) -> tuple[st.CertificateStructure, lg.DualWitness, str]:
 
 
 def cmd_witness(args) -> int:
+    if args.format == "csv" and not args.measure_margin:
+        raise ParameterError("only --measure-margin has a CSV form")
     cert, witness, name = _witness_for(args)
     args.artifact_name = f"witness-{name}"
     if args.measure_margin:
@@ -150,10 +160,14 @@ def cmd_oa(args) -> int:
                      "rows": [list(r) for r in array.rows]})
         return 0
     if args.rows_file:
-        with open(args.rows_file) as handle:
-            doc = json.load(handle)
+        doc = _load_json(args.rows_file, "rows file")
+        if not (isinstance(doc, dict) and {"q", "k", "rows"} <= set(doc)):
+            raise ParameterError(f"rows file {args.rows_file} must be an object "
+                                 "with q, k and rows")
         array = ar.OrthogonalArray(doc["q"], doc["k"],
                                    tuple(tuple(r) for r in doc["rows"]))
+    elif args.q is None or args.k is None:
+        raise ParameterError("oa verify needs --rows-file or both --q and --k")
     else:
         array = ar.sum_array(args.q, args.k)
     check = ar.verify_orthogonal_array(array)
@@ -178,18 +192,16 @@ def cmd_instance(args) -> int:
         args.artifact_name = f"instance-{name}"
         _emit(args, inst.to_summary_dict())
         return 0
-    checks = [ar.verify_orthogonality_property(inst, m) for m in range(len(cert))]
-    y = inst.y_size()
-    ok = all(c.ok for c in checks) and y >= inst.input_count / 2
+    claims = ar.bounded_instance_claims(inst)
     args.artifact_name = f"instance-verify-{name}"
     _emit(args, {
         "instance": name,
-        "orthogonality": [bool(c.ok) for c in checks],
-        "y_size": y,
-        "y_bound": inst.input_count / 2,
-        "ok": ok,
+        "orthogonality": [bool(c.ok) for c in claims.orthogonality],
+        "y_size": claims.y_size,
+        "y_bound": claims.y_bound,
+        "ok": claims.ok,
     })
-    return 0 if ok else 1
+    return 0 if claims.ok else 1
 
 
 def cmd_adversary_report(args) -> int:
@@ -200,7 +212,7 @@ def cmd_adversary_report(args) -> int:
     cert = _build_structure(args)
     inst = ar.build_bounded_instance(cert, args.q)
     witness = lg.normalize_witness(wt.ksubset_witness(*args.params), cert)
-    rep = adv.adversary_ratio(inst, witness, parallel=args.parallel)
+    rep = adv.adversary_ratio(inst, witness)
     bn = adv.bounded_norm_certificates(inst, witness, 1)
     import hashlib
 
@@ -236,8 +248,8 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_general_gap(args) -> int:
-    # --kind allows only hidden_shift, the one structure with a matching witness
-    cert = st.build_named_structure(args.kind, tuple(args.params))
+    # hidden_shift is the one structure with a matching witness
+    cert = st.build_named_structure("hidden_shift", tuple(args.params))
     witness = wt.hidden_shift_witness(args.params[0])
     rows = [["p", "m", "gap", "bound"]]
     payload = []
@@ -246,7 +258,7 @@ def cmd_general_gap(args) -> int:
         ok = ok and gap <= bound
         rows.append([p, m, f"{gap:.9g}", f"{bound:.9g}"])
         payload.append({"p": p, "m": m, "gap": gap, "bound": bound})
-    args.artifact_name = f"general-gap-{args.kind}"
+    args.artifact_name = "general-gap-hidden_shift"
     _emit(args, {"ladder": payload}, csv_rows=rows)
     return 0 if ok else 1
 
@@ -254,8 +266,7 @@ def cmd_general_gap(args) -> int:
 def cmd_verify_all(args) -> int:
     doc = {}
     if args.config:
-        with open(args.config) as handle:
-            doc = json.load(handle)
+        doc = _load_json(args.config, "config file")
     if isinstance(doc, dict):  # anything else is left for validate_config to reject
         if args.suite:
             doc["suite"] = args.suite
@@ -286,9 +297,12 @@ def cmd_verify_all(args) -> int:
     return 0 if report.passed else 1
 
 
-def _add_common(parser, with_solver=False, with_gap=False):
+def _add_common(parser, with_csv=False, with_solver=False, with_gap=False):
     parser.add_argument("--out", default=None, help="directory for the artifact")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    if with_csv:
+        parser.add_argument("--format", choices=("json", "csv"), default="json")
+    else:
+        parser.set_defaults(format="json")
     if with_solver:
         defaults = lg.SolverParams()
         parser.add_argument("--tolerance", type=float, default=defaults.tolerance)
@@ -325,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("primal", "dual", "gap"):
         sp = lg_sub.add_parser(name)
         _add_structure_args(sp)
-        _add_common(sp, with_solver=True, with_gap=(name == "gap"))
+        _add_common(sp, with_csv=name == "gap", with_solver=True, with_gap=name == "gap")
         sp.set_defaults(func=cmd_lg)
 
     p_wit = sub.add_parser("witness", help="closed-form dual witnesses")
@@ -340,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     wtri.add_argument("--n", type=int, required=True)
     for sp in (wp, wh, wtri):
         sp.add_argument("--measure-margin", action="store_true")
-        _add_common(sp)
+        _add_common(sp, with_csv=True)
         sp.set_defaults(func=cmd_witness)
 
     p_oa = sub.add_parser("oa", help="orthogonal arrays")
@@ -371,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     arp = a_sub.add_parser("report")
     _add_structure_args(arp)
     arp.add_argument("--q", type=int, required=True)
-    arp.add_argument("--parallel", action="store_true")
     _add_common(arp)
     arp.set_defaults(func=cmd_adversary_report)
 
@@ -385,19 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
     fs.add_argument("--p", type=int, nargs="+", required=True)
     fs.add_argument("--delta", type=float, default=0.5)
     fs.add_argument("--seeds", type=int, nargs="+", default=[0])
-    for sp in (fb, fs):
-        _add_common(sp)
+    for sp, with_csv in ((fb, False), (fs, True)):
+        _add_common(sp, with_csv=with_csv)
         sp.set_defaults(func=cmd_fourier)
 
     p_general = sub.add_parser("general", help="product-alphabet construction")
     g_sub = p_general.add_subparsers(dest="general_command", required=True)
     gg = g_sub.add_parser("gap")
-    gg.add_argument("--kind", default="hidden_shift", choices=("hidden_shift",))
     gg.add_argument("--params", type=int, nargs="+", default=[2])
     gg.add_argument("--p", type=int, nargs="+", default=DEFAULT_CONFIG["instance"]["p_ladder"])
     gg.add_argument("--j", type=int, default=1)
     gg.add_argument("--seed", type=int, default=0)
-    _add_common(gg)
+    _add_common(gg, with_csv=True)
     gg.set_defaults(func=cmd_general_gap)
 
     p_all = sub.add_parser("verify-all", help="run a verification suite")

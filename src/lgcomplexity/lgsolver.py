@@ -73,6 +73,7 @@ _SOLVE_RESIDUAL = 1e-12              # max |L x - b| accepted from CG
 # nodes, and the cut stays at 200 so that no structure changes path
 _DENSE_NODE_CUT = 200
 _STACK_BYTES = 32 << 20              # largest stacked dense Laplacian array
+_WEIGHT_STEPS = 200                  # most multiplier steps in one weight fit
 
 
 @dataclass(frozen=True)
@@ -468,7 +469,7 @@ class _StackedLaplacian:
         return p, potentials
 
 
-def _optimize_weights(p2: np.ndarray, mu: np.ndarray, inner_iterations: int = 200):
+def _optimize_weights(p2: np.ndarray, mu: np.ndarray):
     """Fit w_e = sqrt(sum_M mu_M p_e(M)^2) so every constraint value is <= 1, max tight.
 
     Multiplicative ascent on the concave multiplier dual
@@ -477,7 +478,7 @@ def _optimize_weights(p2: np.ndarray, mu: np.ndarray, inner_iterations: int = 20
     s = sqrt(mu @ p2) and c = sum(s) / sum(mu), mu becomes c^2 mu and w = c s.
     At that scale sum_M mu_M vals_M = sum_M mu_M = sum_e w_e, so max_M vals_M - 1
     is the certified relative gap of the fit for the given flows; the steps stop
-    once it is at most 1e-12, or after inner_iterations steps.  The final
+    once it is at most 1e-12, or after _WEIGHT_STEPS steps.  The final
     rescale makes the largest constraint exactly 1, which any optimal weighting
     must.  Returns (w, mu, steps taken), with w before the rescale equal to
     sqrt(mu @ p2) up to the weight floor.
@@ -486,7 +487,7 @@ def _optimize_weights(p2: np.ndarray, mu: np.ndarray, inner_iterations: int = 20
     if not totals.any():
         return np.zeros(p2.shape[1]), mu, 0
     mu = np.where(totals > 0, np.maximum(mu, 1e-300), 0.0)
-    for steps in range(1, inner_iterations + 1):
+    for steps in range(1, _WEIGHT_STEPS + 1):
         s = np.sqrt(mu @ p2)
         scale = s.sum() / mu.sum()
         mu = mu * scale ** 2
@@ -494,7 +495,7 @@ def _optimize_weights(p2: np.ndarray, mu: np.ndarray, inner_iterations: int = 20
         w = np.maximum(w, _WEIGHT_FLOOR * max(1.0, float(w.max(initial=0.0))))
         vals = (p2 / w).sum(axis=1)
         top = float(vals.max())
-        if top <= 1.0 + 1e-12 or steps == inner_iterations:
+        if top <= 1.0 + 1e-12 or steps == _WEIGHT_STEPS:
             break
         mu = mu * vals           # a certificate without flow keeps mu = 0
     return w * top, mu, steps

@@ -7,6 +7,7 @@ subsets, all n*2^(n-1) arcs) are additionally capped at n <= 22.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
@@ -339,6 +340,10 @@ def build_named_structure(kind: str, params: Sequence[int]) -> CertificateStruct
     """Build one of the named structures; params is the builder's integer tuple."""
     if kind not in _BUILDERS:
         raise ParameterError(f"unknown structure kind {kind!r}, expected one of {STRUCTURE_KINDS}")
+    names = tuple(inspect.signature(_BUILDERS[kind]).parameters)
+    if len(params) != len(names):
+        raise ParameterError(f"structure kind {kind!r} takes {len(names)} parameter(s) "
+                             f"({', '.join(names)}), got {len(params)}")
     return _BUILDERS[kind](*(int(p) for p in params))
 
 

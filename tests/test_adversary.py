@@ -139,7 +139,7 @@ class TestAssemble:
         cert = st.ksubset_structure(2, 1)
         witness = lg.normalize_witness(wt.ksubset_witness(2, 1), cert)
         beta = adv.difference_coefficients(witness, 1)
-        dense = adv.assemble(beta, q=3, n=2).dense()
+        dense = adv.assemble(beta, q=3).dense()
         lhs = dense.T @ dense
         rhs = sum(
             float((beta[:, s] ** 2).sum()) * adv.pattern_projector(3, 2, s)
@@ -152,7 +152,7 @@ class TestAssemble:
         witness = lg.normalize_witness(wt.ksubset_witness(2, 1), cert)
         for j in (1, 2):
             beta = adv.difference_coefficients(witness, j)
-            assert adv.spectral_norm(adv.assemble(beta, q=3, n=2)).norm <= 1 + 1e-9
+            assert adv.spectral_norm(adv.assemble(beta, q=3)).norm <= 1 + 1e-9
 
     def test_restricted_columns_are_a_submatrix(self):
         cert = st.ksubset_structure(3, 2)
@@ -173,13 +173,12 @@ class TestAssemble:
         with pytest.raises(ParameterError):
             adv.assemble(witness)
 
-    def test_orthogonality_precondition_enforced(self):
-        cert = st.CertificateStructure(3, (st.Certificate.from_sets([(1, 2), (2, 3)]),))
-        eq = ar.OrthogonalArray(4, 2, tuple((c, c) for c in range(4)))
-        inst = ar.build_instance(cert, 4, [[eq, eq]])
-        witness = lg.DualWitness.from_entries(3, 1, {((), 0): 1.0})
-        with pytest.raises(InvariantViolation):
-            adv.assemble(witness, inst)
+    def test_width_not_a_power_of_two(self):
+        coeffs = np.ones((2, 6))
+        with pytest.raises(StructuralError):
+            adv.assemble(coeffs, q=3)
+        with pytest.raises(StructuralError):
+            adv.difference_coefficients(coeffs, 1)
 
     def test_scaling_keeps_sign_pattern(self):
         cert = st.ksubset_structure(3, 2)
@@ -291,7 +290,7 @@ class TestDenseKernels:
         scales = rng.uniform(0.5, 2.0, size=2)
         cols = rng.permutation(side)[:max(1, side - 1)]
         cases = [
-            (adv.assemble(coeffs, q=q, n=n), [every] * 2, [1.0] * 2, every),
+            (adv.assemble(coeffs, q=q), [every] * 2, [1.0] * 2, every),
             (adv.BlockOperator(coeffs, q, n, row_sets=rows,
                                row_scales=scales, col_codes=cols), rows, scales, cols),
         ]
@@ -311,7 +310,7 @@ class TestDenseKernels:
         coeffs = rng.standard_normal((len(cert), 1 << n))
         full = _projector_sums(coeffs, q, n, flavor)
         for restrict in (True, False):
-            op = adv.assemble(coeffs, inst, n=n, restrict_columns=restrict)
+            op = adv.assemble(coeffs, inst, restrict_columns=restrict)
             cols = inst.y_codes if restrict else np.arange(q ** n)
             for m, rows in enumerate(inst.x_sets):
                 scale = math.sqrt(q ** n / len(rows))
@@ -384,7 +383,7 @@ class TestHadamardMask:
         j = 1
         beta = adv.difference_coefficients(witness, j)
         gamma = adv.assemble(witness, q=q).labeled()
-        gamma_prime = adv.assemble(beta, q=q, n=n).labeled()
+        gamma_prime = adv.assemble(beta, q=q).labeled()
         left = adv.hadamard_mask(gamma, j).matrix
         right = adv.hadamard_mask(gamma_prime, j).matrix
         assert np.allclose(left, right, atol=1e-12)
@@ -660,14 +659,21 @@ class TestAdversaryRatio:
         assert rep2.ratio == pytest.approx(rep.ratio, abs=1e-9)
         assert rep2.gamma_norm == pytest.approx(rep.gamma_norm, abs=1e-9)
 
-    def test_parallel_matches_sequential(self, pipeline_parts):
-        _, inst, witness = pipeline_parts
-        seq = adv.adversary_ratio(inst, witness)
-        par = adv.adversary_ratio(inst, witness, parallel=True)
-        assert par.per_j_norms == pytest.approx(seq.per_j_norms)
+    def test_orthogonality_precondition_enforced(self):
+        # a feasible witness on positive sets that do not project uniformly
+        cert = st.CertificateStructure(3, (st.Certificate.from_sets([(1, 2), (2, 3)]),))
+        eq = ar.OrthogonalArray(4, 2, tuple((c, c) for c in range(4)))
+        inst = ar.build_instance(cert, 4, [[eq, eq]])
+        witness = lg.DualWitness.from_entries(3, 1, {((), 0): 1.0})
+        assert lg.dual_feasibility_margin(cert, witness) <= 1.0
+        with pytest.raises(InvariantViolation, match="uniform-projection"):
+            adv.adversary_ratio(inst, witness)
+        with pytest.raises(InvariantViolation, match="uniform-projection"):
+            adv.bounded_norm_certificates(inst, witness, 1)
 
     def test_parallel_is_keyword_only(self, pipeline_parts):
-        # a stale positional tolerance must fail loudly, not turn the pool on
+        # the function takes two arguments; a stale third one (a tolerance, or the
+        # retired parallel flag) must fail loudly
         _, inst, witness = pipeline_parts
         with pytest.raises(TypeError):
             adv.adversary_ratio(inst, witness, 1e-6)

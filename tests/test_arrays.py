@@ -149,6 +149,18 @@ class TestOrthogonalityProperty:
         assert not check.ok
         assert check.subset == (1, 3)
 
+    def test_bounded_instance_claims(self, bounded_instance):
+        claims = ar.bounded_instance_claims(bounded_instance)
+        assert len(claims.orthogonality) == 3 and claims.orthogonal
+        assert (claims.y_size, claims.y_bound) == (342, 256.0)
+        assert claims.y_bounded and claims.ok
+
+    def test_claims_fail_on_overlapping_generators(self):
+        cert = st.CertificateStructure(3, (st.Certificate.from_sets([(1, 2), (2, 3)]),))
+        eq = ar.OrthogonalArray(4, 2, tuple((c, c) for c in range(4)))
+        claims = ar.bounded_instance_claims(ar.build_instance(cert, 4, [[eq, eq]]))
+        assert not claims.orthogonal and not claims.ok
+
 
 class TestEvaluateF:
     def test_total_promise_for_bounded(self, bounded_instance):

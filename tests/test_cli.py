@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
+import argparse
 import dataclasses
 import json
 
@@ -10,7 +11,7 @@ from lgcomplexity import arrays as ar
 from lgcomplexity import lgsolver as lg
 from lgcomplexity import structures as st
 from lgcomplexity import witnesses as wt
-from lgcomplexity.cli import main
+from lgcomplexity.cli import build_parser, main
 from lgcomplexity.reporting import validate_config
 
 
@@ -41,6 +42,28 @@ MISTYPED_VALUES = pytest.mark.parametrize("doc,key,expected", [
 ], ids=["structures.duality", "instance.q", "gap_tolerance", "duality-params",
         "duality-entry", "triangle-element", "ksubset-arity", "hidden-shift-element",
         "p_ladder-element", "fractional-q", "fractional-seed"])
+
+# usage errors that must exit 2 with a message, never a traceback: argv, with {file} standing
+# for a file holding the given text, and a fragment of the message
+USAGE_ERRORS = pytest.mark.parametrize("argv,text,message", [
+    (["structure", "build", "--kind", "ksubset", "--params", "4"], None,
+     "'ksubset' takes 2 parameter(s) (n, k), got 1"),
+    (["lg", "gap", "--kind", "hidden_shift", "--params", "2", "3"], None,
+     "'hidden_shift' takes 1 parameter(s) (n), got 2"),
+    (["adversary", "report", "--kind", "ksubset", "--params", "3", "2", "1", "--q", "8"], None,
+     "'ksubset' takes 2 parameter(s) (n, k), got 3"),
+    (["general", "gap", "--params", "2", "3"], None,
+     "'hidden_shift' takes 1 parameter(s) (n), got 2"),
+    (["verify-all", "--suite", "arrays", "--config", "{file}"],
+     json.dumps({"structures": {"duality": [["ksubset", [4]]]}}),
+     "config error: duality structure ksubset(4,): structure kind 'ksubset' takes 2"),
+    (["oa", "verify", "--q", "3"], None, "needs --rows-file or both --q and --k"),
+    (["oa", "verify", "--rows-file", "{file}"], json.dumps({"q": 3, "k": 2}),
+     "must be an object with q, k and rows"),
+    (["verify-all", "--config", "{file}"], "{not json", "is not JSON"),
+], ids=["structure-param-count", "lg-param-count", "adversary-param-count",
+        "general-param-count", "config-param-count", "oa-verify-no-array",
+        "rows-file-keys", "config-not-json"])
 
 
 def run(capsys, *argv):
@@ -289,6 +312,119 @@ class TestSeedFlag:
         code, out, _ = run(capsys, *argv, "--seed", "3")
         assert code == 0
         assert out
+
+
+# the subcommands with no CSV form, with arguments they would otherwise accept
+NO_CSV_COMMANDS = {
+    **{name: UNSEEDED_COMMANDS[name] for name in (
+        "structure-build", "structure-show", "lg-primal", "lg-dual", "oa-make", "oa-verify",
+        "instance-build", "instance-verify", "adversary-report")},
+    "fourier-bias": ["fourier", "bias", "--p", "101"],
+}
+
+CSV_COMMANDS = {
+    "lg-gap": UNSEEDED_COMMANDS["lg-gap"],
+    "witness-ksubset": ["witness", "ksubset", "--n", "4", "--k", "1", "--measure-margin"],
+    "witness-hiddenshift": ["witness", "hiddenshift", "--n", "2", "--measure-margin"],
+    "witness-triangle": ["witness", "triangle", "--n", "4", "--measure-margin"],
+    "fourier-scan": ["fourier", "scan", "--p", "101"],
+    "general-gap": ["general", "gap", "--params", "2", "--p", "16"],
+    "verify-all": ["verify-all", "--suite", "fourier"],
+}
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize("argv", NO_CSV_COMMANDS.values(), ids=NO_CSV_COMMANDS.keys())
+    def test_rejected_where_no_csv_form_exists(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "json"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", CSV_COMMANDS.values(), ids=CSV_COMMANDS.keys())
+    def test_accepted_where_a_csv_form_exists(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out and not out.startswith("{")
+
+    def test_witness_csv_needs_the_margin(self, capsys):
+        code, out, err = run(capsys, "witness", "ksubset", "--n", "4", "--k", "1",
+                             "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "--measure-margin" in err
+
+    def test_out_without_csv_form_writes_json(self, capsys, tmp_path):
+        code, out, _ = run(capsys, *NO_CSV_COMMANDS["structure-build"], "--out", str(tmp_path))
+        assert code == 0
+        path = out.strip()
+        assert path.endswith(".json")
+        assert json.loads(open(path).read())["kind"] == "ksubset"
+
+
+@pytest.mark.parametrize("argv", [
+    ["adversary", "report", "--kind", "ksubset", "--params", "3", "2", "--q", "8", "--parallel"],
+    ["general", "gap", "--kind", "hidden_shift"],
+], ids=["adversary-parallel", "general-kind"])
+def test_removed_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@USAGE_ERRORS
+def test_usage_error_exits_2(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *(str(path) if a == "{file}" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+# every subcommand's options; a change to the public CLI surface edits this table and says why
+CLI_SURFACE = {
+    "structure build": ["--kind", "--out", "--params"],
+    "structure show": ["--kind", "--out", "--params"],
+    "lg primal": ["--kind", "--max-iterations", "--out", "--params", "--tolerance"],
+    "lg dual": ["--kind", "--max-iterations", "--out", "--params", "--tolerance"],
+    "lg gap": ["--format", "--gap-tolerance", "--kind", "--max-iterations", "--out", "--params",
+               "--tolerance"],
+    "witness ksubset": ["--format", "--k", "--measure-margin", "--n", "--out"],
+    "witness hiddenshift": ["--format", "--measure-margin", "--n", "--out", "--target"],
+    "witness triangle": ["--format", "--measure-margin", "--n", "--out"],
+    "oa make": ["--k", "--out", "--q"],
+    "oa verify": ["--k", "--out", "--q", "--rows-file"],
+    "instance build": ["--kind", "--out", "--params", "--q"],
+    "instance verify": ["--kind", "--out", "--params", "--q"],
+    "adversary report": ["--kind", "--out", "--params", "--q"],
+    "fourier bias": ["--delta", "--out", "--p", "--seed"],
+    "fourier scan": ["--delta", "--format", "--out", "--p", "--seeds"],
+    "general gap": ["--format", "--j", "--out", "--p", "--params", "--seed"],
+    "verify-all": ["--config", "--format", "--out", "--seed", "--suite"],
+}
+
+
+def _cli_surface(parser, path=()) -> dict[str, list[str]]:
+    """{subcommand: sorted option strings} for every leaf parser, without -h/--help."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return {" ".join(path): sorted(option for action in parser._actions
+                                       for option in action.option_strings
+                                       if option not in ("-h", "--help"))}
+    table = {}
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            table.update(_cli_surface(sub, path + (name,)))
+    return table
+
+
+def test_cli_surface_snapshot():
+    surface = _cli_surface(build_parser())
+    assert surface == CLI_SURFACE
+    assert sum(map(len, surface.values())) == 76
 
 
 class TestGeneralCommand:
