@@ -26,8 +26,7 @@ A `BlockOperator`'s norm comes from ARPACK (scipy's `eigsh` on the smaller
 Gram side, as `svds` does, with seeded draws) at every size and fails loudly
 when ARPACK does not converge.  Dense matrices (`dense`,
 `block_dense`, `pattern_projector`, `LabeledMatrix`) stay as the test oracle
-within `DENSE_SIDE_CAP`; their norm is sqrt(lambda_max) of the smaller Gram
-matrix.
+within `DENSE_SIDE_CAP`; the tests take their norms with numpy.
 """
 
 from __future__ import annotations
@@ -167,7 +166,7 @@ class SpectralReport:
     norm: float
     iterations: int
     residual: float
-    method: str  # "dense_eigen" | "arpack"
+    method: str  # "arpack"
 
 
 @dataclass(frozen=True)
@@ -314,8 +313,6 @@ def assemble(
         raise StructuralError(f"explicit q={q} conflicts with instance q={instance.q}")
     if len(instance.cert) != coeffs.shape[0]:
         raise StructuralError("witness certificate count does not match the instance")
-    if not instance.explicit:
-        raise CapacityError("assembling restricted operators needs an explicit instance")
     total = instance.input_count
     scales = [math.sqrt(total / len(instance.x_sets[m])) for m in range(len(instance.cert))]
     col_codes = instance.y_codes if restrict_columns else None
@@ -323,23 +320,6 @@ def assemble(
         coeffs, instance.q, wit_n,
         row_sets=instance.x_sets, row_scales=scales, col_codes=col_codes,
     )
-
-
-def _dense_norm(a: np.ndarray) -> SpectralReport:
-    """sigma_max(A) = sqrt(lambda_max) of the smaller Gram matrix, A A^H or A^H A.
-
-    Forming the Gram matrix and eigvalsh each perturb lambda_max by a small
-    multiple of eps * ||A||^2, so sigma_max keeps a relative error of order
-    eps, as an SVD does (2e-15 apart on a 768 x 4096 block), at a fraction of
-    the SVD's cost.  Smaller singular values lose accuracy this way; only the
-    largest is returned.
-    """
-    if a.size == 0:
-        norm = 0.0
-    else:
-        gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
-        norm = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-    return SpectralReport(norm=norm, iterations=0, residual=0.0, method="dense_eigen")
 
 
 def _arpack_norm(op: BlockOperator, tolerance: float) -> SpectralReport:
@@ -408,14 +388,11 @@ def _arpack_norm(op: BlockOperator, tolerance: float) -> SpectralReport:
     return SpectralReport(norm=norm, iterations=applications, residual=residual, method="arpack")
 
 
-def spectral_norm(op, tolerance: float = 1e-9) -> SpectralReport:
-    """Largest singular value: dense Gram eigenvalue for arrays, ARPACK for block operators."""
-    if isinstance(op, LabeledMatrix):
-        op = op.matrix
-    if isinstance(op, np.ndarray):
-        return _dense_norm(op)
+def spectral_norm(op: BlockOperator, tolerance: float = 1e-9) -> SpectralReport:
+    """Largest singular value of a block operator, by ARPACK (`_arpack_norm`)."""
     if not isinstance(op, BlockOperator):
-        raise ParameterError(f"cannot take the norm of {type(op).__name__}")
+        raise ParameterError(f"cannot take the norm of {type(op).__name__}; "
+                             "spectral_norm takes a BlockOperator")
     return _arpack_norm(op, tolerance)
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ParameterError, StructuralError
-from .indexing import ENUMERATION_CAP, all_inputs, check_enumerable, decode, encode
+from .indexing import all_inputs, check_enumerable, decode, encode
 from .structures import (
     CertificateStructure,
     mask_members,
@@ -27,6 +27,10 @@ from .structures import (
 )
 
 _VERIFY_CAP = 1 << 20
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,18 @@ class OrthogonalArray:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not (_is_int(self.q) and _is_int(self.k)):
+            raise ParameterError(f"q and k must be integers, got q={self.q!r}, k={self.k!r}")
         if self.q < 2 or self.k < 1:
             raise ParameterError(f"need q >= 2 and k >= 1, got q={self.q}, k={self.k}")
+        if not isinstance(self.rows, (list, tuple)) or any(
+            not isinstance(row, (list, tuple)) for row in self.rows
+        ):
+            raise ParameterError(f"rows must be a list of rows, got {self.rows!r}")
+        for row in self.rows:
+            for v in row:
+                if not (_is_int(v) or isinstance(v, float) and v.is_integer()):
+                    raise ParameterError(f"row {list(row)} has a non-integer entry {v!r}")
         rows = tuple(sorted(tuple(int(v) for v in row) for row in self.rows))
         if not rows:
             raise ParameterError("an orthogonal array needs at least one row")
@@ -93,6 +107,25 @@ class OAVerification:
         return self.ok
 
 
+def _first_nonuniform(digits: np.ndarray, q: int, column_sets: Sequence[list[int]]):
+    """The first column set onto which the digit rows do not project uniformly.
+
+    Returns (position in column_sets, assignment, count, expected) for the
+    first set, and within it the lowest-coded assignment, whose count differs
+    from len(digits) / q^|columns|; None when every projection is uniform.
+    """
+    for index, columns in enumerate(column_sets):
+        buckets = q ** len(columns)
+        expected = len(digits) / buckets
+        counts = np.bincount(encode(digits[:, columns], q), minlength=buckets)
+        bad = np.flatnonzero(counts != expected)
+        if bad.size:
+            code = int(bad[0])
+            assignment = tuple(decode([code], q, len(columns))[0].tolist())
+            return index, assignment, int(counts[code]), expected
+    return None
+
+
 def verify_orthogonal_array(array: OrthogonalArray) -> OAVerification:
     """Check the strength-(k-1) property; on failure return the first offender.
 
@@ -111,25 +144,26 @@ def verify_orthogonal_array(array: OrthogonalArray) -> OAVerification:
             "no uniform completion count exists"
         )
     rows = np.array(array.rows, dtype=np.int64)
-    for i in range(1, k + 1):
-        others = [j for j in range(k) if j != i - 1]
-        projected = encode(rows[:, others], q) if others else np.zeros(len(rows), dtype=np.int64)
-        counts = np.bincount(projected, minlength=denom)
-        bad = np.flatnonzero(counts != expected)
-        if bad.size:
-            code = int(bad[0])
-            partial = tuple(decode([code], q, k - 1)[0].tolist()) if k > 1 else ()
-            return OAVerification(
-                ok=False,
-                completions=expected,
-                counterexample=OACounterexample(i, partial, int(counts[code]), expected),
-                note=note,
-            )
-    return OAVerification(ok=True, completions=expected, note=note)
+    offender = _first_nonuniform(rows, q, [[j for j in range(k) if j != i] for i in range(k)])
+    if offender is None:
+        return OAVerification(ok=True, completions=expected, note=note)
+    i, partial, count, _ = offender
+    return OAVerification(
+        ok=False,
+        completions=expected,
+        counterexample=OACounterexample(i + 1, partial, count, expected),
+        note=note,
+    )
 
 
 # ---------------------------------------------------------------------------
 # hard instances
+
+
+def _read_only(codes) -> np.ndarray:
+    codes = np.asarray(codes, dtype=np.int64)
+    codes.setflags(write=False)
+    return codes
 
 
 class FValue(enum.Enum):
@@ -142,16 +176,16 @@ class FValue(enum.Enum):
 class HardInstance:
     """Positive sets X_M, negative set Y, and the arrays that carved them.
 
-    Inputs are identified by their big-endian mixed-radix codes.  When q^n is
-    over the enumeration cap the instance is implicit: x_sets and y_codes are
-    None and membership runs through the array predicates only.
+    Inputs are identified by their big-endian mixed-radix codes.  Both sets
+    are always listed, so an instance exists only for q^n within the
+    enumeration cap; the builders refuse anything larger before building it.
     """
 
     cert: CertificateStructure
     q: int
     arrays: tuple[tuple[OrthogonalArray, ...], ...]
-    x_sets: tuple[np.ndarray, ...] | None
-    y_codes: np.ndarray | None
+    x_sets: tuple[np.ndarray, ...]
+    y_codes: np.ndarray
 
     def __post_init__(self):
         if len(self.arrays) != len(self.cert):
@@ -169,45 +203,21 @@ class HardInstance:
                     raise StructuralError(
                         f"array length {array.k} != generator size {mask.bit_count()}"
                     )
-        if self.x_sets is not None:
-            frozen = []
-            for xs in self.x_sets:
-                xs = np.asarray(xs, dtype=np.int64)
-                xs.setflags(write=False)
-                frozen.append(xs)
-            object.__setattr__(self, "x_sets", tuple(frozen))
-        if self.y_codes is not None:
-            y = np.asarray(self.y_codes, dtype=np.int64)
-            y.setflags(write=False)
-            object.__setattr__(self, "y_codes", y)
+        object.__setattr__(self, "x_sets", tuple(_read_only(xs) for xs in self.x_sets))
+        object.__setattr__(self, "y_codes", _read_only(self.y_codes))
 
     @property
     def n(self) -> int:
         return self.cert.n
 
     @property
-    def explicit(self) -> bool:
-        return self.x_sets is not None
-
-    @property
     def input_count(self) -> int:
         return self.q ** self.n
 
     def x_size(self, m: int) -> int:
-        if self.x_sets is not None:
-            return len(self.x_sets[m])
-        # single generator per certificate: the array fixes one coordinate's worth
-        certificate = self.cert.certificates[m]
-        if len(certificate.minimal_sets) != 1:
-            raise CapacityError("implicit instances support only single-generator certificates")
-        return len(self.arrays[m][0]) * self.q ** (self.n - certificate.minimal_sets[0].bit_count())
+        return len(self.x_sets[m])
 
     def y_size(self) -> int:
-        if self.y_codes is None:
-            raise CapacityError(
-                "negative-set enumeration was skipped (q^n over the cap); "
-                "only explicit instances list Y"
-            )
         return len(self.y_codes)
 
     def in_x(self, m: int, x: Sequence[int]) -> bool:
@@ -234,7 +244,7 @@ class HardInstance:
             "n": self.n,
             "cert": structure_to_dict(self.cert),
             "x_sizes": [self.x_size(m) for m in range(len(self.cert))],
-            "y_size": self.y_size() if self.y_codes is not None else None,
+            "y_size": self.y_size(),
             "arrays": [
                 [
                     {"q": a.q, "k": a.k, "size": len(a),
@@ -250,7 +260,6 @@ def build_instance(
     cert: CertificateStructure,
     q: int,
     arrays: Sequence[Sequence[OrthogonalArray]],
-    cap: int = ENUMERATION_CAP,
 ) -> HardInstance:
     """Assemble an instance from explicit per-(certificate, minimal set) arrays.
 
@@ -258,9 +267,8 @@ def build_instance(
     certificate's arrays and Y collects the inputs avoiding every array.
     Requires q^n enumerable.
     """
-    check_enumerable(q, cert.n, cap)
     arrays = tuple(tuple(per) for per in arrays)
-    digits = all_inputs(q, cert.n, cap)
+    digits = all_inputs(q, cert.n)
     x_sets = []
     avoid_all = np.ones(len(digits), dtype=bool)
     for m, certificate in enumerate(cert.certificates):
@@ -279,12 +287,12 @@ def build_bounded_instance(
     cert: CertificateStructure,
     q: int,
     arrays: Sequence[OrthogonalArray] | None = None,
-    cap: int = ENUMERATION_CAP,
 ) -> HardInstance:
     """Instance for a boundedly generated structure; arrays default to sum arrays.
 
-    Requires a single generator per certificate, alphabet q >= 2|C|, and each
-    array of size q^(|A_M|-1).  Every |X_M| is then q^(n-1) and |Y| >= q^n/2.
+    Requires a single generator per certificate, alphabet q >= 2|C|, q^n
+    enumerable, and each array of size q^(|A_M|-1).  Every |X_M| is then
+    q^(n-1) and |Y| >= q^n/2.
     """
     profile = minimal_profile(cert)
     if not profile.boundedly_generated:
@@ -296,6 +304,7 @@ def build_bounded_instance(
         raise ParameterError(
             f"alphabet too small: need q >= 2 * |C| = {2 * len(cert)}, got q = {q}"
         )
+    check_enumerable(q, cert.n)
     generators = [c.minimal_sets[0] for c in cert.certificates]
     if arrays is None:
         arrays = [sum_array(q, g.bit_count()) for g in generators]
@@ -316,10 +325,7 @@ def build_bounded_instance(
         check = verify_orthogonal_array(array)
         if not check.ok:
             raise StructuralError(f"array fails the strength property: {check.counterexample}")
-    per_cert = tuple((a,) for a in arrays)
-    if q ** cert.n > cap:
-        return HardInstance(cert=cert, q=q, arrays=per_cert, x_sets=None, y_codes=None)
-    return build_instance(cert, q, per_cert, cap)
+    return build_instance(cert, q, tuple((a,) for a in arrays))
 
 
 @dataclass(frozen=True)
@@ -341,36 +347,23 @@ def verify_orthogonality_property(instance: HardInstance, m: int) -> Orthogonali
     X_M with x_S = z must be |X_M| / q^|S|.  Scans subsets by ascending mask
     and assignments by ascending code; returns the first violation.
     """
-    if not instance.explicit:
-        raise CapacityError("orthogonality verification needs an explicit instance")
-    cert = instance.cert
-    n, q = cert.n, instance.q
-    certificate = cert.certificates[m]
-    x_codes = instance.x_sets[m]
-    digits = decode(x_codes, q, n)
-    size = len(x_codes)
-    for mask in range(1 << n):
-        if certificate.contains(mask):
-            continue
-        members = [j - 1 for j in mask_members(mask)]
-        buckets = q ** len(members)
-        expected = size / buckets
-        projected = (
-            encode(digits[:, members], q) if members else np.zeros(size, dtype=np.int64)
-        )
-        counts = np.bincount(projected, minlength=buckets)
-        bad = np.flatnonzero(counts != expected)
-        if bad.size:
-            code = int(bad[0])
-            assignment = tuple(decode([code], q, len(members))[0].tolist()) if members else ()
-            return OrthogonalityCheck(
-                ok=False,
-                subset=mask_members(mask),
-                assignment=assignment,
-                count=int(counts[code]),
-                expected=expected,
-            )
-    return OrthogonalityCheck(ok=True)
+    n, q = instance.n, instance.q
+    certificate = instance.cert.certificates[m]
+    outside = [mask for mask in range(1 << n) if not certificate.contains(mask)]
+    offender = _first_nonuniform(
+        decode(instance.x_sets[m], q, n), q,
+        [[j - 1 for j in mask_members(mask)] for mask in outside],
+    )
+    if offender is None:
+        return OrthogonalityCheck(ok=True)
+    index, assignment, count, expected = offender
+    return OrthogonalityCheck(
+        ok=False,
+        subset=mask_members(outside[index]),
+        assignment=assignment,
+        count=count,
+        expected=expected,
+    )
 
 
 @dataclass(frozen=True)
@@ -396,7 +389,7 @@ class BoundedInstanceClaims:
 
 
 def bounded_instance_claims(instance: HardInstance) -> BoundedInstanceClaims:
-    """Check both claims of an explicit bounded instance."""
+    """Check both claims of a bounded instance."""
     return BoundedInstanceClaims(
         orthogonality=tuple(verify_orthogonality_property(instance, m)
                             for m in range(len(instance.cert))),

@@ -164,8 +164,7 @@ def cmd_oa(args) -> int:
         if not (isinstance(doc, dict) and {"q", "k", "rows"} <= set(doc)):
             raise ParameterError(f"rows file {args.rows_file} must be an object "
                                  "with q, k and rows")
-        array = ar.OrthogonalArray(doc["q"], doc["k"],
-                                   tuple(tuple(r) for r in doc["rows"]))
+        array = ar.OrthogonalArray(doc["q"], doc["k"], doc["rows"])
     elif args.q is None or args.k is None:
         raise ParameterError("oa verify needs --rows-file or both --q and --k")
     else:

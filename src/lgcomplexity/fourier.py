@@ -198,12 +198,10 @@ class GeneralInstance:
         """Component i (1-based) of a symbol code in Z_p^ell, big-endian."""
         return (symbol // self.p ** (self.ell - i)) % self.p
 
-    def component_rows(self, m: int, i: int, cap: int = _BRUTE_CAP) -> OrthogonalArray:
+    def component_rows(self, m: int, i: int) -> OrthogonalArray:
         """The component array Q: rows of Z_p^|A| whose entries sum into U."""
-        mask = self.generator_mask(m, i)
-        k = mask.bit_count()
-        check_enumerable(self.p, k, cap)
-        grid = all_inputs(self.p, k, cap)
+        k = self.generator_mask(m, i).bit_count()
+        grid = all_inputs(self.p, k, _BRUTE_CAP)
         in_u = self.biased_set.indicator()
         keep = in_u[grid.sum(axis=1) % self.p]
         rows = tuple(map(tuple, grid[keep].tolist()))
@@ -217,7 +215,7 @@ class GeneralInstance:
         total = sum(int(w[j - 1]) for j in members) % self.p
         return total in set(self.biased_set.elements)
 
-    def y_size(self, cap: int = 1 << 24) -> int:
+    def y_size(self) -> int:
         """Exact count of inputs avoiding every component constraint.
 
         The constraints act on disjoint components of the product alphabet, so
@@ -225,7 +223,7 @@ class GeneralInstance:
         whose sums on every certificate's i-th minimal set miss U, then take
         the product.  Needs p^n enumerable (streamed in batches), not q^n.
         """
-        total_codes = check_enumerable(self.p, self.n, cap)
+        total_codes = check_enumerable(self.p, self.n)
         in_u = self.biased_set.indicator()
         counts = []
         batch = 1 << 20
@@ -248,11 +246,11 @@ class GeneralInstance:
             total *= c
         return total
 
-    def to_hard_instance(self, cap: int = 1 << 24) -> HardInstance:
+    def to_hard_instance(self) -> HardInstance:
         """Materialize over the product alphabet q = p^ell; needs q^n enumerable."""
         from .arrays import build_instance
 
-        check_enumerable(self.q, self.n, cap)
+        check_enumerable(self.q, self.n)
         arrays = []
         for m, certificate in enumerate(self.cert.certificates):
             per = []
@@ -265,7 +263,7 @@ class GeneralInstance:
                 rows = tuple(map(tuple, grid[keep].tolist()))
                 per.append(OrthogonalArray(self.q, k, rows))
             arrays.append(tuple(per))
-        return build_instance(self.cert, self.q, arrays, cap)
+        return build_instance(self.cert, self.q, arrays)
 
 
 def build_general_instance(cert: CertificateStructure, p: int, seed: int = 0) -> GeneralInstance:
@@ -325,7 +323,6 @@ def character_overlap(
         sums = instance.biased_set.character_sums()
         return complex(sums[phase])
     if method == "brute":
-        check_enumerable(p, n, _BRUTE_CAP)
         grid = all_inputs(p, n, _BRUTE_CAP)
         sums = grid[:, [j - 1 for j in members]].sum(axis=1) % p
         keep = instance.biased_set.indicator()[sums]
@@ -479,42 +476,30 @@ def restriction_gap(
     witness: DualWitness,
     j: int,
     m: int,
-    cap: int = _BRUTE_CAP,
 ) -> float:
     """Worst-class norm of (restricted gram) - (diagonal idealization) for one block.
 
     Diagonal entries agree exactly by construction, so the gap is the largest
     spectral norm over equivalence-class blocks with the diagonal removed.
-    Exact by exhaustion when q^n is enumerable; otherwise exact for witnesses
-    supported on subsets of size <= 1 (classes then pair a coordinate with its
-    partner on a two-element minimal set, and the worst shift difference is
-    the bias maximizer); anything larger is refused.  The branch is chosen on
-    q^n, not on the support count equivalence_classes enumerates: beyond q^n
-    the closed form agrees with the exhaustive gap to 1e-12 at p = 16, 32 and
-    64 and costs nothing, while exhaustion would cost one class-block norm
-    per class.
+    When every subset with a nonzero coefficient has at most one element, the
+    gap has a closed form: classes then pair a coordinate with its partner on
+    a two-element minimal set, and the worst shift difference is the bias
+    maximizer.  Otherwise every class block is measured, and
+    equivalence_classes refuses supports too large to enumerate.
     """
     if witness.n != instance.n:
         raise StructuralError(f"witness n={witness.n} != instance n={instance.n}")
     beta = difference_coefficients(witness, j)
     beta_row = beta[m]
-    if instance.q ** instance.n <= cap:
-        classes = equivalence_classes(instance, m, beta, cap)
+    if np.any(subset_sizes(instance.n)[np.flatnonzero(beta_row)] > 1):
         worst = 0.0
-        for cls in classes:
+        for cls in equivalence_classes(instance, m, beta):
             if len(cls) == 1:
                 continue
             block = _class_gap_matrix(instance, m, beta_row, cls)
             worst = max(worst, float(np.linalg.norm(block, 2)))
         return worst
 
-    support = np.flatnonzero(beta_row)
-    sizes = subset_sizes(instance.n)
-    if np.any(sizes[support] > 1):
-        raise CapacityError(
-            "restriction gap beyond the enumeration cap handles witnesses "
-            "supported on subsets of size <= 1 only"
-        )
     # pair classes: a singleton coordinate and its partner across a 2-element
     # minimal set; the off-diagonal factor is maximized at the bias argmax
     bias = instance.biased_set.bias

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +69,14 @@ class TestVerifyOrthogonalArray:
         with pytest.raises(ParameterError):
             ar.OrthogonalArray(3, 2, ())
 
+    def test_type_validation(self):
+        assert ar.OrthogonalArray(3, 2, [[0, 1.0], [np.int64(2), 0]]).rows == ((0, 1), (2, 0))
+        for q, k, rows in [("x", 2, ((0, 0),)), (3.0, 2, ((0, 0),)), (3, True, ((0,),)),
+                           (3, 2, 5), (3, 2, ("ab",)), (3, 2, ((0, "a"),)),
+                           (3, 2, ((0, 0.5),)), (3, 2, ((0, True),))]:
+            with pytest.raises(ParameterError):
+                ar.OrthogonalArray(q, k, rows)
+
 
 @pytest.fixture(scope="module")
 def bounded_instance():
@@ -113,12 +122,12 @@ class TestBoundedInstance:
         with pytest.raises(StructuralError):
             ar.build_bounded_instance(st.hidden_shift_structure(2), 8)
 
-    def test_capacity_falls_back_to_implicit(self):
-        inst = ar.build_bounded_instance(st.ksubset_structure(8, 1), 16, cap=2 ** 20)
-        assert not inst.explicit
-        assert inst.x_size(0) == 16 ** 7
-        with pytest.raises(CapacityError):
-            inst.y_size()
+    def test_over_cap_refused_before_building(self):
+        # q^n = 16^8 = 2^32: refused before any array is built or verified
+        started = time.perf_counter()
+        with pytest.raises(CapacityError, match="exceeds the enumeration cap"):
+            ar.build_bounded_instance(st.ksubset_structure(8, 1), 16)
+        assert time.perf_counter() - started < 0.1
 
     def test_array_size_checked(self):
         bad = ar.OrthogonalArray(8, 2, tuple((a, a) for a in range(8)))

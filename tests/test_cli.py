@@ -60,10 +60,26 @@ USAGE_ERRORS = pytest.mark.parametrize("argv,text,message", [
     (["oa", "verify", "--q", "3"], None, "needs --rows-file or both --q and --k"),
     (["oa", "verify", "--rows-file", "{file}"], json.dumps({"q": 3, "k": 2}),
      "must be an object with q, k and rows"),
+    (["oa", "verify", "--rows-file", "{file}"], json.dumps({"q": 3, "k": 2, "rows": 5}),
+     "rows must be a list of rows"),
+    (["oa", "verify", "--rows-file", "{file}"], json.dumps({"q": "x", "k": 2, "rows": [[0, 0]]}),
+     "q and k must be integers"),
+    (["oa", "verify", "--rows-file", "{file}"], json.dumps({"q": 3, "k": 2, "rows": [[0, "a"]]}),
+     "non-integer entry 'a'"),
+    (["oa", "verify", "--rows-file", "{file}"], json.dumps({"q": 3, "k": 2, "rows": [[0, 0.5]]}),
+     "non-integer entry 0.5"),
     (["verify-all", "--config", "{file}"], "{not json", "is not JSON"),
+    (["instance", "build", "--kind", "ksubset", "--params", "8", "1", "--q", "16"], None,
+     "q^n = 16^8 = 4294967296 exceeds the enumeration cap 16777216"),
+    (["instance", "verify", "--kind", "ksubset", "--params", "8", "1", "--q", "16"], None,
+     "q^n = 16^8 = 4294967296 exceeds the enumeration cap 16777216"),
+    (["adversary", "report", "--kind", "ksubset", "--params", "8", "1", "--q", "16"], None,
+     "q^n = 16^8 = 4294967296 exceeds the enumeration cap 16777216"),
 ], ids=["structure-param-count", "lg-param-count", "adversary-param-count",
         "general-param-count", "config-param-count", "oa-verify-no-array",
-        "rows-file-keys", "config-not-json"])
+        "rows-file-keys", "rows-not-a-list", "q-not-an-integer", "string-entry",
+        "fractional-entry", "config-not-json", "instance-build-over-cap",
+        "instance-verify-over-cap", "adversary-report-over-cap"])
 
 
 def run(capsys, *argv):
