@@ -6,6 +6,7 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -213,8 +214,6 @@ def cmd_adversary_report(args) -> int:
     witness = lg.normalize_witness(wt.ksubset_witness(*args.params), cert)
     rep = adv.adversary_ratio(inst, witness)
     bn = adv.bounded_norm_certificates(inst, witness, 1)
-    import hashlib
-
     witness_hash = hashlib.sha256(
         json.dumps(witness.to_dict(), sort_keys=True).encode()
     ).hexdigest()

@@ -705,3 +705,111 @@ class TestBoundedNormCertificates:
             record = records[check_id]
             assert (record.measured, record.bound, record.passed) == (
                 check["measured"], check["bound"], check["passed"])
+
+
+def _ksubset_pair(q):
+    cert = st.ksubset_structure(3, 2)
+    return ar.build_bounded_instance(cert, q), lg.normalize_witness(wt.ksubset_witness(3, 2), cert)
+
+
+def _direct_masked_norms(inst, witness):
+    gamma = adv.assemble(witness, inst)
+    return [adv.spectral_norm(adv.hadamard_mask(gamma, j)).norm for j in range(1, inst.n + 1)]
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """A list that grows by one entry per adv.spectral_norm call."""
+    calls = []
+    spectral_norm = adv.spectral_norm
+
+    def counted(op, *args, **kwargs):
+        calls.append(op.shape)
+        return spectral_norm(op, *args, **kwargs)
+
+    monkeypatch.setattr(adv, "spectral_norm", counted)
+    return calls
+
+
+class TestMaskedNormReuse:
+    """Each distinct norm of a report is computed once, and a reused norm is exact."""
+
+    def test_report_takes_at_most_six_norms(self, norm_calls):
+        inst, witness = _ksubset_pair(8)
+        adv.adversary_ratio(inst, witness)
+        adv.bounded_norm_certificates(inst, witness, 1)
+        # gamma, one masked norm, two parts, hat and prime
+        assert len(norm_calls) <= 6
+
+    @pytest.mark.parametrize("q", [8, 12, 16])
+    def test_reused_norms_match_direct(self, q):
+        inst, witness = _ksubset_pair(q)
+        rep = adv.adversary_ratio(inst, witness)
+        bn = adv.bounded_norm_certificates(inst, witness, 1)
+        direct = _direct_masked_norms(inst, witness)
+        for norms in (rep.per_j_norms, bn.masked_norms):
+            assert norms == pytest.approx(direct, rel=1e-12, abs=0)
+
+    def test_every_transposition_is_a_symmetry_of_ksubset(self):
+        inst, witness = _ksubset_pair(8)
+        for a, b in ((1, 2), (1, 3), (2, 3)):
+            assert adv._swap_is_symmetry(inst, witness, a, b)
+
+    def test_asymmetric_alpha_computes_every_norm(self, norm_calls):
+        # certificate {1, 2} weights subset {1} above {2}; normalizing keeps it feasible
+        inst, witness = _ksubset_pair(8)
+        alpha = witness.alpha.copy()
+        alpha[0, 0b001] *= 1.25
+        skewed = lg.normalize_witness(lg.DualWitness(3, alpha), inst.cert)
+        rep = adv.adversary_ratio(inst, skewed)
+        assert len(norm_calls) == 1 + inst.n
+        direct = _direct_masked_norms(inst, skewed)
+        assert rep.per_j_norms == pytest.approx(direct, rel=1e-12, abs=0)
+        assert len({round(x, 6) for x in direct}) == inst.n
+
+    def test_asymmetric_y_computes_every_norm(self, norm_calls):
+        inst, witness = _ksubset_pair(8)
+        digits = adv.decode(inst.y_codes, inst.q, inst.n)
+        skewed = ar.HardInstance(cert=inst.cert, q=inst.q, arrays=inst.arrays,
+                                 x_sets=inst.x_sets,
+                                 y_codes=inst.y_codes[digits[:, 0] >= digits[:, 1]])
+        rep = adv.adversary_ratio(skewed, witness)
+        assert len(norm_calls) == 1 + inst.n
+        direct = _direct_masked_norms(skewed, witness)
+        assert rep.per_j_norms == pytest.approx(direct, rel=1e-12, abs=0)
+        assert len({round(x, 6) for x in direct}) == inst.n
+
+    def test_asymmetric_x_or_certificates_refuse_the_swap(self):
+        inst, witness = _ksubset_pair(8)
+        digits = adv.decode(inst.x_sets[0], inst.q, inst.n)
+        moved = np.flatnonzero(digits[:, 0] != digits[:, 1])[0]  # swapping 1 and 2 moves it
+        x_sets = (np.delete(inst.x_sets[0], moved),) + inst.x_sets[1:]
+        skewed = ar.HardInstance(cert=inst.cert, q=inst.q, arrays=inst.arrays,
+                                 x_sets=x_sets, y_codes=inst.y_codes)
+        assert not adv._swap_is_symmetry(skewed, witness, 1, 2)
+        # {1, 2} and {1, 3}: swapping 1 and 2 sends {1, 3} to the absent {2, 3}
+        cert = st.CertificateStructure(3, inst.cert.certificates[:2])
+        pair = ar.build_bounded_instance(cert, 8)
+        part = lg.DualWitness(3, witness.alpha[:2])
+        assert not adv._swap_is_symmetry(pair, part, 1, 2)
+        assert adv._swap_is_symmetry(pair, part, 2, 3)
+
+    def test_memo_misses_on_another_instance(self):
+        inst8, witness = _ksubset_pair(8)
+        inst12, _ = _ksubset_pair(12)
+        adv.adversary_ratio(inst8, witness)
+        bn = adv.bounded_norm_certificates(inst12, witness, 1)
+        assert bn.masked_norms == pytest.approx(_direct_masked_norms(inst12, witness),
+                                                rel=1e-12, abs=0)
+
+    def test_memo_hits_only_the_same_objects(self, norm_calls):
+        inst, witness = _ksubset_pair(8)
+        rep = adv.adversary_ratio(inst, witness)
+        gamma = adv.assemble(witness, inst)
+        del norm_calls[:]
+        assert adv._masked_norms(gamma, inst, witness) is rep.per_j_norms
+        assert not norm_calls
+        twin = lg.DualWitness(witness.n, witness.alpha.copy())
+        assert adv._masked_norms(gamma, inst, twin) == pytest.approx(rep.per_j_norms,
+                                                                     rel=1e-12, abs=0)
+        assert len(norm_calls) == 1
