@@ -176,8 +176,9 @@ class FValue(enum.Enum):
 class HardInstance:
     """Positive sets X_M, negative set Y, and the arrays that carved them.
 
-    Inputs are identified by their big-endian mixed-radix codes.  Both sets
-    are always listed, so an instance exists only for q^n within the
+    Inputs are identified by their big-endian mixed-radix codes, and X_M and Y
+    list theirs strictly ascending, so membership is a binary search.  Both
+    sets are always listed, so an instance exists only for q^n within the
     enumeration cap; the builders refuse anything larger before building it.
     """
 
@@ -205,6 +206,9 @@ class HardInstance:
                     )
         object.__setattr__(self, "x_sets", tuple(_read_only(xs) for xs in self.x_sets))
         object.__setattr__(self, "y_codes", _read_only(self.y_codes))
+        for codes in (*self.x_sets, self.y_codes):
+            if np.any(codes[1:] <= codes[:-1]):
+                raise StructuralError("X_M and Y must list their input codes strictly ascending")
 
     @property
     def n(self) -> int:
@@ -220,15 +224,17 @@ class HardInstance:
     def y_size(self) -> int:
         return len(self.y_codes)
 
+    def _code(self, x: Sequence[int]) -> int:
+        """The code of an input of length n over [0, q); StructuralError otherwise."""
+        digits = np.asarray(x, dtype=np.int64)
+        if digits.shape != (self.n,):
+            raise StructuralError(f"input must have length {self.n}")
+        if np.any(digits < 0) or np.any(digits >= self.q):
+            raise StructuralError(f"input entries must lie in [0, {self.q})")
+        return int(encode(digits, self.q))
+
     def in_x(self, m: int, x: Sequence[int]) -> bool:
-        digits = np.asarray(x, dtype=np.int64)[None, :]
-        certificate = self.cert.certificates[m]
-        for mask, array in zip(certificate.minimal_sets, self.arrays[m]):
-            members = [j - 1 for j in mask_members(mask)]
-            code = int(encode(digits[:, members], self.q)[0])
-            if code not in set(array.row_codes().tolist()):
-                return False
-        return True
+        return _listed(self.x_sets[m], self._code(x))
 
     def instance_hash(self) -> str:
         doc = {
@@ -398,26 +404,16 @@ def bounded_instance_claims(instance: HardInstance) -> BoundedInstanceClaims:
     )
 
 
+def _listed(sorted_codes: np.ndarray, code: int) -> bool:
+    i = int(np.searchsorted(sorted_codes, code))
+    return i < len(sorted_codes) and int(sorted_codes[i]) == code
+
+
 def evaluate_f(instance: HardInstance, x) -> FValue:
     """Classify an input: ONE in some X_M, ZERO in Y, otherwise outside the promise."""
-    digits = np.asarray(x, dtype=np.int64)
-    if digits.shape != (instance.n,):
-        raise StructuralError(f"input must have length {instance.n}")
-    if np.any(digits < 0) or np.any(digits >= instance.q):
-        raise StructuralError(f"input entries must lie in [0, {instance.q})")
-    hit_any_array = False
-    in_some_x = False
-    for m, certificate in enumerate(instance.cert.certificates):
-        all_hit = True
-        for gen_mask, array in zip(certificate.minimal_sets, instance.arrays[m]):
-            members = [j - 1 for j in mask_members(gen_mask)]
-            code = int(encode(digits[None, members], instance.q)[0])
-            hit = bool(np.isin(code, array.row_codes()))
-            hit_any_array = hit_any_array or hit
-            all_hit = all_hit and hit
-        in_some_x = in_some_x or all_hit
-    if in_some_x:
+    code = instance._code(x)
+    if any(_listed(xs, code) for xs in instance.x_sets):
         return FValue.ONE
-    if not hit_any_array:
+    if _listed(instance.y_codes, code):
         return FValue.ZERO
     return FValue.OUTSIDE_PROMISE

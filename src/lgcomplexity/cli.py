@@ -21,15 +21,12 @@ from .errors import LgError, ParameterError
 from .reporting import (
     DEFAULT_CONFIG,
     SUITES,
+    check_gap_tolerance,
     report_csv_body,
     run_suite,
     validate_config,
     write_report,
 )
-
-
-def _solver_params(args) -> lg.SolverParams:
-    return lg.SolverParams(tolerance=args.tolerance, max_iterations=args.max_iterations)
 
 
 def _load_json(path: str, what: str):
@@ -89,11 +86,13 @@ def cmd_structure_show(args) -> int:
 
 def cmd_lg(args) -> int:
     cert = _build_structure(args)
-    params = _solver_params(args)
+    params = lg.SolverParams(tolerance=args.tolerance, max_iterations=args.max_iterations)
     name = f"{args.kind}-{'-'.join(map(str, args.params))}"
+    if args.lg_command == "gap":
+        check_gap_tolerance(args.gap_tolerance)
+    rep = lg.duality_report(cert, params)
     if args.lg_command == "primal":
-        sol = lg.solve_primal(cert, params)
-        lg._check_primal(cert, sol)
+        sol = rep.primal
         args.artifact_name = f"lg-primal-{name}"
         _emit(args, {
             "structure": name, "objective": sol.objective,
@@ -102,14 +101,13 @@ def cmd_lg(args) -> int:
         })
         return 0
     if args.lg_command == "dual":
-        witness = lg.solve_dual(cert, params)
+        witness = rep.witness
         args.artifact_name = f"lg-dual-{name}"
         payload = witness.to_dict()
-        payload["objective"] = lg.dual_objective(witness)
+        payload["objective"] = rep.dual_objective
         payload["margin"] = lg.dual_feasibility_margin(cert, witness)
         _emit(args, payload)
         return 0
-    rep = lg.duality_report(cert, params)
     args.artifact_name = f"lg-gap-{name}"
     row = [name, cert.n, f"{rep.primal_objective:.9g}", f"{rep.dual_objective:.9g}",
            f"{rep.relative_gap:.6g}", rep.primal.iterations]

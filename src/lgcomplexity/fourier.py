@@ -119,9 +119,15 @@ def _draw_biased_set(rng: np.random.Generator, p: int, delta: float) -> BiasedSe
     return BiasedSet.from_elements(elements.tolist(), p)
 
 
+def _seeded(seed: int) -> np.random.Generator:
+    if not seed >= 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def random_low_bias_set(p: int, delta: float, seed: int = 0) -> BiasedSet:
     """round(delta*p) elements uniform without replacement; bias cached."""
-    return _draw_biased_set(np.random.default_rng(seed), p, delta)
+    return _draw_biased_set(_seeded(seed), p, delta)
 
 
 def random_bias_bound(p: int) -> float:
@@ -280,7 +286,7 @@ def build_general_instance(cert: CertificateStructure, p: int, seed: int = 0) ->
             f"p = {p} too small: round(p/(2*{ell}*{len(cert)})) < 1; "
             f"need p >= {math.ceil(1.0 / (2 * delta_target))}"
         )
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     draws = [_draw_biased_set(rng, p, delta_target) for _ in range(_GENERAL_DRAWS)]
     biased = min(draws, key=lambda b: b.bias)   # the first of equal biases
     return GeneralInstance(cert=cert, p=p, ell=ell, biased_set=biased)

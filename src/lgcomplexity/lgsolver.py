@@ -22,7 +22,11 @@ Solvers:
     update first sets mu's overall scale to its closed-form optimum, and the
     fit stops once its certified relative gap max_M sum_e p_e(M)^2 / w_e - 1
     is at most 1e-12 (at most 200 steps).
-  * solve_dual - the witness carried by the solved primal: alpha_S(M) is
+  * duality_report - the one checked route to both sides.  It solves the
+    primal once, checks its conservation residuals and constraint values
+    (_check_primal), takes the primal's witness, and refuses a dual objective
+    above the primal's by more than SolverParams.weak_duality_slack;
+    solve_dual returns that report's witness.  The witness's alpha_S(M) is
     sqrt(mu_M) times certificate M's potential at S (the flow-conservation
     multiplier nu = 2 mu_M (potential at S) divided by 2 sqrt(mu_M)), zero on
     member subsets, scaled down by the square root of its exhaustively measured
@@ -32,7 +36,11 @@ Solvers:
     upper bound.
 
 The primal is validated globally by the certified duality gap, not by a
-convergence proof.  SolverParams.seed is accepted but no solver reads it.
+convergence proof.  SolverParams.seed is accepted but no solver reads it;
+SolverParams itself owns the validity of its values.  solve_primal refuses a
+job whose M * n * 2^(n-1) (certificate, arc) pairs would need more than
+PRIMAL_BYTE_CAP bytes, counted at _PAIR_BYTES per pair, before it builds any
+table; the lattice-size rule itself belongs to structures.check_lattice.
 """
 
 from __future__ import annotations
@@ -55,7 +63,6 @@ from .errors import (
 from .structures import (
     Arc,
     CertificateStructure,
-    LATTICE_CAP,
     arc_arrays,
     arc_count,
     arc_index,
@@ -74,6 +81,10 @@ _SOLVE_RESIDUAL = 1e-12              # max |L x - b| accepted from CG
 _DENSE_NODE_CUT = 200
 _STACK_BYTES = 32 << 20              # largest stacked dense Laplacian array
 _WEIGHT_STEPS = 200                  # most multiplier steps in one weight fit
+# peak RSS of solve_primal per (certificate, arc) pair, rounded up: 143 B on triangle(6)
+# (4.9e6 pairs, 731 MB), 122 B on ksubset(12,2) and 157 B on triangle(5), on 2 cores
+_PAIR_BYTES = 160
+PRIMAL_BYTE_CAP = 2 << 30            # largest primal job, in bytes at _PAIR_BYTES per pair
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,16 @@ class SolverParams:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ParameterError(f"tolerance must be positive, got {self.tolerance}")
-        if not self.max_iterations >= 1:
-            raise ParameterError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        iterations = self.max_iterations
+        if isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer)):
+            raise ParameterError(f"max_iterations must be an integer, got {iterations!r}")
+        if not iterations >= 1:
+            raise ParameterError(f"max_iterations must be at least 1, got {iterations}")
+
+    @property
+    def weak_duality_slack(self) -> float:
+        """How far the dual objective may exceed the primal's before duality_report refuses."""
+        return max(self.tolerance, 1e-9)
 
 
 def _coerce_arc(n: int, arc) -> tuple[int, int]:
@@ -504,11 +523,16 @@ def _optimize_weights(p2: np.ndarray, mu: np.ndarray):
 def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams()) -> PrimalSolution:
     """Alternating minimization for the flow/weight program; deterministic."""
     n = cert.n
-    if n > LATTICE_CAP:
-        raise CapacityError(f"primal solve needs n <= {LATTICE_CAP}, got {n}")
-    member = membership_table(cert)
     num_certs = len(cert)
     num_arcs = arc_count(n)
+    pairs = num_certs * num_arcs
+    if pairs * _PAIR_BYTES > PRIMAL_BYTE_CAP:
+        raise CapacityError(
+            f"primal solve on {num_certs} certificates over n = {n} needs about "
+            f"{pairs * _PAIR_BYTES} bytes ({pairs} certificate-arc pairs at {_PAIR_BYTES} B), "
+            f"over the cap {PRIMAL_BYTE_CAP}"
+        )
+    member = membership_table(cert)
 
     laplacian = _StackedLaplacian(n, member)
     w = np.ones(num_arcs)
@@ -567,11 +591,6 @@ def _multiplier_witness(cert: CertificateStructure, primal: PrimalSolution) -> D
     return DualWitness(cert.n, witness.alpha, info=info)
 
 
-def solve_dual(cert: CertificateStructure, params: SolverParams = SolverParams()) -> DualWitness:
-    """Feasible witness from the multipliers of the solved primal; deterministic."""
-    return _multiplier_witness(cert, solve_primal(cert, params))
-
-
 @dataclass(frozen=True)
 class DualityReport:
     primal_objective: float
@@ -606,7 +625,7 @@ def duality_report(cert: CertificateStructure, params: SolverParams = SolverPara
     _check_primal(cert, primal)
     witness = _multiplier_witness(cert, primal)
     dual = dual_objective(witness)
-    if dual > primal.objective + max(params.tolerance, 1e-9):
+    if dual > primal.objective + params.weak_duality_slack:
         raise ConsistencyError(
             f"weak duality violated: dual {dual} > primal {primal.objective}"
         )
@@ -617,3 +636,8 @@ def duality_report(cert: CertificateStructure, params: SolverParams = SolverPara
         primal=primal,
         witness=witness,
     )
+
+
+def solve_dual(cert: CertificateStructure, params: SolverParams = SolverParams()) -> DualWitness:
+    """The witness of duality_report: feasible, from the checked primal's multipliers."""
+    return duality_report(cert, params).witness

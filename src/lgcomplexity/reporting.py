@@ -30,7 +30,7 @@ from . import fourier as fo
 from . import lgsolver as lg
 from . import structures as st
 from . import witnesses as wt
-from .errors import LgError
+from .errors import LgError, ParameterError
 
 SCHEMA_VERSION = 1
 SUITES = ("duality", "witnesses", "arrays", "adversary", "fourier", "general", "all")
@@ -64,11 +64,13 @@ def _config_type(value) -> str:
 
 
 # what the type check in _overlay leaves open, per key: int is an integer (an integral float such
-# as 8.0 counts), str a string, [s] a list of s, and (s, t) a two-element list of s then t
+# as 8.0 counts), _SEED one that numpy can seed a generator with (>= 0), str a string, [s] a
+# list of s, and (s, t) a two-element list of s then t
+_SEED = "seed"
 _SHAPES = {
     "instance.q": (int, "an integer"),
-    "instance.seed": (int, "an integer"),
-    "solver.seed": (int, "an integer"),
+    "instance.seed": (_SEED, "an integer >= 0"),
+    "solver.seed": (_SEED, "an integer >= 0"),
     "instance.p_ladder": ([int], "a list of integers"),
     "structures.witnesses.hidden_shift": ([int], "a list of integers"),
     "structures.witnesses.triangle": ([int], "a list of integers"),
@@ -78,6 +80,8 @@ _SHAPES = {
 
 
 def _has_shape(value, shape) -> bool:
+    if shape is _SEED:
+        return _has_shape(value, int) and value >= 0
     if shape is int:
         return ((isinstance(value, int) and not isinstance(value, bool))
                 or (isinstance(value, float) and value.is_integer()))
@@ -122,23 +126,15 @@ def validate_config(doc: dict | None) -> tuple[dict, list[str]]:
     if config["suite"] not in SUITES:
         errors.append(f"suite must be one of {SUITES}, got {config['suite']!r}")
 
-    # dry-run the referenced builders and caps
-    for kind, params in config["structures"]["duality"]:
+    # build every referenced structure, as its suite will, and check its lattice
+    entries = [("duality structure", kind, params)
+               for kind, params in config["structures"]["duality"]]
+    entries += [("witness", kind, params) for kind, params in _witness_entries(config)]
+    for what, kind, params in entries:
         try:
-            cert = st.build_named_structure(kind, params)
-            if cert.n > st.LATTICE_CAP:
-                errors.append(
-                    f"duality structure {kind}{tuple(params)} has n={cert.n} "
-                    f"over the lattice cap {st.LATTICE_CAP}"
-                )
+            st.check_lattice(st.build_named_structure(kind, params).n)
         except LgError as exc:
-            errors.append(f"duality structure {kind}{tuple(params)}: {exc}")
-    for n in config["structures"]["witnesses"]["triangle"]:
-        if not 3 <= n <= wt.TRIANGLE_VERTEX_CAP:
-            errors.append(
-                f"triangle witness n={n} outside [3, {wt.TRIANGLE_VERTEX_CAP}] "
-                f"(C(n,2) must stay within the {st.LATTICE_CAP}-variable lattice cap)"
-            )
+            errors.append(f"{what} {kind}{tuple(params)}: {exc}")
     q = config["instance"]["q"]
     bounded_cert = st.ksubset_structure(3, 2)
     if q < 2 * len(bounded_cert):
@@ -146,16 +142,22 @@ def validate_config(doc: dict | None) -> tuple[dict, list[str]]:
             f"instance alphabet q={q} violates q >= 2|C| = {2 * len(bounded_cert)} "
             "for the bounded instance checks"
         )
-    # _overlay leaves only numbers in the solver section
-    if config["solver"]["tolerance"] <= 0:
-        errors.append("solver.tolerance must be positive")
-    iterations = config["solver"]["max_iterations"]
-    if not isinstance(iterations, int):
-        errors.append("solver.max_iterations must be an integer")
-    elif iterations < 1:
-        errors.append("solver.max_iterations must be at least 1")
+    try:
+        lg.SolverParams(**config["solver"])
+    except LgError as exc:
+        errors.append(f"solver.{exc}")
+    try:
+        check_gap_tolerance(config["gap_tolerance"])
+    except LgError as exc:
+        errors.append(str(exc))
     normalized = json.loads(json.dumps(config, sort_keys=True))
     return normalized, errors
+
+
+def check_gap_tolerance(value: float) -> None:
+    """Refuse a negative gap tolerance, which would fail every relative-gap check."""
+    if not value >= 0:
+        raise ParameterError(f"gap_tolerance must be non-negative, got {value}")
 
 
 def config_hash(config: dict) -> str:
@@ -228,11 +230,7 @@ def environment_fingerprint() -> dict:
 
 
 def _duality_checks(config) -> list[tuple[str, Callable[[], list[CheckRecord]]]]:
-    params = lg.SolverParams(
-        tolerance=float(config["solver"]["tolerance"]),
-        max_iterations=int(config["solver"]["max_iterations"]),
-        seed=int(config["solver"]["seed"]),
-    )
+    params = lg.SolverParams(**config["solver"])
     gap_tol = float(config["gap_tolerance"])
 
     def make(kind, sparams):
@@ -240,13 +238,14 @@ def _duality_checks(config) -> list[tuple[str, Callable[[], list[CheckRecord]]]]
             cert = st.build_named_structure(kind, sparams)
             rep = lg.duality_report(cert, params)
             tag = f"duality/{kind}-{'-'.join(map(str, sparams))}"
+            slack = params.weak_duality_slack
             return [
                 CheckRecord(
                     f"{tag}/weak",
                     "feasible witness objective never exceeds the primal objective",
                     rep.dual_objective - rep.primal_objective,
-                    1e-6,
-                    rep.dual_objective <= rep.primal_objective + 1e-6,
+                    slack,
+                    rep.dual_objective <= rep.primal_objective + slack,
                 ),
                 CheckRecord(
                     f"{tag}/gap",
@@ -281,6 +280,13 @@ _WITNESS_FAMILIES = {
 }
 
 
+def _witness_entries(config) -> list[tuple[str, tuple[int, ...]]]:
+    """(structure kind, integer params) of every witness entry, in report order."""
+    return [(kind, tuple(int(v) for v in (entry if isinstance(entry, list) else [entry])))
+            for kind in _WITNESS_FAMILIES
+            for entry in config["structures"]["witnesses"][kind]]
+
+
 def _witness_checks(config):
     def make(tag, kind, params):
         _, build, objective_claim, objective, margin_claim, margin_bound = _WITNESS_FAMILIES[kind]
@@ -302,11 +308,9 @@ def _witness_checks(config):
         return run
 
     entries = []
-    for kind, (name, *_) in _WITNESS_FAMILIES.items():
-        for entry in config["structures"]["witnesses"][kind]:
-            params = tuple(int(v) for v in (entry if isinstance(entry, list) else [entry]))
-            tag = f"witnesses/{name}-{'-'.join(map(str, params))}"
-            entries.append((tag, make(tag, kind, params)))
+    for kind, params in _witness_entries(config):
+        tag = f"witnesses/{_WITNESS_FAMILIES[kind][0]}-{'-'.join(map(str, params))}"
+        entries.append((tag, make(tag, kind, params)))
     return entries
 
 

@@ -211,7 +211,8 @@ def minimal_profile(cert: CertificateStructure) -> MinimalProfile:
 # named builders
 
 
-def _check_lattice(n: int):
+def check_lattice(n: int) -> None:
+    """Raise CapacityError unless the full lattice of [n] may be enumerated (n <= LATTICE_CAP)."""
     if n > LATTICE_CAP:
         raise CapacityError(
             f"full-lattice enumeration needs n <= {LATTICE_CAP}, got n = {n}"
@@ -352,7 +353,7 @@ def build_named_structure(kind: str, params: Sequence[int]) -> CertificateStruct
 
 def subset_sizes(n: int) -> np.ndarray:
     """Popcount of every mask 0..2^n-1 as uint8."""
-    _check_lattice(n)
+    check_lattice(n)
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.uint8)
 
 
@@ -381,7 +382,7 @@ def arc_index(n: int, source, j: int) -> int:
 
 def arc_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(source_mask, added_j, target_mask) arrays in the deterministic arc order."""
-    _check_lattice(n)
+    check_lattice(n)
     masks = np.arange(1 << n, dtype=np.int64)
     js = np.arange(1, n + 1, dtype=np.int64)
     free = (masks[:, None] >> (js - 1)[None, :]) & 1 == 0
@@ -395,7 +396,7 @@ class ArcSequence(Sequence):
     """The lattice arcs of [n] in deterministic order, generated lazily."""
 
     def __init__(self, n: int):
-        _check_lattice(n)
+        check_lattice(n)
         self.n = n
         self._len = arc_count(n)
 
@@ -445,7 +446,7 @@ def _membership_cached(cert: CertificateStructure) -> np.ndarray:
 
 def membership_table(cert: CertificateStructure) -> np.ndarray:
     """Boolean table [certificate, mask] of lattice membership; read-only view."""
-    _check_lattice(cert.n)
+    check_lattice(cert.n)
     return _membership_cached(cert)
 
 

@@ -28,6 +28,7 @@ from .structures import (
     collision_structure,
     hidden_shift_structure,
     ksubset_structure,
+    mask_members,
     membership_table,
     set_equality_structure,
     subset_sizes,
@@ -35,9 +36,6 @@ from .structures import (
     triangle_edge_map,
     triangle_structure,
 )
-
-TRIANGLE_VERTEX_CAP = 7  # C(7,2) = 21 edge variables, the last full-lattice size
-
 
 def clip01(x):
     """Median of 0, x and 1 (elementwise)."""
@@ -174,52 +172,36 @@ def triangle_witness(n: int) -> DualWitness:
     profile at that level.  If two or more of M's edges are missing every g_i
     is zero.
     """
-    if not 3 <= n <= TRIANGLE_VERTEX_CAP:
-        raise CapacityError(
-            f"triangle witness needs 3 <= n <= {TRIANGLE_VERTEX_CAP} "
-            f"(edge lattice cap), got {n}"
-        )
+    if n < 3:
+        raise CapacityError(f"triangle witness needs n >= 3 vertices, got {n}")
     structure = triangle_structure(n)
+    member = membership_table(structure)  # refuses an over-cap edge lattice first
     nvars = structure.n
-    size = 1 << nvars
     config = TriangleWitnessConfig.for_vertices(n)
     t = config.threshold
     height = float(n) ** (-3.0 / 14.0)
     slope = float(n) ** (-1.5)
 
-    masks = np.arange(size, dtype=np.int64)
-    edge_bit = {}
-    for idx, (u, v) in enumerate(triangle_edge_map(n)):
-        edge_bit[(u, v)] = idx
-        edge_bit[(v, u)] = idx
-    degree = np.zeros((n + 1, size), dtype=np.uint8)
+    def edge(u: int, v: int) -> int:
+        return 1 << (triangle_edge_index(n, u, v) - 1)
+
+    masks = np.arange(1 << nvars, dtype=np.int64)
+    sizes = subset_sizes(nvars)
+    degree = np.zeros((n + 1, 1 << nvars), dtype=np.uint8)
     for v in range(1, n + 1):
-        inc = 0
-        for u in range(1, n + 1):
-            if u != v:
-                inc |= 1 << edge_bit[(u, v)]
-        degree[v] = np.bitwise_count(masks & inc).astype(np.uint8)
-    sizes = np.bitwise_count(masks).astype(np.float64)
-    base = height - slope * sizes
+        degree[v] = sizes[masks & sum(edge(u, v) for u in range(1, n + 1) if u != v)]
+    base = height - slope * sizes.astype(np.float64)
 
-    from itertools import combinations
-
-    triples = list(combinations(range(1, n + 1), 3))
-    alpha = np.zeros((len(triples), size))
-    for ci, (a, b, c) in enumerate(triples):
-        present = {
-            pair: ((masks >> edge_bit[pair]) & 1).astype(bool)
-            for pair in ((a, b), (a, c), (b, c))
-        }
-        count = sum(p.astype(np.int8) for p in present.values())
-        gsum = np.zeros(size)
-        # roles: (missing edge, third vertex, endpoints of the missing edge)
-        for missing, third, e1, e2 in (
-            ((b, c), a, b, c),
-            ((a, c), b, a, c),
-            ((a, b), c, a, b),
-        ):
-            sel = (count == 2) & ~present[missing]
+    edge_map = triangle_edge_map(n)
+    alpha = np.zeros(member.shape)
+    for ci, certificate in enumerate(structure.certificates):
+        (triangle,) = certificate.minimal_sets
+        a, b, c = sorted({v for j in mask_members(triangle) for v in edge_map[j - 1]})
+        held = masks & triangle
+        gsum = np.zeros(len(masks))
+        # roles: the third vertex, and the endpoints of the missing edge opposite it
+        for third, e1, e2 in ((a, b, c), (b, a, c), (c, a, b)):
+            sel = held == (triangle ^ edge(e1, e2))
             if not sel.any():
                 continue
             sub = masks[sel]
@@ -230,13 +212,14 @@ def triangle_witness(n: int) -> DualWitness:
                 for v in range(1, n + 1):
                     if v in (e1, e2):
                         continue
-                    joined = ((sub >> edge_bit[(v, e1)]) & (sub >> edge_bit[(v, e2)]) & 1)
+                    both = edge(v, e1) | edge(v, e2)
+                    joined = (sub & both) == both
                     if not joined.any():
                         continue
                     nu += joined * tau(degree[v][sel].astype(float), d)
                 g = g + height * clip01(np.minimum(2.0 * dega / d, nu / t) - 1.0)
             gsum[sel] = g
         values = np.maximum(base - gsum, 0.0)
-        values[count == 3] = 0.0
+        values[member[ci]] = 0.0
         alpha[ci] = values
     return DualWitness(nvars, alpha)

@@ -222,6 +222,36 @@ class TestEvaluateF:
             ar.evaluate_f(bounded_instance, (0, 0))
         with pytest.raises(StructuralError):
             ar.evaluate_f(bounded_instance, (0, 0, 9))
+        with pytest.raises(StructuralError):
+            bounded_instance.in_x(0, (0, -1, 0))
+
+    @pytest.mark.parametrize("which", ["ksubset-3-2-q8", "overlapping-arrays"])
+    def test_lookups_match_array_hits_on_every_input(self, bounded_instance, which):
+        if which == "overlapping-arrays":
+            cert = st.CertificateStructure(3, (st.Certificate.from_sets([(1, 2), (2, 3)]),))
+            eq = ar.OrthogonalArray(4, 2, tuple((c, c) for c in range(4)))
+            inst = ar.build_instance(cert, 4, [[eq, eq]])
+        else:
+            inst = bounded_instance
+        seen = set()
+        for x in itertools.product(range(inst.q), repeat=inst.n):
+            hits = [[tuple(x[j - 1] for j in st.mask_members(g)) in set(array.rows)
+                     for g, array in zip(c.minimal_sets, inst.arrays[m])]
+                    for m, c in enumerate(inst.cert.certificates)]
+            for m, row in enumerate(hits):
+                assert inst.in_x(m, x) is all(row)
+            expected = (ar.FValue.ONE if any(all(row) for row in hits)
+                        else ar.FValue.OUTSIDE_PROMISE if any(map(any, hits))
+                        else ar.FValue.ZERO)
+            assert ar.evaluate_f(inst, x) is expected
+            seen.add(expected)
+        assert ar.FValue.ONE in seen and ar.FValue.ZERO in seen
+
+    def test_unsorted_codes_refused(self, bounded_instance):
+        with pytest.raises(StructuralError, match="strictly ascending"):
+            ar.HardInstance(cert=bounded_instance.cert, q=8, arrays=bounded_instance.arrays,
+                            x_sets=bounded_instance.x_sets,
+                            y_codes=bounded_instance.y_codes[::-1])
 
 
 class TestSerialization:

@@ -12,7 +12,7 @@ from lgcomplexity import lgsolver as lg
 from lgcomplexity import structures as st
 from lgcomplexity import witnesses as wt
 from lgcomplexity.cli import build_parser, main
-from lgcomplexity.reporting import validate_config
+from lgcomplexity.reporting import run_suite, validate_config
 
 
 # documents whose object-valued section holds something else, with that section's key
@@ -75,11 +75,31 @@ USAGE_ERRORS = pytest.mark.parametrize("argv,text,message", [
      "q^n = 16^8 = 4294967296 exceeds the enumeration cap 16777216"),
     (["adversary", "report", "--kind", "ksubset", "--params", "8", "1", "--q", "16"], None,
      "q^n = 16^8 = 4294967296 exceeds the enumeration cap 16777216"),
+    (["fourier", "bias", "--p", "1009", "--seed", "-1"], None,
+     "seed must be a non-negative integer, got -1"),
+    (["general", "gap", "--seed", "-1"], None, "seed must be a non-negative integer, got -1"),
+    (["verify-all", "--seed", "-1"], None,
+     "config error: config key 'instance.seed' must be an integer >= 0, got -1"),
+    (["verify-all", "--config", "{file}"], json.dumps({"instance": {"seed": -1}}),
+     "config error: config key 'instance.seed' must be an integer >= 0, got -1"),
+    (["lg", "gap", "--kind", "ksubset", "--params", "2", "1", "--gap-tolerance", "-1"], None,
+     "gap_tolerance must be non-negative, got -1.0"),
+    (["verify-all", "--config", "{file}"], json.dumps({"gap_tolerance": -1}),
+     "config error: gap_tolerance must be non-negative, got -1"),
+    (["verify-all", "--config", "{file}"],
+     json.dumps({"structures": {"witnesses": {"ksubset": [[30, 1]]}}}),
+     "config error: witness ksubset(30, 1): full-lattice enumeration needs n <= 22, got n = 30"),
+    (["verify-all", "--config", "{file}"],
+     json.dumps({"structures": {"witnesses": {"hidden_shift": [12]}}}),
+     "config error: witness hidden_shift(12,): full-lattice enumeration needs n <= 22"),
 ], ids=["structure-param-count", "lg-param-count", "adversary-param-count",
         "general-param-count", "config-param-count", "oa-verify-no-array",
         "rows-file-keys", "rows-not-a-list", "q-not-an-integer", "string-entry",
         "fractional-entry", "config-not-json", "instance-build-over-cap",
-        "instance-verify-over-cap", "adversary-report-over-cap"])
+        "instance-verify-over-cap", "adversary-report-over-cap", "fourier-negative-seed",
+        "general-negative-seed", "verify-all-negative-seed", "config-negative-seed",
+        "lg-negative-gap-tolerance", "config-negative-gap-tolerance",
+        "config-ksubset-witness-over-cap", "config-hidden-shift-witness-over-cap"])
 
 
 def run(capsys, *argv):
@@ -148,7 +168,8 @@ class TestLgCommands:
         assert out == ""
         assert "max_iterations" in err
 
-    def test_primal_checked_before_report(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["primal", "dual"])
+    def test_primal_checked_before_report(self, capsys, monkeypatch, command):
         solve = lg.solve_primal
 
         def perturbed(*args, **kwargs):
@@ -158,11 +179,24 @@ class TestLgCommands:
             return dataclasses.replace(sol, flow=lg.FlowAssignment(3, values))
 
         monkeypatch.setattr(lg, "solve_primal", perturbed)
-        code, out, err = run(capsys, "lg", "primal", "--kind", "ksubset",
+        code, out, err = run(capsys, "lg", command, "--kind", "ksubset",
                              "--params", "3", "1")
         assert code == 2
         assert out == ""
         assert "conservation violated" in err
+
+
+    @pytest.mark.parametrize("command", ["primal", "dual", "gap"])
+    def test_over_byte_cap_is_usage_error(self, capsys, monkeypatch, command):
+        def never(*args):
+            raise AssertionError("a lattice table was built for a refused job")
+
+        monkeypatch.setattr(lg, "membership_table", never)
+        monkeypatch.setattr(lg, "arc_arrays", never)
+        code, out, err = run(capsys, "lg", command, "--kind", "hidden_shift", "--params", "11")
+        assert code == 2
+        assert out == ""
+        assert "primal solve on 11 certificates over n = 22 needs about 81201725440 bytes" in err
 
 
 class TestWitnessCommands:
@@ -548,6 +582,39 @@ class TestValidateConfig:
     def test_bad_iteration_limit_reported(self, iterations, message):
         _, errors = validate_config({"solver": {"max_iterations": iterations}})
         assert any("solver.max_iterations" in e and message in e for e in errors)
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"instance": {"seed": -1}}, "config key 'instance.seed' must be an integer >= 0, got -1"),
+        ({"solver": {"seed": -2}}, "config key 'solver.seed' must be an integer >= 0, got -2"),
+        ({"gap_tolerance": -1}, "gap_tolerance must be non-negative, got -1"),
+        ({"solver": {"tolerance": 0}}, "solver.tolerance must be positive, got 0"),
+        ({"structures": {"witnesses": {"ksubset": [[30, 1]]}}},
+         "witness ksubset(30, 1): full-lattice enumeration needs n <= 22, got n = 30"),
+        ({"structures": {"witnesses": {"hidden_shift": [12]}}},
+         "witness hidden_shift(12,): full-lattice enumeration needs n <= 22, got n = 24"),
+        ({"structures": {"witnesses": {"triangle": [8]}}},
+         "witness triangle(8,): full-lattice enumeration needs n <= 22, got n = 28"),
+        ({"structures": {"witnesses": {"triangle": [2]}}},
+         "witness triangle(2,): triangle structure needs n >= 3 vertices, got 2"),
+        ({"structures": {"duality": [["hidden_shift", [12]]]}},
+         "duality structure hidden_shift(12,): full-lattice enumeration needs n <= 22, got n = 24"),
+    ], ids=["instance-seed", "solver-seed", "gap-tolerance", "tolerance", "ksubset-witness",
+            "hidden-shift-witness", "triangle-witness", "triangle-too-small", "duality"])
+    def test_out_of_range_value_reported(self, doc, message):
+        _, errors = validate_config(doc)
+        assert errors == [message]
+
+    def test_weak_row_reads_the_report_slack(self):
+        config, errors = validate_config({"suite": "duality", "solver": {"tolerance": 1e-4},
+                                          "structures": {"duality": [["ksubset", [2, 1]]]}})
+        assert not errors
+        weak = run_suite(config).records[0]
+        assert weak.check_id == "duality/ksubset-2-1/weak"
+        assert weak.bound == lg.SolverParams(tolerance=1e-4).weak_duality_slack == 1e-4
+
+    def test_zero_seed_and_gap_tolerance_accepted(self):
+        _, errors = validate_config({"instance": {"seed": 0}, "gap_tolerance": 0})
+        assert not errors
 
     @NON_OBJECT_SECTIONS
     def test_non_object_section_reported(self, doc, key):

@@ -15,6 +15,7 @@ from lgcomplexity import lgsolver as lg
 from lgcomplexity import structures as st
 from lgcomplexity import witnesses as wt
 from lgcomplexity.errors import (
+    CapacityError,
     ConsistencyError,
     InvariantViolation,
     ParameterError,
@@ -189,6 +190,22 @@ class TestSolvePrimal:
     def test_objective_matches_weights(self):
         sol = lg.solve_primal(st.ksubset_structure(2, 1))
         assert sol.objective == pytest.approx(math.sqrt(sol.weights.total))
+
+    @pytest.mark.parametrize("kind,params", [("hidden_shift", (11,)), ("triangle", (7,)),
+                                             ("ksubset", (23, 1))])
+    def test_over_byte_cap_refused_before_any_table(self, monkeypatch, kind, params):
+        def never(*args):
+            raise AssertionError("a lattice table was built for a refused job")
+
+        monkeypatch.setattr(lg, "membership_table", never)
+        monkeypatch.setattr(lg, "arc_arrays", never)
+        cert = st.build_named_structure(kind, params)
+        with pytest.raises(CapacityError, match="over the cap 2147483648"):
+            lg.solve_primal(cert)
+
+    def test_byte_cap_admits_triangle_six(self):
+        cert = st.triangle_structure(6)
+        assert len(cert) * st.arc_count(cert.n) * lg._PAIR_BYTES <= lg.PRIMAL_BYTE_CAP
 
 
 class TestOptimizeWeights:
@@ -386,6 +403,14 @@ class TestDualityReport:
     def test_hidden_shift_weak_duality(self):
         rep = lg.duality_report(st.hidden_shift_structure(2))
         assert rep.dual_objective <= rep.primal_objective + 1e-6
+
+    def test_solve_dual_is_the_checked_witness(self, monkeypatch):
+        def unchecked(cert, primal):
+            raise ConsistencyError("primal check ran")
+
+        monkeypatch.setattr(lg, "_check_primal", unchecked)
+        with pytest.raises(ConsistencyError, match="primal check ran"):
+            lg.solve_dual(st.ksubset_structure(2, 1))
 
 
 class TestMultiplierWitness:
@@ -643,6 +668,15 @@ class TestSolverParams:
     def test_nonpositive_iteration_limit_rejected(self, iterations):
         with pytest.raises(ParameterError, match="max_iterations"):
             lg.SolverParams(max_iterations=iterations)
+
+    @pytest.mark.parametrize("iterations", [2.5, 10.0, "10", True])
+    def test_non_integer_iteration_limit_rejected(self, iterations):
+        with pytest.raises(ParameterError, match="max_iterations must be an integer"):
+            lg.SolverParams(max_iterations=iterations)
+
+    @pytest.mark.parametrize("tolerance,slack", [(1e-6, 1e-6), (1e-3, 1e-3), (1e-12, 1e-9)])
+    def test_weak_duality_slack(self, tolerance, slack):
+        assert lg.SolverParams(tolerance=tolerance).weak_duality_slack == slack
 
 
 @given(

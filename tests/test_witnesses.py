@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -227,6 +228,12 @@ class TestTriangleWitness:
             wt.triangle_witness(2)
         with pytest.raises(CapacityError):
             wt.triangle_witness(8)
+
+    def test_over_cap_refused_before_allocating(self):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="needs n <= 22, got n = 28"):
+            wt.triangle_witness(8)
+        assert time.perf_counter() - start < 0.1
 
     def test_scalar_spot_checks_against_direct_evaluation(self):
         # recompute alpha for a handful of subsets straight from the formula,
