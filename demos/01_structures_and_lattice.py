@@ -5,12 +5,8 @@ sit among n input variables, without fixing the values: each certificate M is
 an upward-closed family of variable subsets, listed by its minimal sets.
 """
 
-from lgcomplexity import (
-    build_named_structure,
-    lattice_arcs,
-    minimal_profile,
-)
-from lgcomplexity.structures import structure_to_json
+from lgcomplexity import build_named_structure, minimal_profile
+from lgcomplexity.structures import arc_arrays, mask_members, structure_to_json
 
 print("== the five named structures, at their smallest interesting sizes ==")
 for kind, params in [
@@ -33,8 +29,8 @@ print(structure_to_json(cert))
 
 print()
 print("== the lattice a learning graph walks on (n = 3) ==")
-arcs = lattice_arcs(3)
-print(f"{len(arcs)} arcs; the first six:")
-for arc in list(arcs)[:6]:
-    print(f"  {set(arc.source.members) or '{}'} -> {set(arc.target.members)} "
-          f"(queries variable {arc.added})")
+sources, added, targets = arc_arrays(3)  # subsets are bitmasks; bit j-1 is variable j
+print(f"{len(sources)} arcs; the first six:")
+for source, j, target in zip(sources[:6], added[:6], targets[:6]):
+    print(f"  {set(mask_members(source)) or '{}'} -> {set(mask_members(target))} "
+          f"(queries variable {j})")

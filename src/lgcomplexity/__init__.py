@@ -19,17 +19,13 @@ from .errors import (
     StructuralError,
 )
 from .structures import (
-    Arc,
     Certificate,
     CertificateStructure,
     MinimalProfile,
-    Subset,
     build_named_structure,
     collision_structure,
-    contains,
     hidden_shift_structure,
     ksubset_structure,
-    lattice_arcs,
     minimal_profile,
     set_equality_structure,
     triangle_structure,

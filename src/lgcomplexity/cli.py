@@ -22,6 +22,7 @@ from .reporting import (
     DEFAULT_CONFIG,
     SUITES,
     check_gap_tolerance,
+    duality_records,
     report_csv_body,
     run_suite,
     validate_config,
@@ -54,6 +55,16 @@ def _emit(args, payload: dict, csv_rows: list[list] | None = None):
         print(path)
     else:
         sys.stdout.write(text)
+
+
+def _report_failures(records) -> int:
+    """Print a FAIL line on stderr per failing record; the exit code, 1 if any failed."""
+    failed = [record for record in records if not record.passed]
+    for record in failed:
+        print(f"FAIL {record.check_id}: {record.claim} "
+              f"(measured {record.measured}, bound {record.bound})",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _build_structure(args) -> st.CertificateStructure:
@@ -91,6 +102,9 @@ def cmd_lg(args) -> int:
     if args.lg_command == "gap":
         check_gap_tolerance(args.gap_tolerance)
     rep = lg.duality_report(cert, params)
+    # verify-all's /weak and /gap records; primal and dual take no gap tolerance
+    records = duality_records(f"duality/{name}", rep, params,
+                              getattr(args, "gap_tolerance", math.inf))
     if args.lg_command == "primal":
         sol = rep.primal
         args.artifact_name = f"lg-primal-{name}"
@@ -99,7 +113,7 @@ def cmd_lg(args) -> int:
             "iterations": sol.iterations, "converged": sol.converged,
             "residual": sol.residual,
         })
-        return 0
+        return _report_failures(records)
     if args.lg_command == "dual":
         witness = rep.witness
         args.artifact_name = f"lg-dual-{name}"
@@ -107,7 +121,7 @@ def cmd_lg(args) -> int:
         payload["objective"] = rep.dual_objective
         payload["margin"] = lg.dual_feasibility_margin(cert, witness)
         _emit(args, payload)
-        return 0
+        return _report_failures(records)
     args.artifact_name = f"lg-gap-{name}"
     row = [name, cert.n, f"{rep.primal_objective:.9g}", f"{rep.dual_objective:.9g}",
            f"{rep.relative_gap:.6g}", rep.primal.iterations]
@@ -116,7 +130,7 @@ def cmd_lg(args) -> int:
         "primal": rep.primal_objective, "dual": rep.dual_objective,
         "gap": rep.relative_gap, "iterations": rep.primal.iterations,
     }, csv_rows=[["structure", "n", "primal", "dual", "gap", "iterations"], row])
-    return 0 if rep.relative_gap <= args.gap_tolerance else 1
+    return _report_failures(records)
 
 
 def _witness_for(args) -> tuple[st.CertificateStructure, lg.DualWitness, str]:
@@ -285,12 +299,7 @@ def cmd_verify_all(args) -> int:
             sys.stdout.write(report_csv_body(report))
         else:
             print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    for record in report.records:
-        if not record.passed:
-            print(f"FAIL {record.check_id}: {record.claim} "
-                  f"(measured {record.measured}, bound {record.bound})",
-                  file=sys.stderr)
-    return 0 if report.passed else 1
+    return _report_failures(report.records)
 
 
 def _add_common(parser, with_csv=False, with_solver=False, with_gap=False):

@@ -22,4 +22,7 @@ class InvariantViolation(LgError, ValueError):
 
 
 class ConsistencyError(LgError, RuntimeError):
-    """Internal cross-check failed (e.g. weak duality violated beyond tolerance)."""
+    """An internal cross-check failed (a primal breaking conservation, ARPACK not converging).
+
+    Checks that a report row decides, such as weak duality, fail their row instead.
+    """

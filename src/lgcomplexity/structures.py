@@ -1,8 +1,10 @@
 """Certificate structures over the subset lattice of [n], with bitmask subsets.
 
 Variables are indexed 1..n and subsets of [n] are bitmasks (bit j-1 holds
-variable j), so n is capped at 32.  Full-lattice enumerations (all 2^n
-subsets, all n*2^(n-1) arcs) are additionally capped at n <= 22.
+variable j), so n is capped at 32.  An arc S -> S+{j} is the pair
+(source mask, j), or its position in arc_arrays order (arc_index); the lattice
+has no other encoding.  Full-lattice enumerations (all 2^n subsets, all
+n*2^(n-1) arcs) are additionally capped at n <= 22.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ STRUCTURE_KINDS = ("ksubset", "triangle", "collision", "set_equality", "hidden_s
 
 
 def as_mask(subset, n: int | None = None) -> int:
-    """Coerce a Subset, bitmask int, or iterable of 1-based indices to a bitmask."""
-    if isinstance(subset, Subset):
-        mask = subset.mask
-    elif isinstance(subset, (int, np.integer)):
+    """Coerce a bitmask int or an iterable of 1-based indices to a bitmask."""
+    if isinstance(subset, (int, np.integer)):
         mask = int(subset)
         if mask < 0:
             raise ParameterError(f"bitmask must be non-negative, got {mask}")
@@ -56,61 +56,6 @@ def mask_members(mask: int) -> tuple[int, ...]:
         mask >>= 1
         j += 1
     return tuple(out)
-
-
-@dataclass(frozen=True, order=True)
-class Subset:
-    """An immutable subset of [n] with bitmask semantics."""
-
-    mask: int = 0
-
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >> VARIABLE_CAP:
-            raise ParameterError(f"subset mask out of range for {VARIABLE_CAP} variables")
-
-    @classmethod
-    def from_members(cls, members: Iterable[int]) -> "Subset":
-        return cls(as_mask(members))
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return mask_members(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, j: int) -> bool:
-        return bool((self.mask >> (j - 1)) & 1)
-
-    def union(self, j: int) -> "Subset":
-        return Subset(self.mask | (1 << (j - 1)))
-
-    def issubset(self, other: "Subset") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def __repr__(self):
-        return f"Subset{{{','.join(map(str, self.members))}}}"
-
-
-@dataclass(frozen=True)
-class Arc:
-    """A lattice arc S -> S + {j}; target adds exactly one new variable."""
-
-    source: Subset
-    target: Subset
-
-    def __post_init__(self):
-        added = self.target.mask & ~self.source.mask
-        if self.source.mask & ~self.target.mask or added.bit_count() != 1:
-            raise StructuralError(
-                f"arc target must add exactly one variable to the source "
-                f"(source={self.source!r}, target={self.target!r})"
-            )
-
-    @property
-    def added(self) -> int:
-        """The 1-based index of the variable the arc queries."""
-        return (self.target.mask & ~self.source.mask).bit_length()
 
 
 @dataclass(frozen=True)
@@ -178,14 +123,6 @@ class CertificateStructure:
 
     def __len__(self) -> int:
         return len(self.certificates)
-
-    def contains(self, cert_index: int, subset) -> bool:
-        return self.certificates[cert_index].contains(subset)
-
-
-def contains(certificate: Certificate, subset) -> bool:
-    """True iff the subset includes some minimal set of the certificate."""
-    return certificate.contains(subset)
 
 
 @dataclass(frozen=True)
@@ -390,47 +327,6 @@ def arc_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     jj = np.broadcast_to(js, (1 << n, n))[free]
     dst = src | (1 << (jj - 1))
     return src, jj, dst
-
-
-class ArcSequence(Sequence):
-    """The lattice arcs of [n] in deterministic order, generated lazily."""
-
-    def __init__(self, n: int):
-        check_lattice(n)
-        self.n = n
-        self._len = arc_count(n)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def _arc_at(self, mask: int, rank: int) -> Arc:
-        free = [j for j in range(1, self.n + 1) if not (mask >> (j - 1)) & 1]
-        j = free[rank]
-        return Arc(Subset(mask), Subset(mask | (1 << (j - 1))))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(self._len))]
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError(i)
-        offsets = _arc_offsets(self.n)
-        mask = int(np.searchsorted(offsets, i, side="right")) - 1
-        return self._arc_at(mask, i - int(offsets[mask]))
-
-    def __iter__(self) -> Iterator[Arc]:
-        for mask in range(1 << self.n):
-            for j in range(1, self.n + 1):
-                if not (mask >> (j - 1)) & 1:
-                    yield Arc(Subset(mask), Subset(mask | (1 << (j - 1))))
-
-
-def lattice_arcs(n: int) -> ArcSequence:
-    """All arcs (S, S+{j}), ordered by source bitmask then j.  Count n*2^(n-1)."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    return ArcSequence(n)
 
 
 @lru_cache(maxsize=6)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError
 from .lgsolver import DualWitness
 from .structures import (
     collision_structure,
@@ -172,8 +172,6 @@ def triangle_witness(n: int) -> DualWitness:
     profile at that level.  If two or more of M's edges are missing every g_i
     is zero.
     """
-    if n < 3:
-        raise CapacityError(f"triangle witness needs n >= 3 vertices, got {n}")
     structure = triangle_structure(n)
     member = membership_table(structure)  # refuses an over-cap edge lattice first
     nvars = structure.n

@@ -12,7 +12,6 @@ import lgcomplexity
 LIBRARY_SURFACE = {
     "AdversaryReport": ["gamma_norm", "per_j_norms", "ratio", "witness_objective",
                         "rayleigh_identity", "rayleigh_predicted", "instance_hash"],
-    "Arc": ["source", "target"],
     "BiasedSet": ["p", "elements", "bias"],
     "BlockOperator": ["coeffs", "q", "n", "row_sets", "row_scales", "col_codes"],
     "CapacityError": None,
@@ -39,7 +38,6 @@ LIBRARY_SURFACE = {
     "SolverParams": ["tolerance", "max_iterations", "seed"],
     "SpectralReport": ["norm", "iterations", "residual", "method"],
     "StructuralError": None,
-    "Subset": ["mask"],
     "TriangleWitnessConfig": ["n", "threshold", "level_ds", "level_count"],
     "WeightAssignment": ["n", "values"],
     "adversary_ratio": ["instance", "witness"],
@@ -52,7 +50,6 @@ LIBRARY_SURFACE = {
     "character_overlap": ["w", "w_prime", "m", "i", "instance", "method"],
     "clip01": ["x"],
     "collision_structure": ["n"],
-    "contains": ["certificate", "subset"],
     "difference_coefficients": ["witness", "j"],
     "dual_feasibility_margin": ["cert", "witness"],
     "dual_objective": ["witness"],
@@ -67,7 +64,6 @@ LIBRARY_SURFACE = {
     "hidden_shift_witness": ["n", "target"],
     "ksubset_structure": ["n", "k"],
     "ksubset_witness": ["n", "k"],
-    "lattice_arcs": ["n"],
     "minimal_profile": ["cert"],
     "normalize_witness": ["witness", "cert"],
     "primal_constraint_values": ["flow", "weights"],

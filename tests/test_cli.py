@@ -1,8 +1,12 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
+import math
+import pathlib
 
 import pytest
 
@@ -108,6 +112,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def overscaled_witness(monkeypatch):
+    """Scale every multiplier witness by 1.5, past feasibility, so weak duality fails."""
+    witness = lg._multiplier_witness
+
+    def scaled(cert, primal):
+        w = witness(cert, primal)
+        return lg.DualWitness(w.n, 1.5 * w.alpha, info=w.info)
+
+    monkeypatch.setattr(lg, "_multiplier_witness", scaled)
+
+
 class TestStructureCommands:
     def test_build_emits_documented_field_order(self, capsys):
         code, out, _ = run(capsys, "structure", "build",
@@ -185,6 +201,15 @@ class TestLgCommands:
         assert out == ""
         assert "conservation violated" in err
 
+    @pytest.mark.parametrize("command", ["primal", "dual", "gap"])
+    def test_weak_duality_violation_fails_the_weak_record(self, capsys, overscaled_witness,
+                                                         command):
+        code, out, err = run(capsys, "lg", command, "--kind", "ksubset", "--params", "3", "1")
+        assert code == 1
+        assert json.loads(out)
+        assert err.startswith("FAIL duality/ksubset-3-1/weak: feasible witness objective "
+                              "never exceeds the primal objective (measured 0.866")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["primal", "dual", "gap"])
     def test_over_byte_cap_is_usage_error(self, capsys, monkeypatch, command):
@@ -488,6 +513,28 @@ class TestGeneralCommand:
 
 
 class TestVerifyAll:
+    def test_seed0_report_shape_is_pinned(self, capsys):
+        # every record's id, claim, bound and verdict; measured values may move
+        code, out, _ = run(capsys, "verify-all", "--seed", "0", "--format", "csv")
+        assert code == 0
+        got = [[r["check_id"], r["claim"], r["bound"], r["passed"]]
+               for r in csv.DictReader(io.StringIO(out))]
+        with open(pathlib.Path(__file__).with_name("verify_all_seed0.csv"), newline="") as pin:
+            assert got == list(csv.reader(pin))[1:]
+        assert len(got) == 43
+
+    def test_weak_duality_violation_is_a_failing_record(self, capsys, overscaled_witness):
+        code, out, err = run(capsys, "verify-all", "--suite", "duality")
+        assert code == 1
+        records = {r["check_id"]: r for r in json.loads(out)["records"]}
+        assert not any(r["claim"].startswith("plumbing") for r in records.values())
+        for name, optimum in (("ksubset-2-1", math.sqrt(2)), ("ksubset-3-1", math.sqrt(3))):
+            weak = records[f"duality/{name}/weak"]
+            assert not weak["passed"] and weak["bound"] == 1e-6
+            assert weak["measured"] == pytest.approx(0.5 * optimum, abs=1e-4)
+            assert records[f"duality/{name}/gap"]["passed"]
+            assert f"FAIL duality/{name}/weak: " in err
+
     def test_arrays_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify-all", "--suite", "arrays")
         assert code == 0

@@ -404,6 +404,17 @@ class TestDualityReport:
         rep = lg.duality_report(st.hidden_shift_structure(2))
         assert rep.dual_objective <= rep.primal_objective + 1e-6
 
+    def test_weak_duality_violation_is_reported_not_raised(self, monkeypatch):
+        witness = lg._multiplier_witness
+
+        def scaled(cert, primal):
+            w = witness(cert, primal)
+            return lg.DualWitness(w.n, 1.5 * w.alpha, info=w.info)
+
+        monkeypatch.setattr(lg, "_multiplier_witness", scaled)
+        rep = lg.duality_report(st.ksubset_structure(2, 1))
+        assert rep.dual_objective > rep.primal_objective + 0.7
+
     def test_solve_dual_is_the_checked_witness(self, monkeypatch):
         def unchecked(cert, primal):
             raise ConsistencyError("primal check ran")

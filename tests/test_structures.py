@@ -12,32 +12,9 @@ from lgcomplexity import structures as st
 from lgcomplexity.errors import CapacityError, ParameterError, StructuralError
 
 
-class TestSubset:
-    def test_from_members_roundtrip(self):
-        s = st.Subset.from_members([3, 1, 5])
-        assert s.members == (1, 3, 5)
-        assert len(s) == 3
-        assert 3 in s and 2 not in s
-
-    def test_union_and_order(self):
-        assert st.Subset.from_members([1]).union(3).members == (1, 3)
-        assert st.Subset(0b011).issubset(st.Subset(0b111))
-
-    def test_bad_index(self):
-        with pytest.raises(ParameterError):
-            st.as_mask([0])
-
-
-class TestArc:
-    def test_added_variable(self):
-        arc = st.Arc(st.Subset(0b01), st.Subset(0b11))
-        assert arc.added == 2
-
-    def test_rejects_non_single_step(self):
-        with pytest.raises(StructuralError):
-            st.Arc(st.Subset(0b01), st.Subset(0b111))
-        with pytest.raises(StructuralError):
-            st.Arc(st.Subset(0b11), st.Subset(0b01))
+def test_as_mask_rejects_index_zero():
+    with pytest.raises(ParameterError):
+        st.as_mask([0])
 
 
 class TestBuilders:
@@ -117,7 +94,7 @@ class TestContains:
     def test_triangle_full_set(self):
         cert = st.triangle_structure(3)
         assert cert.n == 3
-        assert st.contains(cert.certificates[0], (1, 2, 3))
+        assert cert.certificates[0].contains((1, 2, 3))
 
     def test_empty_set_never_member(self):
         for cert in (st.ksubset_structure(4, 2), st.hidden_shift_structure(2)):
@@ -181,45 +158,38 @@ class TestMinimalProfile:
 
 class TestLatticeArcs:
     def test_single_variable(self):
-        arcs = list(st.lattice_arcs(1))
-        assert len(arcs) == 1
-        assert arcs[0].source.mask == 0 and arcs[0].target.members == (1,)
+        src, jj, dst = st.arc_arrays(1)
+        assert (src.tolist(), jj.tolist(), dst.tolist()) == ([0], [1], [1])
 
     def test_count_matches_level_sum(self):
         # oracle: sum over subsets of the number of missing variables
         n = 3
         expected = sum(n - bin(s).count("1") for s in range(1 << n))
-        arcs = st.lattice_arcs(n)
-        assert len(arcs) == expected == st.arc_count(n) == 12
+        src, jj, dst = st.arc_arrays(n)
+        assert len(src) == len(jj) == len(dst) == expected == st.arc_count(n) == 12
 
     def test_every_arc_adds_one(self):
-        for arc in st.lattice_arcs(4):
-            assert len(arc.target) == len(arc.source) + 1
+        src, jj, dst = st.arc_arrays(4)
+        for s, j, t in zip(src.tolist(), jj.tolist(), dst.tolist()):
+            assert not s >> (j - 1) & 1
+            assert t == s | 1 << (j - 1)
 
     def test_deterministic_order(self):
-        arcs = list(st.lattice_arcs(3))
-        keys = [(a.source.mask, a.added) for a in arcs]
-        assert keys == sorted(keys)
-        src, jj, dst = st.arc_arrays(3)
-        assert [(s, j) for s, j in zip(src, jj)] == keys
-        assert all(dst[i] == arcs[i].target.mask for i in range(len(arcs)))
+        # oracle: every (source mask, missing variable) pair, by source then variable
+        n = 3
+        keys = [(s, j) for s in range(1 << n) for j in range(1, n + 1) if not s >> (j - 1) & 1]
+        src, jj, _ = st.arc_arrays(n)
+        assert list(zip(src.tolist(), jj.tolist())) == keys
 
     def test_arc_index_roundtrip(self):
         n = 4
-        for idx, arc in enumerate(st.lattice_arcs(n)):
-            assert st.arc_index(n, arc.source.mask, arc.added) == idx
-
-    def test_indexing_and_slicing(self):
-        arcs = st.lattice_arcs(3)
-        assert arcs[5] == list(arcs)[5]
-        assert arcs[-1] == list(arcs)[-1]
-        assert arcs[2:4] == list(arcs)[2:4]
+        src, jj, _ = st.arc_arrays(n)
+        for idx, (s, j) in enumerate(zip(src.tolist(), jj.tolist())):
+            assert st.arc_index(n, s, j) == idx
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            st.lattice_arcs(23)
-        with pytest.raises(ParameterError):
-            st.lattice_arcs(0)
+            st.arc_arrays(23)
 
     def test_arc_index_rejects_outside(self):
         with pytest.raises(StructuralError):

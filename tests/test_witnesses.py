@@ -224,7 +224,7 @@ class TestTriangleWitness:
             assert margin <= 100 * math.log2(n)
 
     def test_capacity_bounds(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(ParameterError, match="triangle structure needs n >= 3 vertices, got 2"):
             wt.triangle_witness(2)
         with pytest.raises(CapacityError):
             wt.triangle_witness(8)
