@@ -22,11 +22,15 @@ E_S[x, y] = prod_{j in S} ([x_j = y_j] - 1/q) * q^-(n-|S|).  Three per-axis
   with bit j zeroed) is again a `BlockOperator`.
 
 The blocks are real and symmetric, so the transpose applies the same blocks.
-A `BlockOperator`'s norm comes from ARPACK (scipy's `eigsh` on the smaller
-Gram side, as `svds` does, with seeded draws) at every size and fails loudly
-when ARPACK does not converge.  Dense matrices (`dense`,
-`block_dense`, `pattern_projector`, `LabeledMatrix`) stay as the test oracle
-within `DENSE_SIDE_CAP`; the tests take their norms with numpy.
+A `BlockOperator`'s norm comes from one Lanczos loop on the smaller Gram side
+(`_lanczos_norm`) at every size: a seeded start, the full basis orthogonalized
+twice per step, and a stop once the top Ritz pair's residual is within
+max(tolerance^2, 4 eps) of its value or the Krylov space holds the whole side.
+It refuses, before allocating, a side whose first two basis vectors exceed
+`LANCZOS_BYTE_CAP`, and fails loudly when the basis fills the cap
+unconverged.  Dense matrices (`dense`, `block_dense`,
+`pattern_projector`, `LabeledMatrix`) stay as the test oracle within
+`DENSE_SIDE_CAP`; the tests take their norms with numpy.
 
 Each distinct masked norm is taken once.  `_masked_norms` keeps a one-entry
 memo keyed on the identity (`is`) of the instance and witness, which are both
@@ -48,7 +52,6 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import (
     CapacityError,
@@ -68,6 +71,8 @@ from .structures import (
 )
 
 DENSE_SIDE_CAP = 1 << 14
+# bytes of one Lanczos basis: 2 vectors at the 2^24 enumeration cap
+LANCZOS_BYTE_CAP = 1 << 28
 
 
 def ones_projector(q: int) -> np.ndarray:
@@ -178,7 +183,7 @@ class SpectralReport:
     norm: float
     iterations: int
     residual: float
-    method: str  # "arpack"
+    method: str  # "lanczos"
 
 
 @dataclass(frozen=True)
@@ -334,41 +339,47 @@ def assemble(
     )
 
 
-def _arpack_norm(op: BlockOperator, tolerance: float) -> SpectralReport:
-    """sigma_max of a block operator by ARPACK (scipy's eigsh) on its smaller Gram side.
+def _lanczos_norm(op: BlockOperator, tolerance: float) -> SpectralReport:
+    """sigma_max of a block operator by Lanczos on its smaller Gram side G.
 
-    This is scipy's svds(k=1) with every random draw seeded.  The start vector
-    is fixed pseudo-random, because a structured start such as the all-ones
-    vector can be orthogonal to the top singular subspace.  ARPACK asks for a
-    fresh random vector whenever the Krylov space turns invariant, which the
-    symmetric blocks make common (8 to 13 times in one adversary report of
-    ksubset(3,2) at q = 8 to 16), and svds draws it from an unseeded
-    generator, so its results could differ from run to run.  `iterations`
-    counts every application of A or A^T; `residual` is
-    max(|A v - s u|, |A^T u - s v|) / s of the returned triple.  Without
-    ARPACK: a zero operator or an empty side gives 0.0, and a side of length
-    1 gives the norm of one application.
+    The loop keeps the whole basis V and starts from a fixed pseudo-random
+    vector, because a structured start such as the all-ones vector can be
+    orthogonal to the top singular subspace.  Step k applies G once (two
+    applications), orthogonalizes the result against all of V twice and
+    takes the top pair (theta, s) of the k x k tridiagonal T_k.  One
+    classical Gram-Schmidt pass leaves a component of relative size about
+    eps |G v| / beta along V, which is large exactly when beta is small, that
+    is near an invariant Krylov space; a second pass brings it down to
+    rounding, and twice is enough (Kahan's result in Parlett, "The Symmetric
+    Eigenvalue Problem", 1998).  The loop stops at the first k where the Ritz
+    residual |G V s - theta V s| = beta_k |s_k| is at most
+    max(tolerance^2, 4 eps) |theta|, or at k = side, where T_k holds the
+    whole spectrum.  The symmetric blocks make short invariant Krylov spaces
+    common; beta_k is then about zero, and since the random start has a
+    component along the top eigenvector, theta is the top eigenvalue.
+
+    The basis is refused (`CapacityError`) before any application when two
+    vectors of the side's length exceed LANCZOS_BYTE_CAP bytes, and a loop
+    that fills the cap without converging raises `ConsistencyError`.
+    `iterations` counts every application of A or A^T; `residual` is
+    max(|A v - s u|, |A^T u - s v|) / s of the returned triple.  Without the
+    loop: a zero operator or an empty side gives 0.0, and a side of length 1
+    gives the norm of one application.
     """
     rows, cols = op.shape
     applications = 0
-    last_input = None
 
     def count(apply):
         def counted(x):
             nonlocal applications
             applications += 1
-            return apply(np.ravel(x))
+            return apply(x)
         return counted
 
     # the Gram side is the smaller one: A^T A on columns or A A^T on rows
     first, second = count(op.matvec), count(op.rmatvec)
     if rows < cols:
         first, second = second, first
-
-    def gram(x):
-        nonlocal last_input
-        last_input = np.ravel(x)
-        return second(first(last_input))
 
     def triple(x):
         """sigma = |first(x)| for unit x, and the residual of (u, sigma, v) built from it."""
@@ -380,32 +391,47 @@ def _arpack_norm(op: BlockOperator, tolerance: float) -> SpectralReport:
 
     side = min(rows, cols)
     if side == 0 or not op.coeffs.any():
-        return SpectralReport(norm=0.0, iterations=0, residual=0.0, method="arpack")
+        return SpectralReport(norm=0.0, iterations=0, residual=0.0, method="lanczos")
     if side == 1:
         norm = float(np.linalg.norm(first(np.ones(1))))
-        return SpectralReport(norm=norm, iterations=1, residual=0.0, method="arpack")
-    linear = LinearOperator((side, side), matvec=gram, dtype=float)
-    try:
-        _, vectors = eigsh(linear, k=1, tol=tolerance ** 2,
-                           v0=np.random.default_rng(0).standard_normal(side),
-                           rng=np.random.default_rng(1))
-    except (ArpackNoConvergence, ArpackError) as exc:
-        used = applications
-        last = math.inf if last_input is None else triple(last_input)[1]
-        raise ConsistencyError(
-            f"ARPACK did not converge on the {rows} x {cols} operator after "
-            f"{used} applications (last residual {last:.3g}): {exc}"
-        ) from exc
-    norm, residual = triple(vectors[:, 0])
-    return SpectralReport(norm=norm, iterations=applications, residual=residual, method="arpack")
+        return SpectralReport(norm=norm, iterations=1, residual=0.0, method="lanczos")
+    steps = min(side, LANCZOS_BYTE_CAP // (8 * side))
+    if steps < 2:
+        raise CapacityError(f"a Lanczos basis of 2 vectors of length {side} needs "
+                            f"{16 * side} bytes, over the cap of {LANCZOS_BYTE_CAP}")
+    basis = np.empty((steps, side))
+    diagonal, off_diagonal = [], []
+    v = np.random.default_rng(0).standard_normal(side)
+    v /= np.linalg.norm(v)
+    stop = max(tolerance ** 2, 4 * np.finfo(float).eps)
+    for k in range(1, steps + 1):
+        basis[k - 1] = v
+        w = second(first(v))
+        diagonal.append(float(v @ w))
+        for _ in range(2):
+            w -= basis[:k].T @ (basis[:k] @ w)
+        beta = float(np.linalg.norm(w))
+        values, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off_diagonal, 1)
+                                         + np.diag(off_diagonal, -1))
+        theta, s = values[-1], vectors[:, -1]
+        if beta * abs(s[-1]) <= stop * abs(theta) or k == side:
+            norm, residual = triple(basis[:k].T @ s)
+            return SpectralReport(norm=norm, iterations=applications, residual=residual,
+                                  method="lanczos")
+        off_diagonal.append(beta)
+        v = w / beta
+    raise ConsistencyError(
+        f"Lanczos did not converge on the {rows} x {cols} operator after {applications} "
+        f"applications (last residual {beta * abs(s[-1]) / theta:.3g})"
+    )
 
 
 def spectral_norm(op: BlockOperator, tolerance: float = 1e-9) -> SpectralReport:
-    """Largest singular value of a block operator, by ARPACK (`_arpack_norm`)."""
+    """Largest singular value of a block operator, by Lanczos (`_lanczos_norm`)."""
     if not isinstance(op, BlockOperator):
         raise ParameterError(f"cannot take the norm of {type(op).__name__}; "
                              "spectral_norm takes a BlockOperator")
-    return _arpack_norm(op, tolerance)
+    return _lanczos_norm(op, tolerance)
 
 
 def hadamard_mask(op, j: int):

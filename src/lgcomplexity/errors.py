@@ -22,7 +22,7 @@ class InvariantViolation(LgError, ValueError):
 
 
 class ConsistencyError(LgError, RuntimeError):
-    """An internal cross-check failed (a primal breaking conservation, ARPACK not converging).
+    """An internal cross-check failed (a primal breaking conservation, Lanczos not converging).
 
     Checks that a report row decides, such as weak duality, fail their row instead.
     """

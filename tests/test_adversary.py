@@ -6,7 +6,6 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from lgcomplexity import adversary as adv
 from lgcomplexity import arrays as ar
@@ -195,14 +194,14 @@ class TestAssemble:
 
 
 class TestSpectralNorm:
-    def test_arpack_matches_dense_on_random_operator(self):
+    def test_lanczos_matches_dense_on_random_operator(self):
         rng = np.random.default_rng(0)
         op = adv.BlockOperator(rng.standard_normal((2, 8)), 3, 3,
                                row_sets=[rng.choice(27, 25, replace=False) for _ in range(2)],
                                row_scales=rng.uniform(0.5, 2.0, 2),
                                col_codes=rng.choice(27, 15, replace=False))
         report = adv.spectral_norm(op, tolerance=1e-12)
-        assert report.method == "arpack"
+        assert report.method == "lanczos"
         assert report.norm == pytest.approx(np.linalg.norm(op.dense(), 2), abs=1e-8)
 
     def test_block_operator_matvec_consistent_with_dense(self):
@@ -233,12 +232,12 @@ class TestSpectralNorm:
         dense = adv.assemble(witness, q=4).dense()
         assert np.linalg.norm(dense, 2) == pytest.approx(0.9, abs=1e-12)
 
-    def test_arpack_path_above_dense_cap(self):
+    def test_lanczos_path_above_dense_cap(self):
         # q^n = 5^7 = 78125 is past the dense oracle's cap
         witness = lg.DualWitness.from_entries(7, 1, {((), 0): 1.0})
         op = adv.assemble(witness, q=5)
         report = adv.spectral_norm(op, tolerance=1e-10)
-        assert report.method == "arpack"
+        assert report.method == "lanczos"
         assert report.norm == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -335,7 +334,7 @@ class TestDenseKernels:
                                row_scales=scales, col_codes=cols)
         oracle = np.vstack([full[m][np.ix_(rows[m], cols)] * scales[m] for m in range(2)])
         report = adv.spectral_norm(op)
-        assert report.method == "arpack"
+        assert report.method == "lanczos"
         assert report.norm == pytest.approx(np.linalg.norm(oracle, 2), rel=1e-12, abs=0)
 
 
@@ -392,7 +391,7 @@ class TestHadamardMask:
             dense_norm = np.linalg.norm(lm.matrix, 2)
             implicit = adv.hadamard_mask(op, j)
             report = adv.spectral_norm(implicit, tolerance=1e-12)
-            assert report.method == "arpack"
+            assert report.method == "lanczos"
             assert report.norm == pytest.approx(dense_norm, abs=1e-7)
             rng = np.random.default_rng(j)
             v = rng.standard_normal(op.shape[1])
@@ -422,7 +421,7 @@ def _assert_matches_oracle(op, oracle, rng):
     assert np.allclose(op.matvec(v), a @ v, rtol=0, atol=1e-12)
     assert np.allclose(op.rmatvec(u), a.T @ u, rtol=0, atol=1e-12)
     report = adv.spectral_norm(op)
-    assert report.method == "arpack"
+    assert report.method == "lanczos"
     assert report.norm == pytest.approx(np.linalg.norm(a, 2), rel=1e-12, abs=1e-12)
     assert report.residual <= 1e-9
 
@@ -450,7 +449,7 @@ class TestImplicitOperator:
                                row_scales=[1.3], col_codes=rng.choice(q ** n, cols, replace=False))
         for target in [op] + [adv.hadamard_mask(op, j) for j in (1, 2)]:
             report = adv.spectral_norm(target)
-            assert (report.method, report.iterations) == ("arpack", 1)
+            assert (report.method, report.iterations) == ("lanczos", 1)
             expected = np.linalg.norm(target.dense(), 2)
             assert report.norm == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
@@ -464,7 +463,7 @@ class TestImplicitOperator:
         for op, shape in ((empty_rows, (0, 9)), (empty_cols, (18, 0)), (zero, (18, 9))):
             assert op.shape == shape
             report = adv.spectral_norm(op)
-            assert (report.norm, report.iterations, report.method) == (0.0, 0, "arpack")
+            assert (report.norm, report.iterations, report.method) == (0.0, 0, "lanczos")
         assert not zero.matvec(np.ones(9)).any()
         assert empty_cols.matvec(np.zeros(0)).shape == (18,)
         assert empty_rows.rmatvec(np.zeros(0)).shape == (9,)
@@ -487,36 +486,34 @@ class TestImplicitOperator:
         assert time.perf_counter() - start < 0.1
 
 
-def _raise_no_convergence(*args, **kwargs):
-    raise ArpackNoConvergence("No convergence", np.empty(0), np.empty((0, 0)))
+@pytest.fixture
+def two_steps(monkeypatch):
+    """Set the Lanczos byte cap so that a basis of the given side holds exactly 2 vectors."""
+    def fit(side):
+        monkeypatch.setattr(adv, "LANCZOS_BYTE_CAP", 2 * 8 * side)
+    return fit
 
 
 class TestNonConvergence:
-    """A norm that ARPACK cannot converge raises instead of returning an estimate."""
+    """A norm that Lanczos cannot converge within its byte cap raises instead of
+    returning an estimate."""
 
-    def test_spectral_norm_raises(self, monkeypatch):
-        monkeypatch.setattr(adv, "eigsh", _raise_no_convergence)
+    def test_spectral_norm_raises(self, two_steps):
+        two_steps(9)
         op = adv.BlockOperator(np.random.default_rng(0).standard_normal((2, 4)), 3, 2)
-        with pytest.raises(ConsistencyError, match=r"18 x 9 operator after 0 applications"):
+        with pytest.raises(ConsistencyError, match=r"Lanczos did not converge on the 18 x 9"):
             adv.spectral_norm(op)
 
-    def test_message_names_last_residual(self, monkeypatch):
-        def stop_after_some_steps(linear, **kwargs):
-            x = kwargs["v0"]
-            for _ in range(5):
-                x = linear.matvec(x)
-                x = x / np.linalg.norm(x)
-            _raise_no_convergence()
-
-        monkeypatch.setattr(adv, "eigsh", stop_after_some_steps)
+    def test_message_names_last_residual(self, two_steps):
+        two_steps(9)
         op = adv.BlockOperator(np.random.default_rng(0).standard_normal((2, 4)), 3, 2)
-        with pytest.raises(ConsistencyError, match=r"after 10 applications \(last residual \d"):
+        with pytest.raises(ConsistencyError, match=r"after 4 applications \(last residual \d"):
             adv.spectral_norm(op)
 
-    def test_suite_records_plumbing_failure(self, monkeypatch):
+    def test_suite_records_plumbing_failure(self, two_steps):
         from lgcomplexity.reporting import run_suite, validate_config
 
-        monkeypatch.setattr(adv, "eigsh", _raise_no_convergence)
+        two_steps(192)  # gamma's rows at q = 8, the first norm the pipeline takes
         config, errors = validate_config({"suite": "adversary"})
         assert not errors
         records = {r.check_id: r for r in run_suite(config).records}
@@ -525,14 +522,24 @@ class TestNonConvergence:
         assert not pipeline.passed
         assert records["adversary/hadamard-mask"].passed
 
-    def test_cli_exits_2(self, monkeypatch, capsys):
+    def test_cli_exits_2(self, two_steps, capsys):
         from lgcomplexity.cli import main
 
-        monkeypatch.setattr(adv, "eigsh", _raise_no_convergence)
+        two_steps(192)
         code = main(["adversary", "report", "--kind", "ksubset", "--params", "3", "2",
                      "--q", "8"])
         assert code == 2
-        assert "ARPACK did not converge" in capsys.readouterr().err
+        assert "Lanczos did not converge" in capsys.readouterr().err
+
+    def test_basis_refused_before_any_application(self, monkeypatch):
+        op = adv.BlockOperator(np.random.default_rng(0).standard_normal((2, 4)), 3, 2)
+        applied = []
+        monkeypatch.setattr(op, "matvec", lambda v: applied.append(v))
+        monkeypatch.setattr(op, "rmatvec", lambda u: applied.append(u))
+        monkeypatch.setattr(adv, "LANCZOS_BYTE_CAP", 2 * 8 * 9 - 1)
+        with pytest.raises(CapacityError, match=r"2 vectors of length 9 needs 144 bytes"):
+            adv.spectral_norm(op)
+        assert not applied
 
 
 class TestGeneratorPartition:
@@ -719,13 +726,13 @@ def _direct_masked_norms(inst, witness):
 
 @pytest.fixture
 def norm_calls(monkeypatch):
-    """A list that grows by one entry per adv.spectral_norm call."""
+    """A list that grows by the SpectralReport of each adv.spectral_norm call."""
     calls = []
     spectral_norm = adv.spectral_norm
 
     def counted(op, *args, **kwargs):
-        calls.append(op.shape)
-        return spectral_norm(op, *args, **kwargs)
+        calls.append(spectral_norm(op, *args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(adv, "spectral_norm", counted)
     return calls
@@ -740,6 +747,27 @@ class TestMaskedNormReuse:
         adv.bounded_norm_certificates(inst, witness, 1)
         # gamma, one masked norm, two parts, hat and prime
         assert len(norm_calls) <= 6
+
+    def test_report_takes_at_most_130_applications(self, norm_calls):
+        inst, witness = _ksubset_pair(8)
+        adv.adversary_ratio(inst, witness)
+        adv.bounded_norm_certificates(inst, witness, 1)
+        assert sum(report.iterations for report in norm_calls) <= 130
+
+    @pytest.mark.parametrize("q", [8, 12])
+    def test_every_chain_norm_matches_the_dense_oracle(self, q):
+        inst, witness = _ksubset_pair(q)
+        gamma = adv.assemble(witness, inst)
+        beta = adv.difference_coefficients(witness, 1)
+        part = adv.generator_partition(inst.cert)
+        chain = ([gamma] + [adv.hadamard_mask(gamma, j) for j in range(1, inst.n + 1)]
+                 + [adv.assemble(np.where(part == i, beta, 0.0), inst, restrict_columns=False)
+                    for i in range(1, part.max() + 1)]
+                 + [adv.assemble(beta, inst, restrict_columns=False), adv.assemble(beta, inst)])
+        for op in chain:
+            report = adv.spectral_norm(op)
+            assert report.norm == pytest.approx(np.linalg.norm(op.dense(), 2), rel=1e-12, abs=0)
+            assert report.residual <= 1e-12
 
     @pytest.mark.parametrize("q", [8, 12, 16])
     def test_reused_norms_match_direct(self, q):
