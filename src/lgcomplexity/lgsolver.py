@@ -14,9 +14,14 @@ Solvers:
     The Laplacian patterns of all certificates are built once per solve_primal
     call, grouped by the number of non-member subsets.  Up to _DENSE_NODE_CUT
     of them a group is solved dense, by one stacked np.linalg.solve per
-    array of at most _STACK_BYTES; above it each certificate is solved by
-    Jacobi-preconditioned CG, whose answer is kept only when the recomputed
-    residual max|L x - b| is at most 1e-12, else by sparse LU.
+    array of at most _STACK_BYTES.  Above it the group is one block-diagonal
+    CSR matrix whose every row has n + 1 entries (the node and its n lattice
+    neighbours, a grounded neighbour as a zero on the node itself), solved by
+    Jacobi-preconditioned CG with the certificates' recurrences in lockstep:
+    one sparse product per step for the whole group, a converged certificate
+    frozen while the others go on.  A certificate's answer is kept only when
+    it converged and its recomputed residual max|L x - b| is at most 1e-12;
+    otherwise that certificate alone is solved by sparse LU.
     Given flows, weights take the stationary form w_e = sqrt(sum_M mu_M
     p_e(M)^2) with the multipliers mu fitted by multiplicative updates.  Each
     update first sets mu's overall scale to its closed-form optimum, and the
@@ -56,7 +61,6 @@ from typing import Mapping
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     CapacityError,
@@ -71,6 +75,7 @@ from .structures import (
     arc_count,
     arc_index,
     as_mask,
+    incident_arcs,
     mask_members,
     membership_table,
 )
@@ -78,16 +83,19 @@ from .structures import (
 _WEIGHT_FLOOR = 1e-14
 _PRIMAL_TOLERANCE = 1e-9             # conservation residual and constraint excess
 _SOLVE_RESIDUAL = 1e-12              # max |L x - b| accepted from CG
-# measured per certificate on 2 cores, stacked dense vs Jacobi-CG on ksubset flows at random
-# weights: 0.25-0.29 vs 1.2-1.6 ms at 128 nodes, 0.9-1.2 vs 1.4-1.9 ms at 256, 2.6-3.0 vs
-# 1.4-2.1 ms at 384, 4.9-5.8 vs 1.6-2.1 ms at 512; the crossover lies between 256 and 384
-# nodes, and the cut stays at 200 so that no structure changes path
+# measured per certificate on 2 cores, stacked dense vs batched Jacobi-PCG on whole ksubset
+# groups at uniform(0.1, 2) weights (quartiles of 12 draws): 0.23-0.26 vs 0.25-0.28 ms at 128
+# nodes (ksubset(8,1)), 0.92-1.01 vs 0.31-0.33 ms at 256 (ksubset(9,1)), 2.6-2.9 vs
+# 0.36-0.40 ms at 384 (ksubset(9,2)), 4.3-5.4 vs 0.39-0.55 ms at 512 (ksubset(10,1)); the
+# crossover lies near 128 nodes, and the cut stays at 200 so that no structure changes path
 _DENSE_NODE_CUT = 200
 _STACK_BYTES = 32 << 20              # largest stacked dense Laplacian array
 _WEIGHT_STEPS = 200                  # most multiplier steps in one weight fit
-# peak RSS of solve_primal per (certificate, arc) pair, rounded up: 143 B on triangle(6)
-# (4.9e6 pairs, 731 MB), 122 B on ksubset(12,2) and 157 B on triangle(5), on 2 cores
-_PAIR_BYTES = 160
+# peak RSS of 3 solve_primal iterations per (certificate, arc) pair, above the RSS before
+# the call, on 2 cores: 51 B on triangle(6) (4.9e6 pairs, 294 MB peak), 49 B on
+# ksubset(12,2), 40 B on hidden_shift(8) and collision(5); the largest, 65 B, is
+# triangle(5)'s, whose 5e4 pairs leave fixed costs dominant; rounded up
+_PAIR_BYTES = 80
 PRIMAL_BYTE_CAP = 2 << 30            # largest primal job, in bytes at _PAIR_BYTES per pair
 
 
@@ -360,8 +368,18 @@ class _LaplacianGroup:
 
     Certificate M's rows and columns are its non-member subsets in ascending
     mask order, so the empty set is node 0.  The pattern of every certificate
-    (diagonal, off-diagonal and potential positions) is built once, with
-    per-certificate offsets; each solve only refills the conductances.
+    is built once, with per-certificate offsets; each solve only refills the
+    conductances.
+
+    Up to _DENSE_NODE_CUT nodes the group is one stacked (count, size, size)
+    array.  Above it the group is one block-diagonal CSR matrix of fixed-width
+    rows: every lattice node has exactly n neighbours S ^ {j}, so row S holds
+    n + 1 entries, S itself and then its neighbours in j order; a member
+    neighbour is grounded, and its entry points back at S with value 0.  The
+    diagonal sums the conductances of all n incident arcs.  _jacobi_pcg runs
+    the certificates' CG recurrences in lockstep on the stacked vector, and
+    each certificate whose answer is unconverged or has max|L x - b| above
+    _SOLVE_RESIDUAL is solved again alone by sparse LU.
     """
 
     def __init__(self, certs: np.ndarray, member: np.ndarray, src: np.ndarray, dst: np.ndarray):
@@ -370,9 +388,12 @@ class _LaplacianGroup:
         self.size = size = int(nonmember[0].sum())
         self.count = count
         k_node, node = np.nonzero(nonmember)
+        self.pot_at = certs[k_node] * member.shape[1] + node
+        if size > _DENSE_NODE_CUT:
+            self._sparse_pattern(nonmember, k_node, node)
+            return
         pos = np.zeros(nonmember.shape, dtype=np.int64)
         pos[k_node, node] = np.tile(np.arange(size), count)
-        self.pot_at = certs[k_node] * member.shape[1] + node
         src_in = nonmember[:, src]
         k_out, out_arcs = np.nonzero(src_in)
         k_in, self.in_arcs = np.nonzero(src_in & nonmember[:, dst])
@@ -383,52 +404,108 @@ class _LaplacianGroup:
         rows = k_in * size + pos[k_in, src[self.in_arcs]]
         cols = k_in * size + pos[k_in, dst[self.in_arcs]]
         nodes = np.arange(count * size)
-        if size <= _DENSE_NODE_CUT:
-            # flat positions in the stacked (count, size, size) array
-            self.upper = rows * size + cols % size
-            self.lower = cols * size + rows % size
-            self.diagonal = nodes * size + nodes % size
-            self.rhs = np.zeros((count, size, 1))
-            self.rhs[:, 0] = 1.0
-            return
-        all_rows = np.concatenate([nodes, rows, cols])
-        all_cols = np.concatenate([nodes, cols, rows]) % size
-        self.order = np.argsort(all_rows * size + all_cols, kind="stable")
-        self.indices = all_cols[self.order].astype(np.int32)
-        self.indptr = np.zeros(count * size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(all_rows, minlength=count * size), out=self.indptr[1:])
+        # flat positions in the stacked (count, size, size) array
+        self.upper = rows * size + cols % size
+        self.lower = cols * size + rows % size
+        self.diagonal = nodes * size + nodes % size
+        self.rhs = np.zeros((count, size, 1))
+        self.rhs[:, 0] = 1.0
+
+    def _sparse_pattern(self, nonmember: np.ndarray, k_node: np.ndarray, node: np.ndarray):
+        """Fixed-width CSR rows, in int32: PRIMAL_BYTE_CAP keeps count * 2^n below 2^31."""
+        lattice = nonmember.shape[1]
+        n = lattice.bit_length() - 1
+        rows = len(node)
+        self.width = width = n + 1
+        self.incident = incident_arcs(n)
+        # the row of each (certificate, subset) pair; read only at non-members
+        row_of = np.cumsum(nonmember, dtype=np.int32) - 1
+        flat = (k_node.astype(np.int32) * np.int32(lattice))[:, None] + (
+            node.astype(np.int32)[:, None] ^ (np.int32(1) << np.arange(n, dtype=np.int32)))
+        grounded = ~nonmember.reshape(-1)[flat]
+        self.indices = np.empty((rows, width), dtype=np.int32)
+        self.indices[:, 0] = np.arange(rows, dtype=np.int32)
+        self.indices[:, 1:] = np.where(grounded, self.indices[:, :1], row_of[flat])
+        self.indices = self.indices.reshape(-1)
+        self.indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
+        # each entry's position in [node degrees (2^n), -conductances (arcs), 0]
+        self.entry = np.empty((rows, width), dtype=np.int32)
+        self.entry[:, 0] = node
+        self.entry[:, 1:] = np.where(grounded, lattice + arc_count(n), lattice + self.incident[node])
+        self.entry = self.entry.reshape(-1)
+        self.rhs = np.zeros((self.count, self.size))
+        self.rhs[:, 0] = 1.0
 
     def solve(self, c: np.ndarray, potentials: np.ndarray) -> None:
         """Write every certificate's potentials into the flat per-(certificate, subset) array."""
         size, count = self.size, self.count
+        if size > _DENSE_NODE_CUT:
+            potentials[self.pot_at] = self._solve_sparse(c)
+            return
         diag = np.bincount(self.diag_at, weights=c[self.diag_arcs], minlength=count * size)
         off = -c[self.in_arcs]
-        if size <= _DENSE_NODE_CUT:
-            lap = np.zeros(count * size * size)
-            lap[self.upper] = off
-            lap[self.lower] = off
-            lap[self.diagonal] = diag
-            x = np.linalg.solve(lap.reshape(count, size, size), self.rhs)
-            potentials[self.pot_at] = x.reshape(-1)
-            return
-        data = np.concatenate([diag, off, off])[self.order]
-        b = np.zeros(size)
-        b[0] = 1.0
-        for k in range(count):
-            lo, hi = self.indptr[k * size], self.indptr[(k + 1) * size]
-            lap = scipy.sparse.csr_matrix(
-                (data[lo:hi], self.indices[lo:hi],
-                 (self.indptr[k * size:(k + 1) * size + 1] - lo).astype(np.int32)),
+        lap = np.zeros(count * size * size)
+        lap[self.upper] = off
+        lap[self.lower] = off
+        lap[self.diagonal] = diag
+        x = np.linalg.solve(lap.reshape(count, size, size), self.rhs)
+        potentials[self.pot_at] = x.reshape(-1)
+
+    def _solve_sparse(self, c: np.ndarray) -> np.ndarray:
+        size, count, width, rhs = self.size, self.count, self.width, self.rhs
+        degree = c[self.incident].sum(axis=1)
+        data = np.concatenate([degree, -c, [0.0]])[self.entry]
+        lap = scipy.sparse.csr_matrix((data, self.indices, self.indptr),
+                                      shape=(count * size, count * size))
+        x, converged = _jacobi_pcg(lap, rhs, data[::width].reshape(count, size))
+        # the conservation residual at a non-member node is exactly +-(L x - b)
+        residual = np.abs((lap @ x.reshape(-1)).reshape(count, size) - rhs).max(axis=1)
+        failed = np.flatnonzero(~(converged & (residual <= _SOLVE_RESIDUAL)))
+        for k in failed:
+            from scipy.sparse.linalg import spsolve  # imported only once a CG answer is refused
+
+            lo, hi = k * size * width, (k + 1) * size * width
+            # spsolve sums the duplicate grounded entries in place, so the block owns its arrays
+            block = scipy.sparse.csr_matrix(
+                (data[lo:hi].copy(), self.indices[lo:hi] - np.int32(k * size),
+                 self.indptr[:size + 1].copy()),
                 shape=(size, size),
             )
-            x, info = scipy.sparse.linalg.cg(
-                lap, b, rtol=1e-13, atol=0.0, maxiter=size,
-                M=scipy.sparse.diags(1.0 / diag[k * size:(k + 1) * size]),
-            )
-            # the conservation residual at a non-member node is exactly +-(L x - b)
-            if info != 0 or not np.max(np.abs(lap @ x - b)) <= _SOLVE_RESIDUAL:
-                x = scipy.sparse.linalg.spsolve(lap, b)
-            potentials[self.pot_at[k * size:(k + 1) * size]] = x
+            x[k] = spsolve(block, rhs[k])
+        return x.reshape(-1)
+
+
+def _jacobi_pcg(lap, b: np.ndarray, diag: np.ndarray):
+    """Jacobi-preconditioned CG on the diagonal blocks of lap, their recurrences in lockstep.
+
+    b and diag are (blocks, size) arrays.  Each step takes one product lap @ p
+    for the whole stack and keeps alpha and beta per block.  A block stops once
+    its ||r||_2 is at most 1e-13 ||b||_2, or after size steps; a stopped block
+    is frozen with alpha = beta = 0.  Returns (x, per-block converged flags).
+    """
+    count, size = b.shape
+    tol = 1e-26 * np.einsum("ks,ks->k", b, b)          # on ||r||_2^2
+    inverse = 1.0 / diag
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = np.zeros_like(b)
+    z = np.empty_like(b)
+    rz_old = np.ones(count)          # p starts at 0, so the first beta multiplies nothing
+    active = np.einsum("ks,ks->k", r, r) > tol
+    for _ in range(size):
+        if not active.any():
+            break
+        np.multiply(inverse, r, out=z)
+        rz = np.einsum("ks,ks->k", r, z)
+        p *= np.divide(rz, rz_old, out=np.zeros(count), where=active)[:, None]
+        p += z
+        q = (lap @ p.reshape(-1)).reshape(count, size)
+        alpha = np.divide(rz, np.einsum("ks,ks->k", p, q), out=np.zeros(count), where=active)
+        x += alpha[:, None] * p
+        r -= alpha[:, None] * q
+        rz_old = rz
+        active &= np.einsum("ks,ks->k", r, r) > tol
+    return x, ~active
 
 
 class _StackedLaplacian:

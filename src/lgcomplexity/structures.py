@@ -317,6 +317,16 @@ def arc_index(n: int, source, j: int) -> int:
     return int(_arc_offsets(n)[mask]) + (j - 1) - below.bit_count()
 
 
+def incident_arcs(n: int) -> np.ndarray:
+    """int32 table [mask, j-1] of the arc joining S and S ^ {j}, by arc_index's closed form."""
+    check_lattice(n)
+    masks = np.arange(1 << n, dtype=np.int64)[:, None]
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    source = masks & ~bits
+    below = subset_sizes(n).astype(np.int64)[masks & (bits - 1)]
+    return (_arc_offsets(n)[source] + np.arange(n) - below).astype(np.int32)
+
+
 def arc_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(source_mask, added_j, target_mask) arrays in the deterministic arc order."""
     check_lattice(n)

@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,7 +540,7 @@ def assert_close_relative(actual, expected, rtol):
 
 
 class TestLaplacianSolve:
-    """Above the dense cut, Jacobi-CG with a residual-checked sparse LU fallback."""
+    """Above the dense cut, batched Jacobi-PCG with a residual-checked sparse LU fallback."""
 
     N = 10  # ksubset(10,1): 512 non-member subsets per certificate
 
@@ -582,19 +586,25 @@ class TestLaplacianSolve:
         lg._StackedLaplacian(self.N, member[:1]).flow(self.weights(spread))
         assert not calls
 
+    @staticmethod
+    def fail_pcg(monkeypatch, failure: str, blocks) -> None:
+        """Make _jacobi_pcg's answer on the given blocks unconverged or wrong by 1e-6."""
+        pcg = lg._jacobi_pcg
+
+        def failing(lap, b, diag):
+            x, converged = pcg(lap, b, diag)
+            assert converged.all()
+            if failure == "info":
+                converged[blocks] = False
+            else:
+                x[blocks, 0] *= 1.0 + 1e-6  # a converged-looking answer that is wrong
+            return x, converged
+
+        monkeypatch.setattr(lg, "_jacobi_pcg", failing)
+
     @pytest.mark.parametrize("failure", ["info", "wrong-x"])
     def test_fallback_gives_the_direct_solve(self, monkeypatch, failure):
-        cg = scipy.sparse.linalg.cg
-
-        def failing(A, b, **kwargs):
-            x, info = cg(A, b, **kwargs)
-            if failure == "info":
-                return x, 1
-            x = x.copy()
-            x[0] *= 1.0 + 1e-6  # a converged-looking answer that is wrong
-            return x, 0
-
-        monkeypatch.setattr(scipy.sparse.linalg, "cg", failing)
+        self.fail_pcg(monkeypatch, failure, [0])
         calls = self.count_direct_solves(monkeypatch)
         n = self.N
         member = st.membership_table(st.ksubset_structure(n, 1))
@@ -604,6 +614,50 @@ class TestLaplacianSolve:
         p_ref, potential_ref = direct_flow(n, member[0], w)
         assert_close_relative(p[0], p_ref, 1e-10)
         assert_close_relative(potential[0], potential_ref, 1e-10)
+
+    @pytest.mark.parametrize("failure", ["info", "wrong-x"])
+    def test_fallback_only_for_the_failed_certificate(self, monkeypatch, failure):
+        n, failed = self.N, 3
+        member = st.membership_table(st.ksubset_structure(n, 1))
+        w = self.weights(True)
+        p_pcg, potential_pcg = lg._StackedLaplacian(n, member).flow(w)
+        self.fail_pcg(monkeypatch, failure, [failed])
+        calls = self.count_direct_solves(monkeypatch)
+        p, potential = lg._StackedLaplacian(n, member).flow(w)
+        assert len(calls) == 1
+        others = np.arange(n) != failed
+        assert np.array_equal(p[others], p_pcg[others])
+        assert np.array_equal(potential[others], potential_pcg[others])
+        p_ref, potential_ref = direct_flow(n, member[failed], w)
+        assert_close_relative(p[failed], p_ref, 1e-10)
+        assert_close_relative(potential[failed], potential_ref, 1e-10)
+
+    def test_stopped_certificates_stay_frozen(self, monkeypatch):
+        # at spread weights the certificates converge after different numbers of
+        # steps; a 0/0 or overflow in a stopped certificate's recurrence raises here
+        calls = self.count_direct_solves(monkeypatch)
+        n = self.N
+        cert = st.ksubset_structure(n, 1)
+        with np.errstate(all="raise"):
+            p, _ = lg._StackedLaplacian(n, st.membership_table(cert)).flow(self.weights(True))
+        assert not calls
+        # the conservation residual at a non-member node is exactly +-(L x - b)
+        residuals = lg.flow_residuals(cert, lg.FlowAssignment(n, p))
+        assert max(abs(r) for r in residuals.values()) <= 1e-12
+
+    @pytest.mark.parametrize("code", [
+        "import lgcomplexity.cli",
+        "from lgcomplexity import lgsolver as lg, structures as st\n"
+        "import numpy as np\n"
+        "member = st.membership_table(st.ksubset_structure(10, 1))\n"
+        "lg._StackedLaplacian(10, member).flow(np.ones(st.arc_count(10)))",
+    ], ids=["cli", "accepted-pcg"])
+    def test_sparse_linalg_stays_unimported(self, code):
+        source = str(Path(lg.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [source, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        check = "\nimport sys\nassert 'scipy.sparse.linalg' not in sys.modules, 'imported'\n"
+        subprocess.run([sys.executable, "-c", code + check], env=env, check=True)
 
     def test_reference_objective_ksubset_12_1(self):
         cert = st.ksubset_structure(12, 1)

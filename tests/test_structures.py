@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -186,6 +187,16 @@ class TestLatticeArcs:
         src, jj, _ = st.arc_arrays(n)
         for idx, (s, j) in enumerate(zip(src.tolist(), jj.tolist())):
             assert st.arc_index(n, s, j) == idx
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_incident_arcs_join_each_neighbour(self, n):
+        # oracle: arc_index on the lower end of every edge S -- S ^ {j}
+        table = st.incident_arcs(n)
+        assert table.shape == (1 << n, n) and table.dtype == np.int32
+        for s in range(1 << n):
+            for j in range(1, n + 1):
+                low = s & ~(1 << (j - 1))
+                assert table[s, j - 1] == st.arc_index(n, low, j)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
