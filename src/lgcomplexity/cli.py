@@ -310,7 +310,8 @@ def _add_common(parser, with_csv=False, with_solver=False, with_gap=False):
         parser.set_defaults(format="json")
     if with_solver:
         defaults = lg.SolverParams()
-        parser.add_argument("--tolerance", type=float, default=defaults.tolerance)
+        parser.add_argument("--tolerance", type=float, default=defaults.tolerance,
+                            help="certified relative duality gap at which the primal stops")
         parser.add_argument("--max-iterations", dest="max_iterations", type=int,
                             default=defaults.max_iterations)
     if with_gap:

@@ -27,6 +27,15 @@ Solvers:
     update first sets mu's overall scale to its closed-form optimum, and the
     fit stops once its certified relative gap max_M sum_e p_e(M)^2 / w_e - 1
     is at most 1e-12 (at most 200 steps).
+    The alternation has restarted momentum: the flows are solved at the
+    extrapolated weights w (w / w_prev)^_MOMENTUM, w_prev being the previous
+    fitted weights, and whenever the fitted objective fails to fall, w_prev is
+    dropped and the next step is a plain alternation (adaptive restart).  The
+    reported weights are always the fit to the reported flows.  Every
+    _GAP_EVERY iterations, and at max_iterations, the multiplier witness is
+    built and normalized by its measured margin; the solve stops once the
+    certified relative gap (primal - dual) / primal is at most
+    SolverParams.tolerance, and reports that gap as its residual.
   * duality_report - the one checked route to both sides.  It solves the
     primal once, checks its conservation residuals and constraint values
     (_check_primal), takes the primal's witness and reports both objectives;
@@ -34,7 +43,8 @@ Solvers:
     sqrt(mu_M) times certificate M's potential at S (the flow-conservation
     multiplier nu = 2 mu_M (potential at S) divided by 2 sqrt(mu_M)), zero on
     member subsets, scaled down by the square root of its exhaustively measured
-    arc-load margin (normalize_witness).  The scaled witness is feasible by
+    arc-load margin (normalize_witness); the report reuses the witness of
+    solve_primal's last gap evaluation.  The scaled witness is feasible by
     construction, so by weak duality its objective is a certified lower bound
     whatever the primal's convergence; the primal's objective is the matching
     upper bound.  Weak duality is a verdict, not an exception: the /weak
@@ -45,12 +55,12 @@ Flows and weights are arrays in structures.arc_arrays order and alpha is an
 array over subset bitmasks; from_entries names an arc by its (source, j) pair
 and a subset by its bitmask or its 1-based members.
 
-The primal is validated globally by the certified duality gap, not by a
-convergence proof.  SolverParams.seed is accepted but no solver reads it;
-SolverParams itself owns the validity of its values.  solve_primal refuses a
-job whose M * n * 2^(n-1) (certificate, arc) pairs would need more than
-PRIMAL_BYTE_CAP bytes, counted at _PAIR_BYTES per pair, before it builds any
-table; the lattice-size rule itself belongs to structures.check_lattice.
+The primal is validated globally by the certified duality gap, which is also
+its stopping rule, not by a convergence proof.  SolverParams.seed is accepted
+but no solver reads it; SolverParams itself owns the validity of its values.
+solve_primal refuses a job whose M * n * 2^(n-1) (certificate, arc) pairs would
+need more than PRIMAL_BYTE_CAP bytes, counted at _PAIR_BYTES per pair, before it
+builds any table; the lattice-size rule itself belongs to structures.check_lattice.
 """
 
 from __future__ import annotations
@@ -91,6 +101,18 @@ _SOLVE_RESIDUAL = 1e-12              # max |L x - b| accepted from CG
 _DENSE_NODE_CUT = 200
 _STACK_BYTES = 32 << 20              # largest stacked dense Laplacian array
 _WEIGHT_STEPS = 200                  # most multiplier steps in one weight fit
+# exponent of the weight-ratio extrapolation in solve_primal, measured to the 1e-6 certified
+# gap on 2 cores: 0.8 takes the duality-ladder structures 40, 30, 170 and 30 iterations (1720,
+# 40, 1410 and 30 without momentum) and certifies ksubset(n,1) up to n = 10, ksubset(5..6, 2..3),
+# hidden_shift(4..5), collision(3), set_equality(3) and triangle(4) in at most 190; 0.85 ends
+# ksubset(10,1) at gap 6e-5 after 3000 and 0.9 ksubset(6,1) at 1.8e-5 after 10 000; the
+# Nesterov schedule (t-1)/(t+2) with the same restart takes 2010 on triangle(5) against 230
+_MOMENTUM = 0.8
+# iterations between certified-gap evaluations (witness and exhaustive margin); one costs
+# about one iteration on the duality-ladder structures, whose four rungs took 250, 260, 270
+# and 300 iterations at 1, 5, 10 and 20, and the whole in-process duality-ladder run 86, 62,
+# 63 and 76 ms, on 2 cores
+_GAP_EVERY = 10
 # peak RSS of 3 solve_primal iterations per (certificate, arc) pair, above the RSS before
 # the call, on 2 cores: 51 B on triangle(6) (4.9e6 pairs, 294 MB peak), 49 B on
 # ksubset(12,2), 40 B on hidden_shift(8) and collision(5); the largest, 65 B, is
@@ -101,7 +123,7 @@ PRIMAL_BYTE_CAP = 2 << 30            # largest primal job, in bytes at _PAIR_BYT
 
 @dataclass(frozen=True)
 class SolverParams:
-    tolerance: float = 1e-6          # relative
+    tolerance: float = 1e-6          # certified relative duality gap at which the primal stops
     max_iterations: int = 10_000
     seed: int = 0
 
@@ -196,10 +218,11 @@ class PrimalSolution:
     weights: WeightAssignment
     objective: float
     mu: np.ndarray                 # per-certificate constraint multipliers, >= 0
-    nu: np.ndarray                 # per-(certificate, subset) conservation multipliers
+    nu: np.ndarray                 # 2 mu_M times the potentials of the last flow solve
     iterations: int
-    converged: bool
-    residual: float
+    converged: bool                # the certified gap reached SolverParams.tolerance
+    residual: float                # certified relative gap (primal - dual) / primal to witness
+    witness: DualWitness           # normalized multiplier witness of the last gap evaluation
 
     def __post_init__(self):
         expected = math.sqrt(self.weights.total)
@@ -300,13 +323,14 @@ def primal_constraint_values(flow: FlowAssignment, weights: WeightAssignment) ->
     """Per-certificate sum of p_e^2 / w_e, with 0/0 read as 0 and x/0 as +inf."""
     if flow.n != weights.n:
         raise StructuralError("flow and weights live on different lattices")
-    p2 = flow.values ** 2
-    w = weights.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p2 / w
-    terms[:, w == 0] = 0.0
-    terms[(p2 > 0) & (w == 0)[None, :]] = np.inf
-    return terms.sum(axis=1)
+    p = flow.values
+    zero = weights.values == 0
+    inverse = np.divide(1.0, weights.values, out=np.zeros(zero.shape), where=~zero)
+    # one pass each, with no (certificate, arc) temporary
+    values = np.einsum("me,me,e->m", p, p, inverse)
+    if zero.any():
+        values[np.einsum("me,me,e->m", p, p, zero.astype(float)) > 0] = np.inf
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -596,33 +620,38 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
 
     laplacian = _StackedLaplacian(n, member)
     w = np.ones(num_arcs)
+    w_prev = None
     mu = np.ones(num_certs)
-    objective = math.sqrt(w.sum())
-    residual = math.inf
+    objective = math.inf
     converged = False
-    iterations = 0
     for iterations in range(1, params.max_iterations + 1):
-        p, potentials = laplacian.flow(w)
-        w, mu, _ = _optimize_weights(p ** 2, mu)
-        new_objective = math.sqrt(w.sum())
-        residual = abs(new_objective - objective) / max(new_objective, 1e-30)
-        objective = new_objective
-        if residual < params.tolerance * 1e-2:
+        c = w if w_prev is None else w * (w / w_prev) ** _MOMENTUM
+        p, potentials = laplacian.flow(c)
+        fitted, mu, _ = _optimize_weights(p ** 2, mu)
+        fitted_objective = math.sqrt(fitted.sum())
+        # restart: unless the objective fell, the next flows are solved at the fitted weights
+        # (a strict test, so an all-zero primal never divides by zero weights)
+        w_prev = w if fitted_objective < objective else None
+        w, objective = fitted, fitted_objective
+        if iterations % _GAP_EVERY and iterations < params.max_iterations:
+            continue
+        witness = _multiplier_witness(cert, mu, potentials)
+        residual = _relative_gap(objective, dual_objective(witness))
+        if residual <= params.tolerance:
             converged = True
             break
 
-    flow = FlowAssignment(n, p)
-    weights = WeightAssignment(n, w.copy())
-    nu = 2.0 * mu[:, None] * potentials
+    info = SolveInfo(iterations=iterations, converged=converged, residual=residual)
     return PrimalSolution(
-        flow=flow,
-        weights=weights,
+        flow=FlowAssignment(n, p),
+        weights=WeightAssignment(n, w.copy()),
         objective=objective,
         mu=mu.copy(),
-        nu=nu,
+        nu=2.0 * mu[:, None] * potentials,
         iterations=iterations,
         converged=converged,
         residual=residual,
+        witness=DualWitness(n, witness.alpha, info=info),
     )
 
 
@@ -630,25 +659,22 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
 # dual witness
 
 
-def _multiplier_witness(cert: CertificateStructure, primal: PrimalSolution) -> DualWitness:
-    """Each certificate's potentials scaled by sqrt(mu_M), zeroed on member subsets, normalized.
+def _multiplier_witness(cert: CertificateStructure, mu: np.ndarray,
+                        potentials: np.ndarray) -> DualWitness:
+    """Each certificate's potentials scaled by sqrt(mu_M), normalized by the measured margin.
 
-    The potentials are phi = nu / (2 mu), and 0 where mu_M = 0.  At a fixed
-    point of the alternation sum_M mu_M (phi_S(M) - phi_{S+j}(M))^2 = 1 on every
-    arc with w_e > 0 and phi_empty(M) = 1 for every active M, so alpha =
-    sqrt(mu) phi is feasible with objective sqrt(sum_M mu_M), the primal's;
-    elsewhere the normalization keeps it feasible.  The witness's info carries
-    the primal's iterations and convergence flag, and as residual the certified
-    relative gap (primal - dual) / primal.
+    The potentials phi are zero on member subsets.  At a fixed point of the
+    alternation sum_M mu_M (phi_S(M) - phi_{S+j}(M))^2 = 1 on every arc with
+    w_e > 0 and phi_empty(M) = 1 for every active M, so alpha = sqrt(mu) phi is
+    feasible with objective sqrt(sum_M mu_M), the primal's; elsewhere the
+    normalization keeps it feasible.
     """
-    mu = primal.mu[:, None]
-    phi = np.divide(primal.nu, 2.0 * mu, out=np.zeros_like(primal.nu), where=mu > 0)
-    alpha = np.where(membership_table(cert), 0.0, np.sqrt(mu) * phi)
-    witness = normalize_witness(DualWitness(cert.n, alpha), cert)
-    dual = dual_objective(witness)
-    gap = (primal.objective - dual) / primal.objective if primal.objective > 0 else 0.0
-    info = SolveInfo(iterations=primal.iterations, converged=primal.converged, residual=gap)
-    return DualWitness(cert.n, witness.alpha, info=info)
+    return normalize_witness(DualWitness(cert.n, np.sqrt(mu)[:, None] * potentials), cert)
+
+
+def _relative_gap(primal: float, dual: float) -> float:
+    """The certified relative gap (primal - dual) / primal, 0 for a zero primal."""
+    return (primal - dual) / primal if primal > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -680,16 +706,21 @@ def _check_primal(cert: CertificateStructure, primal: PrimalSolution) -> None:
 
 
 def duality_report(cert: CertificateStructure, params: SolverParams = SolverParams()) -> DualityReport:
-    """Solve the primal once, check it, take its witness, and report the gap."""
+    """Solve the primal once, check it, and report the gap to its last measured witness.
+
+    The witness's info carries the primal's iterations, convergence flag and,
+    as residual, the certified relative gap; unless the primal was altered
+    after the solve, relative_gap equals primal.residual.
+    """
     primal = solve_primal(cert, params)
     _check_primal(cert, primal)
-    witness = _multiplier_witness(cert, primal)
+    dual = dual_objective(primal.witness)
     return DualityReport(
         primal_objective=primal.objective,
-        dual_objective=dual_objective(witness),
-        relative_gap=witness.info.residual,
+        dual_objective=dual,
+        relative_gap=_relative_gap(primal.objective, dual),
         primal=primal,
-        witness=witness,
+        witness=primal.witness,
     )
 
 

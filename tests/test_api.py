@@ -34,7 +34,7 @@ LIBRARY_SURFACE = {
     "OrthogonalArray": ["q", "k", "rows"],
     "ParameterError": None,
     "PrimalSolution": ["flow", "weights", "objective", "mu", "nu", "iterations", "converged",
-                       "residual"],
+                       "residual", "witness"],
     "SolverParams": ["tolerance", "max_iterations", "seed"],
     "SpectralReport": ["norm", "iterations", "residual", "method"],
     "StructuralError": None,

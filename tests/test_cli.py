@@ -114,14 +114,15 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def overscaled_witness(monkeypatch):
-    """Scale every multiplier witness by 1.5, past feasibility, so weak duality fails."""
-    witness = lg._multiplier_witness
+    """Scale every primal's multiplier witness by 1.5, past feasibility, so weak duality fails."""
+    solve = lg.solve_primal
 
-    def scaled(cert, primal):
-        w = witness(cert, primal)
-        return lg.DualWitness(w.n, 1.5 * w.alpha, info=w.info)
+    def scaled(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        w = sol.witness
+        return dataclasses.replace(sol, witness=lg.DualWitness(w.n, 1.5 * w.alpha, info=w.info))
 
-    monkeypatch.setattr(lg, "_multiplier_witness", scaled)
+    monkeypatch.setattr(lg, "solve_primal", scaled)
 
 
 class TestStructureCommands:
