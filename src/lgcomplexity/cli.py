@@ -87,6 +87,7 @@ def cmd_structure_show(args) -> int:
         "params": list(cert.params or ()),
         "n": cert.n,
         "certificates": len(cert),
+        "certificate_orbits": st.structure_symmetry(cert).orbit_count,
         "minimal_set_counts": list(profile.counts),
         "boundedly_generated": profile.boundedly_generated,
         "generator_bound": profile.generator_bound,

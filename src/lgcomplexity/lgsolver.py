@@ -11,8 +11,9 @@ Solvers:
   * solve_primal - alternating minimization.  Given weights, each certificate's
     minimum-energy unit flow is an electrical flow (weighted-Laplacian solve on
     the lattice with the certificate's member sets grounded as a super-sink).
-    The Laplacian patterns of all certificates are built once per solve_primal
-    call, grouped by the number of non-member subsets.  Up to _DENSE_NODE_CUT
+    The Laplacian patterns of the certificates solved (one per orbit, below)
+    are built once per solve_primal call, grouped by the number of
+    non-member subsets.  Up to _DENSE_NODE_CUT
     of them a group is solved dense, by one stacked np.linalg.solve per
     array of at most _STACK_BYTES.  Above it the group is one block-diagonal
     CSR matrix whose every row has n + 1 entries (the node and its n lattice
@@ -21,12 +22,25 @@ Solvers:
     one sparse product per step for the whole group, a converged certificate
     frozen while the others go on.  A certificate's answer is kept only when
     it converged and its recomputed residual max|L x - b| is at most 1e-12;
-    otherwise that certificate alone is solved by sparse LU.
+    otherwise the refused certificates get one more PCG on their true
+    residual b - L x, and a certificate still refused is solved alone by
+    sparse LU.
+    Symmetric structures are solved one certificate orbit at a time.
+    structures.structure_symmetry checks the named kind's variable
+    permutations against the certificate set; only the least certificate of
+    each orbit gets a Laplacian, and every other certificate's potentials are
+    its representative's, read through the permuted masks, by one gather at
+    each gap evaluation and for the returned flows, mu and nu.  This is exact
+    because the weights are invariant by construction: they are fitted on one
+    column per arc orbit (structures.arc_orbits) and copied to every arc of
+    the orbit.  A structure without generators is the trivial group, every
+    certificate and arc its own orbit, on the same code path.
     Given flows, weights take the stationary form w_e = sqrt(sum_M mu_M
-    p_e(M)^2) with the multipliers mu fitted by multiplicative updates.  Each
-    update first sets mu's overall scale to its closed-form optimum, and the
-    fit stops once its certified relative gap max_M sum_e p_e(M)^2 / w_e - 1
-    is at most 1e-12 (at most 200 steps).
+    p_e(M)^2) with the multipliers mu, constant on certificate orbits,
+    fitted by multiplicative updates.  Each update first sets mu's overall
+    scale to its closed-form optimum, and the fit stops once its certified
+    relative gap max_M sum_e p_e(M)^2 / w_e - 1 is at most 1e-12 (at most
+    200 steps).
     The alternation has restarted momentum: the flows are solved at the
     extrapolated weights w (w / w_prev)^_MOMENTUM, w_prev being the previous
     fitted weights, and whenever the fitted objective fails to fall, w_prev is
@@ -84,10 +98,13 @@ from .structures import (
     arc_arrays,
     arc_count,
     arc_index,
+    arc_orbits,
     as_mask,
     incident_arcs,
     mask_members,
     membership_table,
+    permute_masks,
+    structure_symmetry,
 )
 
 _WEIGHT_FLOOR = 1e-14
@@ -401,9 +418,10 @@ class _LaplacianGroup:
     n + 1 entries, S itself and then its neighbours in j order; a member
     neighbour is grounded, and its entry points back at S with value 0.  The
     diagonal sums the conductances of all n incident arcs.  _jacobi_pcg runs
-    the certificates' CG recurrences in lockstep on the stacked vector, and
-    each certificate whose answer is unconverged or has max|L x - b| above
-    _SOLVE_RESIDUAL is solved again alone by sparse LU.
+    the certificates' CG recurrences in lockstep on the stacked vector.  The
+    certificates whose answer is unconverged or has max|L x - b| above
+    _SOLVE_RESIDUAL are refined by one more _jacobi_pcg on their residual,
+    and each one still refused is solved again alone by sparse LU.
     """
 
     def __init__(self, certs: np.ndarray, member: np.ndarray, src: np.ndarray, dst: np.ndarray):
@@ -479,24 +497,43 @@ class _LaplacianGroup:
         size, count, width, rhs = self.size, self.count, self.width, self.rhs
         degree = c[self.incident].sum(axis=1)
         data = np.concatenate([degree, -c, [0.0]])[self.entry]
+        diag = data[::width].reshape(count, size)
         lap = scipy.sparse.csr_matrix((data, self.indices, self.indptr),
                                       shape=(count * size, count * size))
-        x, converged = _jacobi_pcg(lap, rhs, data[::width].reshape(count, size))
+        x, converged = _jacobi_pcg(lap, rhs, diag)
         # the conservation residual at a non-member node is exactly +-(L x - b)
-        residual = np.abs((lap @ x.reshape(-1)).reshape(count, size) - rhs).max(axis=1)
-        failed = np.flatnonzero(~(converged & (residual <= _SOLVE_RESIDUAL)))
-        for k in failed:
+        r = rhs - (lap @ x.reshape(-1)).reshape(count, size)
+        refused = np.flatnonzero(~(converged & (np.abs(r).max(axis=1) <= _SOLVE_RESIDUAL)))
+        if len(refused):
+            # one refinement: PCG on the refused blocks' true residual b - L x
+            lap = self._blocks(data, refused)
+            dx, converged = _jacobi_pcg(lap, r[refused], diag[refused])
+            x[refused] += dx
+            r = rhs[refused] - (lap @ x[refused].reshape(-1)).reshape(len(refused), size)
+            refused = refused[~(converged & (np.abs(r).max(axis=1) <= _SOLVE_RESIDUAL))]
+        for k in refused:
             from scipy.sparse.linalg import spsolve  # imported only once a CG answer is refused
 
-            lo, hi = k * size * width, (k + 1) * size * width
-            # spsolve sums the duplicate grounded entries in place, so the block owns its arrays
-            block = scipy.sparse.csr_matrix(
-                (data[lo:hi].copy(), self.indices[lo:hi] - np.int32(k * size),
-                 self.indptr[:size + 1].copy()),
-                shape=(size, size),
-            )
-            x[k] = spsolve(block, rhs[k])
+            x[k] = spsolve(self._blocks(data, [k]), rhs[k])
         return x.reshape(-1)
+
+    def _blocks(self, data: np.ndarray, blocks) -> scipy.sparse.csr_matrix:
+        """The CSR matrix of the given certificates' diagonal blocks, owning its arrays.
+
+        spsolve sums the duplicate grounded entries in place, so no block may
+        share its arrays with the whole group's.
+        """
+        size, width = self.size, self.width
+        blocks = np.asarray(blocks)
+        rows = (blocks[:, None] * size + np.arange(size)).reshape(-1)
+        entries = (rows[:, None] * width + np.arange(width)).reshape(-1)
+        shift = np.repeat(((blocks - np.arange(len(blocks))) * size).astype(np.int32),
+                          size * width)
+        return scipy.sparse.csr_matrix(
+            (data[entries], self.indices[entries] - shift,
+             np.arange(0, len(entries) + 1, width, dtype=np.int32)),
+            shape=(len(rows), len(rows)),
+        )
 
 
 def _jacobi_pcg(lap, b: np.ndarray, diag: np.ndarray):
@@ -561,15 +598,78 @@ class _StackedLaplacian:
         potentials).  Conductances are the weights, floored; member nodes are
         grounded, so flow conservation holds at every non-member node.
         """
-        c = np.maximum(w, _WEIGHT_FLOOR * max(1.0, float(w.max(initial=0.0))))
+        c = _conductances(w)
         potentials = np.zeros(self.shape)
         for group in self.groups:
             group.solve(c, potentials.reshape(-1))
-        # np.take keeps the rows C-ordered, and so the weight step's sums bit-stable
-        p = np.take(potentials, self.src, axis=1)
-        p -= np.take(potentials, self.dst, axis=1)
-        p *= c
-        return p, potentials
+        return _arc_flows(potentials, c, self.src, self.dst), potentials
+
+
+def _conductances(w: np.ndarray) -> np.ndarray:
+    return np.maximum(w, _WEIGHT_FLOOR * max(1.0, float(w.max(initial=0.0))))
+
+
+def _arc_flows(potentials: np.ndarray, c: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    """Per-certificate flows c_e (potential at the source - potential at the target)."""
+    # np.take keeps the rows C-ordered, and so the weight step's sums bit-stable
+    p = np.take(potentials, src, axis=1)
+    p -= np.take(potentials, dst, axis=1)
+    p *= c
+    return p
+
+
+class _CertificateOrbits:
+    """One representative certificate per orbit of the structure's symmetry group.
+
+    reps lists the representatives, the least index of each orbit; orbit[m]
+    is the position in reps of certificate m's representative, and count[r]
+    the size of its orbit.  arc_orbit labels every arc's orbit, and size
+    holds the orbit sizes.  expand_at[m, S] is the position of certificate
+    m's potential at S in the representatives' potentials, flattened, with
+    one zero appended: the representative's potential at g^-1(S), for the
+    group element g that carries the representative onto m, and the zero on
+    m's member subsets.  A structure without generators has the trivial
+    group: every certificate and every arc is its own orbit.
+    """
+
+    def __init__(self, cert: CertificateStructure, member: np.ndarray):
+        n = cert.n
+        symmetry = structure_symmetry(cert)
+        self.reps, self.orbit, count = np.unique(
+            symmetry.representative, return_inverse=True, return_counts=True)
+        self.count = count.astype(float)
+        self.arc_orbit = arc_orbits(n, symmetry.generators)
+        self.size = np.bincount(self.arc_orbit).astype(float)
+        self._arc_order = np.argsort(self.arc_orbit, kind="stable")
+        self._starts = np.concatenate([[0], np.cumsum(self.size[:-1])]).astype(np.intp)
+        lattice = 1 << n
+        self.expand_at = (self.orbit[:, None] * lattice
+                          + permute_masks(np.argsort(symmetry.carry, axis=1), n))
+        self.expand_at[member] = len(self.reps) * lattice
+
+    def fit(self, p: np.ndarray, mass: np.ndarray):
+        """Orbit-invariant weights fitted to the representatives' flows p.
+
+        mass[r] is N_r mu_r, the multiplier of representative r times its
+        orbit size N_r.  With mu constant on certificate orbits, the coset sum
+        sum_M mu_M p_e(M)^2 = sum_r N_r mu_r mean_{e' in orbit(e)} p_r(e')^2,
+        so the fit runs on one column per arc orbit O, holding |O| times the
+        orbit's sum of p_r^2.  Its weight for O is the orbit's total |O| w_O
+        (so the weight floor applies to orbit totals), and its constraint
+        values are the representatives'.  Every arc then takes its orbit's
+        weight, which makes w exactly invariant.  Returns (w per arc, mass).
+        """
+        p2 = np.add.reduceat((p ** 2)[:, self._arc_order], self._starts, axis=1)
+        fitted, mass, _ = _optimize_weights(p2 * self.size, mass)
+        return (fitted / self.size)[self.arc_orbit], mass
+
+    def multipliers(self, mass: np.ndarray) -> np.ndarray:
+        """Every certificate's mu, its representative's."""
+        return (mass / self.count)[self.orbit]
+
+    def potentials(self, potentials: np.ndarray) -> np.ndarray:
+        """Every certificate's potentials from the representatives', by one gather."""
+        return np.append(potentials, 0.0)[self.expand_at]
 
 
 def _optimize_weights(p2: np.ndarray, mu: np.ndarray):
@@ -617,17 +717,17 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
             f"over the cap {PRIMAL_BYTE_CAP}"
         )
     member = membership_table(cert)
-
-    laplacian = _StackedLaplacian(n, member)
+    orbits = _CertificateOrbits(cert, member)
+    laplacian = _StackedLaplacian(n, member[orbits.reps])
     w = np.ones(num_arcs)
     w_prev = None
-    mu = np.ones(num_certs)
+    mass = orbits.count.copy()       # mu = 1 on every certificate
     objective = math.inf
     converged = False
     for iterations in range(1, params.max_iterations + 1):
         c = w if w_prev is None else w * (w / w_prev) ** _MOMENTUM
         p, potentials = laplacian.flow(c)
-        fitted, mu, _ = _optimize_weights(p ** 2, mu)
+        fitted, mass = orbits.fit(p, mass)
         fitted_objective = math.sqrt(fitted.sum())
         # restart: unless the objective fell, the next flows are solved at the fitted weights
         # (a strict test, so an all-zero primal never divides by zero weights)
@@ -635,7 +735,9 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
         w, objective = fitted, fitted_objective
         if iterations % _GAP_EVERY and iterations < params.max_iterations:
             continue
-        witness = _multiplier_witness(cert, mu, potentials)
+        mu = orbits.multipliers(mass)
+        expanded = orbits.potentials(potentials)
+        witness = _multiplier_witness(cert, mu, expanded)
         residual = _relative_gap(objective, dual_objective(witness))
         if residual <= params.tolerance:
             converged = True
@@ -643,11 +745,12 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
 
     info = SolveInfo(iterations=iterations, converged=converged, residual=residual)
     return PrimalSolution(
-        flow=FlowAssignment(n, p),
+        flow=FlowAssignment(n, _arc_flows(expanded, _conductances(c), laplacian.src,
+                                          laplacian.dst)),
         weights=WeightAssignment(n, w.copy()),
         objective=objective,
-        mu=mu.copy(),
-        nu=2.0 * mu[:, None] * potentials,
+        mu=mu,
+        nu=2.0 * mu[:, None] * expanded,
         iterations=iterations,
         converged=converged,
         residual=residual,

@@ -5,6 +5,15 @@ variable j), so n is capped at 32.  An arc S -> S+{j} is the pair
 (source mask, j), or its position in arc_arrays order (arc_index); the lattice
 has no other encoding.  Full-lattice enumerations (all 2^n subsets, all
 n*2^(n-1) arcs) are additionally capped at n <= 22.
+
+Each named kind declares generators of a symmetry group, variable
+permutations derived from its kind and params (_SYMMETRIES, next to the
+builders): S_n for ksubset, S_2n for collision, S_v acting on the edge
+variables for triangle(v), S_n x S_n for set_equality and the cyclic shift of
+each side for hidden_shift.  structure_symmetry checks them against the
+certificate set before any use and gives the certificate orbits; a structure
+of no named kind has the trivial group.  permute_masks and arc_orbits carry a
+group to the lattice's subsets and arcs.
 """
 
 from __future__ import annotations
@@ -274,6 +283,45 @@ _BUILDERS = {
 }
 
 
+def _symmetric_group(points: int) -> list[list[int]]:
+    """A transposition and a cycle of range(points), which generate its symmetric group."""
+    if points < 2:
+        return []
+    swap = [1, 0, *range(2, points)]
+    cycle = [(i + 1) % points for i in range(points)]
+    return [swap, cycle] if points > 2 else [swap]
+
+
+def _triangle_symmetries(n: int) -> list[list[int]]:
+    """S_n on the vertices, acting on the edge variables."""
+    edges = triangle_edge_map(n)
+    return [[triangle_edge_index(n, g[u - 1] + 1, g[v - 1] + 1) - 1 for u, v in edges]
+            for g in _symmetric_group(n)]
+
+
+def _two_sided(left: list[list[int]], right: list[list[int]], n: int) -> list[list[int]]:
+    """Permutations of [n] on the variables 1..n, and of [n] on n+1..2n."""
+    return ([g + list(range(n, 2 * n)) for g in left]
+            + [list(range(n)) + [n + i for i in g] for g in right])
+
+
+def _hidden_shift_symmetries(n: int) -> list[list[int]]:
+    """The cyclic shift of each side."""
+    shift = [[(i + 1) % n for i in range(n)]] if n > 1 else []
+    return _two_sided(shift, shift, n)
+
+
+# variable permutations generating a symmetry group of each named structure; entry i of a
+# generator is the 0-based image of variable i + 1.  structure_symmetry checks them before use.
+_SYMMETRIES = {
+    "ksubset": lambda n, k: _symmetric_group(n),
+    "triangle": _triangle_symmetries,
+    "collision": lambda n: _symmetric_group(2 * n),
+    "set_equality": lambda n: _two_sided(_symmetric_group(n), _symmetric_group(n), n),
+    "hidden_shift": _hidden_shift_symmetries,
+}
+
+
 def build_named_structure(kind: str, params: Sequence[int]) -> CertificateStructure:
     """Build one of the named structures; params is the builder's integer tuple."""
     if kind not in _BUILDERS:
@@ -283,6 +331,80 @@ def build_named_structure(kind: str, params: Sequence[int]) -> CertificateStruct
         raise ParameterError(f"structure kind {kind!r} takes {len(names)} parameter(s) "
                              f"({', '.join(names)}), got {len(params)}")
     return _BUILDERS[kind](*(int(p) for p in params))
+
+
+@dataclass(frozen=True, eq=False)
+class Symmetry:
+    """Checked variable permutations of a structure and the certificate orbits they generate.
+
+    generators is empty for the trivial group.  representative[m] is the least
+    certificate index in certificate m's orbit, and carry[m] a group element
+    g (g[i] the 0-based image of variable i + 1) mapping the representative's
+    certificate onto certificate m.
+    """
+
+    generators: tuple[tuple[int, ...], ...]
+    representative: np.ndarray
+    carry: np.ndarray
+
+    @property
+    def orbit_count(self) -> int:
+        return len(np.unique(self.representative))
+
+
+def _permute_mask(mask: int, g: Sequence[int]) -> int:
+    image = 0
+    for j in mask_members(mask):
+        image |= 1 << g[j - 1]
+    return image
+
+
+def structure_symmetry(cert: CertificateStructure) -> Symmetry:
+    """The named kind's generators, checked against the certificate set, and their orbits.
+
+    A structure of no named kind has the trivial group.  Raises StructuralError
+    unless every generator permutes the n variables and maps the set of
+    certificates, which must be distinct, onto itself.
+    """
+    n, count = cert.n, len(cert)
+    generators = ()
+    derive = _SYMMETRIES.get(cert.kind)
+    if derive is not None:
+        arity = len(inspect.signature(_BUILDERS[cert.kind]).parameters)
+        if cert.params is None or len(cert.params) != arity:
+            raise StructuralError(f"{cert.kind} structure has parameters {cert.params}, "
+                                  f"expected {arity}")
+        generators = tuple(tuple(g) for g in derive(*cert.params))
+    index = {c.minimal_sets: m for m, c in enumerate(cert.certificates)}
+    if generators and len(index) != count:
+        raise StructuralError(f"{cert.kind} structure repeats a certificate")
+    images = []
+    for g in generators:
+        if sorted(g) != list(range(n)):
+            raise StructuralError(f"{cert.kind} symmetry {g} does not permute the {n} variables")
+        image = []
+        for m, c in enumerate(cert.certificates):
+            key = tuple(sorted(_permute_mask(s, g) for s in c.minimal_sets))
+            if key not in index:
+                raise StructuralError(f"{cert.kind} symmetry {g} maps certificate {m} "
+                                      f"outside the structure")
+            image.append(index[key])
+        images.append(image)
+    representative = np.full(count, -1)
+    carry = np.empty((count, n), dtype=np.int64)
+    for first in range(count):
+        if representative[first] >= 0:
+            continue
+        representative[first] = first
+        carry[first] = np.arange(n)
+        queue = [first]
+        for m in queue:
+            for g, image in zip(generators, images):
+                if representative[image[m]] < 0:
+                    representative[image[m]] = first
+                    carry[image[m]] = np.asarray(g)[carry[m]]
+                    queue.append(image[m])
+    return Symmetry(generators, representative, carry)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +447,71 @@ def incident_arcs(n: int) -> np.ndarray:
     source = masks & ~bits
     below = subset_sizes(n).astype(np.int64)[masks & (bits - 1)]
     return (_arc_offsets(n)[source] + np.arange(n) - below).astype(np.int32)
+
+
+def permute_masks(g, n: int) -> np.ndarray:
+    """int64 image g(S) of every mask S, g[i] the 0-based image of variable i + 1.
+
+    g may stack permutations along leading axes, (..., n) giving (..., 2^n).
+    Built from one table per half of the variables, so a mask's image is one OR.
+    """
+    check_lattice(n)
+    g = np.asarray(g, dtype=np.int64)
+
+    def images(variables) -> np.ndarray:
+        out = np.zeros(g.shape[:-1] + (1 << len(variables),), dtype=np.int64)
+        for b, v in enumerate(variables):
+            out[..., 1 << b:2 << b] = out[..., :1 << b] | (np.int64(1) << g[..., v, None])
+        return out
+
+    low = n // 2
+    high = images(range(low, n))[..., :, None] | images(range(low))[..., None, :]
+    return high.reshape(g.shape[:-1] + (1 << n,))
+
+
+def arc_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
+    """Orbit of every arc, in arc_arrays order, under the group the generators generate.
+
+    Orbits are numbered 0, 1, ... in the order of their first arc.  Union-find
+    by minimum-label propagation: each generator moves arc (S, j) to
+    (g(S), g(j)), and a round takes every label to the least label on its
+    whole cycle under each generator (by the generator's powers 1, 2, 4, ...
+    up to its order), then jumps every label to its label's label.
+    """
+    label = np.arange(arc_count(n), dtype=np.int32)
+    if not generators:
+        return label
+    incident = incident_arcs(n)     # row S, column j: the arc joining S and S ^ {j}
+    moves = []
+    for g, images in zip(generators, permute_masks(generators, n)):
+        move = np.empty_like(label)
+        move[incident] = incident[images][:, list(g)]
+        for _ in range((_order(g) - 1).bit_length()):
+            moves.append(move)
+            move = move[move]
+    while True:
+        before = label
+        label = label.copy()
+        for move in moves:
+            np.minimum(label, label[move], out=label)
+        label = label[label]
+        if np.array_equal(label, before):
+            first = label == np.arange(len(label), dtype=np.int32)
+            return (np.cumsum(first, dtype=np.int32) - 1)[label]
+
+
+def _order(g: Sequence[int]) -> int:
+    """Order of the permutation g: the lcm of its cycle lengths."""
+    lengths, seen = [], set()
+    for start in range(len(g)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = g[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return math.lcm(*lengths)
 
 
 def arc_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

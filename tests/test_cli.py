@@ -139,6 +139,7 @@ class TestStructureCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["certificates"] == 10
+        assert doc["certificate_orbits"] == 1
         assert doc["boundedly_generated"] is True
 
     def test_invalid_kind_is_usage_error(self, capsys):

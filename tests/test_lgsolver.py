@@ -550,20 +550,20 @@ class TestCertifiedStop:
         # the flows of each step are solved at w (w / w_prev)^_MOMENTUM, and at
         # the fitted weights w alone right after the fitted objective failed to fall
         flow = lg._StackedLaplacian.flow
-        fit = lg._optimize_weights
+        fit = lg._CertificateOrbits.fit
         conductances, fitted = [], []
 
         def recorded_flow(self, w):
             conductances.append(w.copy())
             return flow(self, w)
 
-        def recorded_fit(*args):
-            result = fit(*args)
+        def recorded_fit(self, *args):
+            result = fit(self, *args)
             fitted.append(result[0])
             return result
 
         monkeypatch.setattr(lg._StackedLaplacian, "flow", recorded_flow)
-        monkeypatch.setattr(lg, "_optimize_weights", recorded_fit)
+        monkeypatch.setattr(lg._CertificateOrbits, "fit", recorded_fit)
         sol = lg.solve_primal(st.ksubset_structure(4, 2))
         objectives = [math.sqrt(w.sum()) for w in fitted]
         restarts = 0
@@ -697,16 +697,23 @@ class TestLaplacianSolve:
 
     @staticmethod
     def fail_pcg(monkeypatch, failure: str, blocks) -> None:
-        """Make _jacobi_pcg's answer on the given blocks unconverged or wrong by 1e-6."""
+        """Make every _jacobi_pcg answer on the given blocks unconverged or wrong by 1e-6.
+
+        The first call solves every block; a later call refines only the
+        refused ones, and fails on all of them, so refinement cannot repair it.
+        """
         pcg = lg._jacobi_pcg
+        calls = []
 
         def failing(lap, b, diag):
             x, converged = pcg(lap, b, diag)
             assert converged.all()
+            hit = slice(None) if calls else blocks
+            calls.append(len(b))
             if failure == "info":
-                converged[blocks] = False
+                converged[hit] = False
             else:
-                x[blocks, 0] *= 1.0 + 1e-6  # a converged-looking answer that is wrong
+                x[hit, 0] += 1e-6  # a converged-looking answer that is wrong
             return x, converged
 
         monkeypatch.setattr(lg, "_jacobi_pcg", failing)
@@ -741,6 +748,30 @@ class TestLaplacianSolve:
         assert_close_relative(p[failed], p_ref, 1e-10)
         assert_close_relative(potential[failed], potential_ref, 1e-10)
 
+    def test_refinement_repairs_a_refused_answer(self, monkeypatch):
+        # only the first PCG answer is wrong; one more PCG on the true residual mends it
+        pcg = lg._jacobi_pcg
+        blocks = []
+
+        def wrong_once(lap, b, diag):
+            x, converged = pcg(lap, b, diag)
+            if not blocks:
+                x[3, 0] += 1e-6
+            blocks.append(len(b))
+            return x, converged
+
+        monkeypatch.setattr(lg, "_jacobi_pcg", wrong_once)
+        calls = self.count_direct_solves(monkeypatch)
+        n = self.N
+        member = st.membership_table(st.ksubset_structure(n, 1))
+        w = self.weights(True)
+        p, potential = lg._StackedLaplacian(n, member).flow(w)
+        assert not calls
+        assert blocks == [n, 1]
+        p_ref, potential_ref = direct_flow(n, member[3], w)
+        assert_close_relative(p[3], p_ref, 1e-10)
+        assert_close_relative(potential[3], potential_ref, 1e-10)
+
     def test_stopped_certificates_stay_frozen(self, monkeypatch):
         # at spread weights the certificates converge after different numbers of
         # steps; a 0/0 or overflow in a stopped certificate's recurrence raises here
@@ -760,12 +791,17 @@ class TestLaplacianSolve:
         "import numpy as np\n"
         "member = st.membership_table(st.ksubset_structure(10, 1))\n"
         "lg._StackedLaplacian(10, member).flow(np.ones(st.arc_count(10)))",
-    ], ids=["cli", "accepted-pcg"])
+        "from lgcomplexity import lgsolver as lg, structures as st\n"
+        "lg.solve_primal(st.ksubset_structure(10, 2), lg.SolverParams(max_iterations=3))",
+    ], ids=["cli", "accepted-pcg", "symmetric-solve"])
     def test_sparse_linalg_stays_unimported(self, code):
+        # csgraph's connected_components would label arc orbits, but its import alone
+        # costs more than the union-find in structures.arc_orbits
         source = str(Path(lg.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [source, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        check = "\nimport sys\nassert 'scipy.sparse.linalg' not in sys.modules, 'imported'\n"
+        check = ("\nimport sys\nfor name in ('scipy.sparse.linalg', 'scipy.sparse.csgraph'):\n"
+                 "    assert name not in sys.modules, name + ' imported'\n")
         subprocess.run([sys.executable, "-c", code + check], env=env, check=True)
 
     def test_reference_objective_ksubset_12_1(self):
@@ -835,6 +871,92 @@ class TestStackedLaplacian:
     def test_ladder_iteration_counts(self, kind, params, iterations):
         sol = lg.solve_primal(st.build_named_structure(kind, params))
         assert sol.iterations == iterations
+
+
+class TestCertificateOrbits:
+    """One Laplacian solve and one weight fit per certificate orbit, expanded by one gather."""
+
+    @pytest.mark.parametrize("kind,params", [
+        ("ksubset", (10, 1)), ("ksubset", (4, 2)), ("triangle", (4,)),
+        ("collision", (2,)), ("hidden_shift", (3,)), ("set_equality", (3,)),
+    ])
+    def test_expansion_matches_direct_solves(self, kind, params):
+        cert = st.build_named_structure(kind, params)
+        n = cert.n
+        member = st.membership_table(cert)
+        orbits = lg._CertificateOrbits(cert, member)
+        assert len(orbits.reps) == 1
+        rng = np.random.default_rng(11)
+        w = rng.uniform(0.1, 2.0, len(orbits.size))[orbits.arc_orbit]
+        laplacian = lg._StackedLaplacian(n, member[orbits.reps])
+        potential = orbits.potentials(laplacian.flow(w)[1])
+        p = lg._arc_flows(potential, lg._conductances(w), laplacian.src, laplacian.dst)
+        for m in range(len(cert)):
+            p_ref, potential_ref = direct_flow(n, member[m], w)
+            assert_close_relative(p[m], p_ref, 1e-10)
+            assert_close_relative(potential[m], potential_ref, 1e-10)
+
+    def test_trivial_group_is_the_identity(self):
+        cert = structure(3, [(1, 2)], [(3,)], [(1, 3)])
+        member = st.membership_table(cert)
+        orbits = lg._CertificateOrbits(cert, member)
+        assert list(orbits.reps) == [0, 1, 2] and list(orbits.orbit) == [0, 1, 2]
+        assert np.array_equal(orbits.size, np.ones(st.arc_count(3)))
+        p, potential = lg._StackedLaplacian(3, member).flow(np.linspace(0.5, 2.0, 12))
+        assert np.array_equal(orbits.potentials(potential), potential)
+        mu = np.array([0.5, 2.0, 1.5])
+        w, mass = orbits.fit(p, mu)
+        expected, expected_mu, _ = lg._optimize_weights(p ** 2, mu)
+        assert np.array_equal(w, expected) and np.array_equal(mass, expected_mu)
+
+    @pytest.mark.parametrize("kind,params", [("ksubset", (6, 2)), ("triangle", (4,))])
+    def test_weights_are_exactly_invariant(self, monkeypatch, kind, params):
+        cert = st.build_named_structure(kind, params)
+        conductances = []
+        flow = lg._StackedLaplacian.flow
+
+        def recorded(self, w):
+            conductances.append(w.copy())
+            return flow(self, w)
+
+        monkeypatch.setattr(lg._StackedLaplacian, "flow", recorded)
+        sol = lg.solve_primal(cert, lg.SolverParams(max_iterations=25))
+        labels = lg._CertificateOrbits(cert, st.membership_table(cert)).arc_orbit
+        for w in [sol.weights.values, *conductances]:
+            first = w[np.unique(labels, return_index=True)[1]]
+            assert np.array_equal(w, first[labels])
+        assert np.array_equal(sol.mu, np.full(len(cert), sol.mu[0]))
+
+    @pytest.mark.parametrize("kind,params", [("ksubset", (12, 2)), ("triangle", (6,))])
+    def test_one_pcg_block_per_iteration(self, monkeypatch, kind, params):
+        pcg = lg._jacobi_pcg
+        blocks = []
+
+        def counted(lap, b, diag):
+            blocks.append(len(b))
+            return pcg(lap, b, diag)
+
+        monkeypatch.setattr(lg, "_jacobi_pcg", counted)
+        cert = st.build_named_structure(kind, params)
+        sol = lg.solve_primal(cert, lg.SolverParams(max_iterations=2))
+        # one solve per iteration, and triangle(6)'s second answer is refined once
+        assert blocks == {"ksubset": [1, 1], "triangle": [1, 1, 1]}[kind]
+        lg._check_primal(cert, sol)
+
+    def test_planted_wrong_mask_map_fails_the_primal_check(self, monkeypatch):
+        # certificate 1 expanded by certificate 2's group element: its potentials stay
+        # zero on its own members, so the witness is admissible but the flows do not conserve
+        symmetry = st.structure_symmetry
+
+        def planted(cert):
+            found = symmetry(cert)
+            carry = found.carry.copy()
+            carry[1] = carry[2]
+            return dataclasses.replace(found, carry=carry)
+
+        monkeypatch.setattr(lg, "structure_symmetry", planted)
+        with pytest.raises(ConsistencyError, match="conservation violated: certificate index 1"):
+            lg.duality_report(st.ksubset_structure(4, 1), lg.SolverParams(max_iterations=10))
 
 
 class TestSolverParams:

@@ -246,3 +246,115 @@ class TestCertificateValidation:
     def test_variables_outside_range(self):
         with pytest.raises(ParameterError):
             st.CertificateStructure(2, (st.Certificate.from_sets([(3,)]),))
+
+
+def image_of(mask: int, g) -> int:
+    return sum(1 << g[j - 1] for j in st.mask_members(mask))
+
+
+def group_elements(generators, n: int) -> set:
+    """Every element of the group the generators generate, by closure from the identity."""
+    elements = {tuple(range(n))}
+    frontier = list(elements)
+    while frontier:
+        h = frontier.pop()
+        for g in generators:
+            gh = tuple(g[i] for i in h)
+            if gh not in elements:
+                elements.add(gh)
+                frontier.append(gh)
+    return elements
+
+
+NAMED_SWEEP = ([("ksubset", (n, k)) for n in range(1, 8) for k in range(1, n + 1)]
+               + [("triangle", (v,)) for v in range(3, 8)]
+               + [(kind, (n,)) for kind in ("collision", "set_equality") for n in range(1, 5)]
+               + [("hidden_shift", (n,)) for n in range(1, 7)])
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("kind,params", NAMED_SWEEP, ids=str)
+    def test_generators_preserve_the_certificate_set(self, kind, params):
+        cert = st.build_named_structure(kind, params)
+        symmetry = st.structure_symmetry(cert)
+        keys = {c.minimal_sets for c in cert.certificates}
+        for g in symmetry.generators:
+            assert sorted(g) == list(range(cert.n))
+            images = {tuple(sorted(image_of(m, g) for m in c.minimal_sets))
+                      for c in cert.certificates}
+            assert images == keys
+        # every named structure is one orbit, and carry[m] maps certificate 0 onto m
+        assert symmetry.orbit_count == 1
+        assert not symmetry.representative.any()
+        for c, g in zip(cert.certificates, symmetry.carry):
+            assert tuple(sorted(image_of(m, g) for m in cert.certificates[0].minimal_sets)) \
+                == c.minimal_sets
+
+    def test_structure_without_kind_has_the_trivial_group(self):
+        cert = st.CertificateStructure(3, st.ksubset_structure(3, 1).certificates)
+        symmetry = st.structure_symmetry(cert)
+        assert symmetry.generators == ()
+        assert list(symmetry.representative) == [0, 1, 2]
+        assert symmetry.orbit_count == 3
+        assert np.array_equal(st.arc_orbits(3, ()), np.arange(st.arc_count(3)))
+
+    @pytest.mark.parametrize("kind,params,bogus", [
+        ("triangle", (4,), [1, 0, 2, 3, 4, 5]),      # swaps edges {1,2} and {1,3}, no vertex map
+        ("ksubset", (4, 2), [1, 1, 2, 3]),           # not a permutation
+        ("hidden_shift", (3,), [1, 0, 2, 3, 4, 5]),  # a transposition on one side
+        ("ksubset", (4, 2), [1, 0, 2]),              # too short
+    ])
+    def test_planted_bogus_generator_refused(self, monkeypatch, kind, params, bogus):
+        cert = st.build_named_structure(kind, params)
+        monkeypatch.setitem(st._SYMMETRIES, kind, lambda *args: [bogus])
+        with pytest.raises(StructuralError, match=f"{kind} symmetry"):
+            st.structure_symmetry(cert)
+
+    def test_named_kind_on_foreign_certificates_refused(self):
+        # labelled ksubset(3, 1), but holding the certificates of ksubset(3, 2)'s first two
+        certs = st.ksubset_structure(3, 2).certificates[:2]
+        with pytest.raises(StructuralError, match="maps certificate"):
+            st.structure_symmetry(st.CertificateStructure(3, certs, "ksubset", (3, 1)))
+        repeated = st.ksubset_structure(3, 1).certificates * 2
+        with pytest.raises(StructuralError, match="repeats a certificate"):
+            st.structure_symmetry(st.CertificateStructure(3, repeated, "ksubset", (3, 1)))
+        with pytest.raises(StructuralError, match="parameters"):
+            st.structure_symmetry(st.CertificateStructure(3, certs, "ksubset", None))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_permute_masks_matches_bitwise_image(self, n):
+        g = list(np.random.default_rng(n).permutation(n))
+        images = st.permute_masks(g, n)
+        assert images.tolist() == [image_of(s, g) for s in range(1 << n)]
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 10) for k in (1, 2, 3) if k <= n])
+    def test_ksubset_arc_orbits_are_source_sizes(self, n, k):
+        src, _, _ = st.arc_arrays(n)
+        labels = st.arc_orbits(n, st.structure_symmetry(st.ksubset_structure(n, k)).generators)
+        assert labels.max() + 1 == n
+        assert np.array_equal(labels, np.bitwise_count(src))
+
+    @pytest.mark.parametrize("kind,params", [
+        ("triangle", (4,)), ("hidden_shift", (3,)), ("set_equality", (2,)), ("collision", (2,)),
+    ])
+    def test_arc_orbits_match_the_whole_group(self, kind, params):
+        cert = st.build_named_structure(kind, params)
+        n = cert.n
+        generators = st.structure_symmetry(cert).generators
+        labels = st.arc_orbits(n, generators)
+        src, jj, _ = st.arc_arrays(n)
+        for g in group_elements(generators, n):
+            moved = [st.arc_index(n, image_of(s, g), g[j - 1] + 1)
+                     for s, j in zip(src.tolist(), jj.tolist())]
+            assert np.array_equal(labels[moved], labels)
+        # and no two orbits merge: each label's arcs form one orbit of the group
+        orbit_of_first = set()
+        for g in group_elements(generators, n):
+            orbit_of_first.add(st.arc_index(n, image_of(int(src[0]), g), g[int(jj[0]) - 1] + 1))
+        assert orbit_of_first == set(np.flatnonzero(labels == 0).tolist())
+        first_arcs = np.unique(labels, return_index=True)[1]
+        assert np.all(np.diff(first_arcs) > 0)
+
+    def test_triangle_six_has_572_arc_orbits(self):
+        cert = st.triangle_structure(6)
+        assert st.arc_orbits(cert.n, st.structure_symmetry(cert).generators).max() + 1 == 572
