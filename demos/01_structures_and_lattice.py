@@ -29,7 +29,8 @@ print(structure_to_json(cert))
 
 print()
 print("== the lattice a learning graph walks on (n = 3) ==")
-sources, added, targets = arc_arrays(3)  # subsets are bitmasks; bit j-1 is variable j
+# subsets are bitmasks (bit j-1 is variable j); arcs are grouped by the variable they add
+sources, added, targets = arc_arrays(3)
 print(f"{len(sources)} arcs; the first six:")
 for source, j, target in zip(sources[:6], added[:6], targets[:6]):
     print(f"  {set(mask_members(source)) or '{}'} -> {set(mask_members(target))} "

@@ -25,7 +25,7 @@ The blocks are real and symmetric, so the transpose applies the same blocks.
 A `BlockOperator`'s norm comes from one Lanczos loop on the smaller Gram side
 (`_lanczos_norm`) at every size: a seeded start, the full basis orthogonalized
 twice per step, and a stop once the top Ritz pair's residual is within
-max(tolerance^2, 4 eps) of its value or the Krylov space holds the whole side.
+4 eps of its value or the Krylov space holds the whole side.
 It refuses, before allocating, a side whose first two basis vectors exceed
 `LANCZOS_BYTE_CAP`, and fails loudly when the basis fills the cap
 unconverged.  Dense matrices (`dense`, `block_dense`,
@@ -339,7 +339,7 @@ def assemble(
     )
 
 
-def _lanczos_norm(op: BlockOperator, tolerance: float) -> SpectralReport:
+def _lanczos_norm(op: BlockOperator) -> SpectralReport:
     """sigma_max of a block operator by Lanczos on its smaller Gram side G.
 
     The loop keeps the whole basis V and starts from a fixed pseudo-random
@@ -352,9 +352,8 @@ def _lanczos_norm(op: BlockOperator, tolerance: float) -> SpectralReport:
     is near an invariant Krylov space; a second pass brings it down to
     rounding, and twice is enough (Kahan's result in Parlett, "The Symmetric
     Eigenvalue Problem", 1998).  The loop stops at the first k where the Ritz
-    residual |G V s - theta V s| = beta_k |s_k| is at most
-    max(tolerance^2, 4 eps) |theta|, or at k = side, where T_k holds the
-    whole spectrum.  The symmetric blocks make short invariant Krylov spaces
+    residual |G V s - theta V s| = beta_k |s_k| is at most 4 eps |theta|,
+    or at k = side, where T_k holds the whole spectrum.  The symmetric blocks make short invariant Krylov spaces
     common; beta_k is then about zero, and since the random start has a
     component along the top eigenvector, theta is the top eigenvalue.
 
@@ -403,7 +402,7 @@ def _lanczos_norm(op: BlockOperator, tolerance: float) -> SpectralReport:
     diagonal, off_diagonal = [], []
     v = np.random.default_rng(0).standard_normal(side)
     v /= np.linalg.norm(v)
-    stop = max(tolerance ** 2, 4 * np.finfo(float).eps)
+    stop = 4 * np.finfo(float).eps
     for k in range(1, steps + 1):
         basis[k - 1] = v
         w = second(first(v))
@@ -426,12 +425,12 @@ def _lanczos_norm(op: BlockOperator, tolerance: float) -> SpectralReport:
     )
 
 
-def spectral_norm(op: BlockOperator, tolerance: float = 1e-9) -> SpectralReport:
+def spectral_norm(op: BlockOperator) -> SpectralReport:
     """Largest singular value of a block operator, by Lanczos (`_lanczos_norm`)."""
     if not isinstance(op, BlockOperator):
         raise ParameterError(f"cannot take the norm of {type(op).__name__}; "
                              "spectral_norm takes a BlockOperator")
-    return _lanczos_norm(op, tolerance)
+    return _lanczos_norm(op)
 
 
 def hadamard_mask(op, j: int):

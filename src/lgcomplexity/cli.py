@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_all = sub.add_parser("verify-all", help="run a verification suite")
     p_all.add_argument("--config", default=None)
-    p_all.add_argument("--suite", default=None, choices=(None,) + SUITES)
+    p_all.add_argument("--suite", default=None, choices=SUITES)
     p_all.add_argument("--seed", type=int, default=None)
     p_all.add_argument("--out", default=None)
     p_all.add_argument("--format", choices=("json", "csv"), default="json")

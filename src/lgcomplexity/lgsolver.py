@@ -65,9 +65,11 @@ Solvers:
     record of reporting.duality_records fails when the dual objective exceeds
     the primal's by more than SolverParams.weak_duality_slack.
 
-Flows and weights are arrays in structures.arc_arrays order and alpha is an
-array over subset bitmasks; from_entries names an arc by its (source, j) pair
-and a subset by its bitmask or its 1-based members.
+Flows and weights are arrays over arcs in structures.arc_index order, which is
+direction-major: they reshape without a copy to (..., n, 2^(n-1)), and alpha is
+an array over subset bitmasks.  The kernels that walk the arcs every iteration
+(_arc_flows, _arc_load_max, _node_degrees) and the conservation residuals read
+one strided view of the subset axis per direction, through no index array.
 
 The primal is validated globally by the certified duality gap, which is also
 its stopping rule, not by a convergence proof.  SolverParams.seed is accepted
@@ -81,7 +83,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 import scipy.sparse
@@ -95,12 +96,9 @@ from .errors import (
 )
 from .structures import (
     CertificateStructure,
-    arc_arrays,
     arc_count,
-    arc_index,
     arc_orbits,
-    as_mask,
-    incident_arcs,
+    arc_position,
     mask_members,
     membership_table,
     permute_masks,
@@ -161,7 +159,11 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class FlowAssignment:
-    """Per-(arc, certificate) flows, stored dense in deterministic arc order."""
+    """Per-(certificate, arc) flows, dense, arc (S, j) at structures.arc_index(n, S, j).
+
+    The order is direction-major, so values.reshape(M, n, 2^(n-1))[:, j - 1]
+    holds the flows on the arcs that add variable j, by source mask.
+    """
 
     n: int
     values: np.ndarray  # shape (num_certificates, arc_count(n))
@@ -181,14 +183,6 @@ class FlowAssignment:
     def zeros(cls, n: int, num_certificates: int) -> "FlowAssignment":
         return cls(n, np.zeros((num_certificates, arc_count(n))))
 
-    @classmethod
-    def from_entries(cls, n: int, num_certificates: int, entries: Mapping) -> "FlowAssignment":
-        """entries maps (arc, certificate_index) -> flow; arc is a (source, j) pair."""
-        values = np.zeros((num_certificates, arc_count(n)))
-        for ((source, j), m), value in entries.items():
-            values[m, arc_index(n, source, int(j))] = value
-        return cls(n, values)
-
     @property
     def num_certificates(self) -> int:
         return self.values.shape[0]
@@ -196,7 +190,7 @@ class FlowAssignment:
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Nonnegative per-arc weights in deterministic arc order."""
+    """Nonnegative per-arc weights in FlowAssignment's arc order (structures.arc_index)."""
 
     n: int
     values: np.ndarray
@@ -209,13 +203,6 @@ class WeightAssignment:
             raise InvariantViolation("weights must be finite and nonnegative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_entries(cls, n: int, entries: Mapping, fill: float = 0.0) -> "WeightAssignment":
-        values = np.full(arc_count(n), float(fill))
-        for (source, j), value in entries.items():
-            values[arc_index(n, source, int(j))] = value
-        return cls(n, values)
 
     @property
     def total(self) -> float:
@@ -270,14 +257,6 @@ class DualWitness:
     def zeros(cls, n: int, num_certificates: int) -> "DualWitness":
         return cls(n, np.zeros((num_certificates, 1 << n)))
 
-    @classmethod
-    def from_entries(cls, n: int, num_certificates: int, entries: Mapping) -> "DualWitness":
-        """entries maps (subset, certificate_index) -> alpha value."""
-        alpha = np.zeros((num_certificates, 1 << n))
-        for (subset, m), value in entries.items():
-            alpha[m, as_mask(subset, n)] = value
-        return cls(n, alpha)
-
     @property
     def num_certificates(self) -> int:
         return self.alpha.shape[0]
@@ -313,27 +292,28 @@ def flow_residuals(cert: CertificateStructure, flow: FlowAssignment) -> dict:
     (when it is not itself in M): outflow minus one.  No entries for S in M.
     An all-zero map is exactly feasibility.
     """
+    residuals = _conservation_residuals(cert, flow)
+    ms, masks = np.nonzero(~membership_table(cert))
+    return dict(zip(zip(ms.tolist(), masks.tolist()), residuals[ms, masks].tolist()))
+
+
+def _conservation_residuals(cert: CertificateStructure, flow: FlowAssignment) -> np.ndarray:
+    """flow_residuals as a (certificate, subset) array, zero on member subsets."""
     if flow.n != cert.n:
         raise StructuralError(f"flow is on n={flow.n}, structure on n={cert.n}")
     if flow.num_certificates != len(cert):
         raise StructuralError("flow certificate count does not match the structure")
-    n = cert.n
-    src, _, dst = arc_arrays(n)
-    member = membership_table(cert)
-    residuals: dict[tuple[int, int], float] = {}
-    for m in range(len(cert)):
-        p = flow.values[m]
-        inflow = np.zeros(1 << n)
-        outflow = np.zeros(1 << n)
-        np.add.at(inflow, dst, p)
-        np.add.at(outflow, src, p)
-        if not member[m, 0]:
-            residuals[(m, 0)] = float(outflow[0] - 1.0)
-        interior = ~member[m]
-        interior[0] = False
-        for mask in np.flatnonzero(interior):
-            residuals[(m, int(mask))] = float(inflow[mask] - outflow[mask])
-    return residuals
+    n, count = cert.n, len(cert)
+    flows = flow.values.reshape(count, n, -1)
+    net = np.zeros((count, 1 << n))          # inflow minus outflow
+    for j in range(n):
+        ends = net.reshape(count, -1, 2, 1 << j)
+        p = flows[:, j].reshape(count, -1, 1 << j)
+        ends[:, :, 0] -= p
+        ends[:, :, 1] += p
+    net[:, 0] = -net[:, 0] - 1.0             # the empty set's outflow minus one
+    net[membership_table(cert)] = 0.0
+    return net
 
 
 def primal_constraint_values(flow: FlowAssignment, weights: WeightAssignment) -> np.ndarray:
@@ -354,15 +334,20 @@ def primal_constraint_values(flow: FlowAssignment, weights: WeightAssignment) ->
 # dual-side operations
 
 def _arc_load_max(alpha: np.ndarray, n: int) -> float:
-    """Max over arcs of sum_M (alpha_S - alpha_{S+j})^2, streamed per direction."""
-    masks = np.arange(1 << n)
-    worst = 0.0
+    """Max over arcs of sum_M (alpha_S - alpha_{S+j})^2, streamed per direction.
+
+    Direction j's sources and targets are the two halves of alpha reshaped to
+    (certificates, -1, 2, 2^(j-1)).
+    """
+    count, half = alpha.shape[0], 1 << (n - 1)
+    diff = np.empty((count, half))
+    loads = np.empty(half)
+    top = np.zeros(half)
     for j in range(n):
-        low = masks[(masks >> j) & 1 == 0]
-        diff = alpha[:, low] - alpha[:, low | (1 << j)]
-        loads = np.einsum("ms,ms->s", diff, diff)
-        worst = max(worst, float(loads.max(initial=0.0)))
-    return worst
+        ends = alpha.reshape(count, -1, 2, 1 << j)
+        np.subtract(ends[:, :, 0], ends[:, :, 1], out=diff.reshape(count, -1, 1 << j))
+        np.maximum(top, np.einsum("ms,ms->s", diff, diff, out=loads), out=top)
+    return float(top.max())
 
 
 def check_zero_condition(cert: CertificateStructure, witness: DualWitness) -> None:
@@ -410,93 +395,74 @@ class _LaplacianGroup:
     Certificate M's rows and columns are its non-member subsets in ascending
     mask order, so the empty set is node 0.  The pattern of every certificate
     is built once, with per-certificate offsets; each solve only refills the
-    conductances.
+    conductances.  Every lattice node has exactly n neighbours S ^ {j}, so
+    row S holds n + 1 entries, S itself and then its neighbours in j order; a
+    member neighbour is grounded, and its entry points back at S with value 0.
+    The diagonal sums the conductances of all n incident arcs.  entry gives
+    each entry's position in solve's table of values.
 
     Up to _DENSE_NODE_CUT nodes the group is one stacked (count, size, size)
-    array.  Above it the group is one block-diagonal CSR matrix of fixed-width
-    rows: every lattice node has exactly n neighbours S ^ {j}, so row S holds
-    n + 1 entries, S itself and then its neighbours in j order; a member
-    neighbour is grounded, and its entry points back at S with value 0.  The
-    diagonal sums the conductances of all n incident arcs.  _jacobi_pcg runs
-    the certificates' CG recurrences in lockstep on the stacked vector.  The
-    certificates whose answer is unconverged or has max|L x - b| above
-    _SOLVE_RESIDUAL are refined by one more _jacobi_pcg on their residual,
-    and each one still refused is solved again alone by sparse LU.
+    array, summed from the entries.  Above it the group is one block-diagonal
+    CSR matrix of the fixed-width rows.  _jacobi_pcg runs the certificates'
+    CG recurrences in lockstep on the stacked vector.  The certificates whose
+    answer is unconverged or has max|L x - b| above _SOLVE_RESIDUAL are
+    refined by one more _jacobi_pcg on their residual, and each one still
+    refused is solved again alone by sparse LU.
     """
 
-    def __init__(self, certs: np.ndarray, member: np.ndarray, src: np.ndarray, dst: np.ndarray):
+    def __init__(self, certs: np.ndarray, member: np.ndarray):
         nonmember = ~member[certs]
-        count = len(certs)
-        self.size = size = int(nonmember[0].sum())
-        self.count = count
-        k_node, node = np.nonzero(nonmember)
-        self.pot_at = certs[k_node] * member.shape[1] + node
-        if size > _DENSE_NODE_CUT:
-            self._sparse_pattern(nonmember, k_node, node)
-            return
-        pos = np.zeros(nonmember.shape, dtype=np.int64)
-        pos[k_node, node] = np.tile(np.arange(size), count)
-        src_in = nonmember[:, src]
-        k_out, out_arcs = np.nonzero(src_in)
-        k_in, self.in_arcs = np.nonzero(src_in & nonmember[:, dst])
-        # each node's diagonal sums the conductances of its out-arcs, then its in-arcs
-        self.diag_arcs = np.concatenate([out_arcs, self.in_arcs])
-        self.diag_at = np.concatenate([k_out * size + pos[k_out, src[out_arcs]],
-                                       k_in * size + pos[k_in, dst[self.in_arcs]]])
-        rows = k_in * size + pos[k_in, src[self.in_arcs]]
-        cols = k_in * size + pos[k_in, dst[self.in_arcs]]
-        nodes = np.arange(count * size)
-        # flat positions in the stacked (count, size, size) array
-        self.upper = rows * size + cols % size
-        self.lower = cols * size + rows % size
-        self.diagonal = nodes * size + nodes % size
-        self.rhs = np.zeros((count, size, 1))
-        self.rhs[:, 0] = 1.0
-
-    def _sparse_pattern(self, nonmember: np.ndarray, k_node: np.ndarray, node: np.ndarray):
-        """Fixed-width CSR rows, in int32: PRIMAL_BYTE_CAP keeps count * 2^n below 2^31."""
         lattice = nonmember.shape[1]
         n = lattice.bit_length() - 1
-        rows = len(node)
+        self.count = count = len(certs)
+        self.size = size = int(nonmember[0].sum())
         self.width = width = n + 1
-        self.incident = incident_arcs(n)
+        k_node, node = np.nonzero(nonmember)
+        self.pot_at = certs[k_node] * lattice + node
+        # int32: PRIMAL_BYTE_CAP keeps count * 2^n below 2^31
+        rows = len(node)
+        node = node.astype(np.int32)
+        bits = np.arange(n, dtype=np.int32)
         # the row of each (certificate, subset) pair; read only at non-members
         row_of = np.cumsum(nonmember, dtype=np.int32) - 1
         flat = (k_node.astype(np.int32) * np.int32(lattice))[:, None] + (
-            node.astype(np.int32)[:, None] ^ (np.int32(1) << np.arange(n, dtype=np.int32)))
+            node[:, None] ^ (np.int32(1) << bits))
         grounded = ~nonmember.reshape(-1)[flat]
-        self.indices = np.empty((rows, width), dtype=np.int32)
-        self.indices[:, 0] = np.arange(rows, dtype=np.int32)
-        self.indices[:, 1:] = np.where(grounded, self.indices[:, :1], row_of[flat])
-        self.indices = self.indices.reshape(-1)
-        self.indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
+        indices = np.empty((rows, width), dtype=np.int32)
+        indices[:, 0] = np.arange(rows, dtype=np.int32)
+        indices[:, 1:] = np.where(grounded, indices[:, :1], row_of[flat])
         # each entry's position in [node degrees (2^n), -conductances (arcs), 0]
-        self.entry = np.empty((rows, width), dtype=np.int32)
-        self.entry[:, 0] = node
-        self.entry[:, 1:] = np.where(grounded, lattice + arc_count(n), lattice + self.incident[node])
-        self.entry = self.entry.reshape(-1)
-        self.rhs = np.zeros((self.count, self.size))
+        entry = np.empty((rows, width), dtype=np.int32)
+        entry[:, 0] = node
+        entry[:, 1:] = np.where(grounded, lattice + arc_count(n),
+                                lattice + arc_position(n, node[:, None], bits))
+        self.entry = entry.reshape(-1)
+        if size > _DENSE_NODE_CUT:
+            self.indices = indices.reshape(-1)
+            self.indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
+            self.rhs = np.zeros((count, size))
+        else:
+            # flat positions in the stacked array; a grounded entry adds 0 to its diagonal
+            self.dense_at = (np.arange(rows)[:, None] * size + indices % size).reshape(-1)
+            self.rhs = np.zeros((count, size, 1))
         self.rhs[:, 0] = 1.0
 
-    def solve(self, c: np.ndarray, potentials: np.ndarray) -> None:
-        """Write every certificate's potentials into the flat per-(certificate, subset) array."""
-        size, count = self.size, self.count
-        if size > _DENSE_NODE_CUT:
-            potentials[self.pot_at] = self._solve_sparse(c)
+    def solve(self, table: np.ndarray, potentials: np.ndarray) -> None:
+        """Write every certificate's potentials into the flat per-(certificate, subset) array.
+
+        table holds the node degrees, the negated conductances and a zero.
+        """
+        data = table[self.entry]
+        if self.size > _DENSE_NODE_CUT:
+            potentials[self.pot_at] = self._solve_sparse(data)
             return
-        diag = np.bincount(self.diag_at, weights=c[self.diag_arcs], minlength=count * size)
-        off = -c[self.in_arcs]
-        lap = np.zeros(count * size * size)
-        lap[self.upper] = off
-        lap[self.lower] = off
-        lap[self.diagonal] = diag
+        count, size = self.count, self.size
+        lap = np.bincount(self.dense_at, weights=data, minlength=count * size * size)
         x = np.linalg.solve(lap.reshape(count, size, size), self.rhs)
         potentials[self.pot_at] = x.reshape(-1)
 
-    def _solve_sparse(self, c: np.ndarray) -> np.ndarray:
+    def _solve_sparse(self, data: np.ndarray) -> np.ndarray:
         size, count, width, rhs = self.size, self.count, self.width, self.rhs
-        degree = c[self.incident].sum(axis=1)
-        data = np.concatenate([degree, -c, [0.0]])[self.entry]
         diag = data[::width].reshape(count, size)
         lap = scipy.sparse.csr_matrix((data, self.indices, self.indptr),
                                       shape=(count * size, count * size))
@@ -579,7 +545,7 @@ class _StackedLaplacian:
     """
 
     def __init__(self, n: int, member: np.ndarray):
-        self.src, _, self.dst = arc_arrays(n)
+        self.n = n
         self.shape = member.shape
         sizes = (~member).sum(axis=1)
         active = ~member[:, 0]
@@ -588,7 +554,7 @@ class _StackedLaplacian:
             certs = np.flatnonzero(active & (sizes == size))
             step = (len(certs) if size > _DENSE_NODE_CUT
                     else max(1, _STACK_BYTES // (8 * int(size) ** 2)))
-            self.groups += [_LaplacianGroup(certs[i:i + step], member, self.src, self.dst)
+            self.groups += [_LaplacianGroup(certs[i:i + step], member)
                             for i in range(0, len(certs), step)]
 
     def flow(self, w: np.ndarray):
@@ -600,22 +566,40 @@ class _StackedLaplacian:
         """
         c = _conductances(w)
         potentials = np.zeros(self.shape)
+        table = np.concatenate([_node_degrees(c, self.n), -c, [0.0]])
         for group in self.groups:
-            group.solve(c, potentials.reshape(-1))
-        return _arc_flows(potentials, c, self.src, self.dst), potentials
+            group.solve(table, potentials.reshape(-1))
+        return _arc_flows(potentials, c), potentials
 
 
 def _conductances(w: np.ndarray) -> np.ndarray:
     return np.maximum(w, _WEIGHT_FLOOR * max(1.0, float(w.max(initial=0.0))))
 
 
-def _arc_flows(potentials: np.ndarray, c: np.ndarray, src: np.ndarray, dst: np.ndarray):
-    """Per-certificate flows c_e (potential at the source - potential at the target)."""
-    # np.take keeps the rows C-ordered, and so the weight step's sums bit-stable
-    p = np.take(potentials, src, axis=1)
-    p -= np.take(potentials, dst, axis=1)
-    p *= c
-    return p
+def _node_degrees(c: np.ndarray, n: int) -> np.ndarray:
+    """Each subset's sum of the conductances c on its n incident arcs, by view adds."""
+    degree = np.zeros(1 << n)
+    for j, cj in enumerate(c.reshape(n, -1)):
+        ends = degree.reshape(-1, 2, 1 << j)
+        ends += cj.reshape(-1, 1, 1 << j)
+    return degree
+
+
+def _arc_flows(potentials: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per-certificate flows c_e (potential at the source - potential at the target).
+
+    Direction j's sources and targets are the two halves of the potentials
+    reshaped to (certificates, -1, 2, 2^(j-1)); one subtraction per direction
+    writes its row of the (certificates, n, 2^(n-1)) output.
+    """
+    count, lattice = potentials.shape
+    n = lattice.bit_length() - 1
+    p = np.empty((count, n, lattice >> 1))
+    for j in range(n):
+        ends = potentials.reshape(count, -1, 2, 1 << j)
+        np.subtract(ends[:, :, 0], ends[:, :, 1], out=p[:, j].reshape(count, -1, 1 << j))
+    p *= c.reshape(n, -1)
+    return p.reshape(count, -1)
 
 
 class _CertificateOrbits:
@@ -745,8 +729,7 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
 
     info = SolveInfo(iterations=iterations, converged=converged, residual=residual)
     return PrimalSolution(
-        flow=FlowAssignment(n, _arc_flows(expanded, _conductances(c), laplacian.src,
-                                          laplacian.dst)),
+        flow=FlowAssignment(n, _arc_flows(expanded, _conductances(c))),
         weights=WeightAssignment(n, w.copy()),
         objective=objective,
         mu=mu,
@@ -791,13 +774,15 @@ class DualityReport:
 
 def _check_primal(cert: CertificateStructure, primal: PrimalSolution) -> None:
     """Raise ConsistencyError unless the flows conserve and every constraint is <= 1."""
-    for (m, mask), r in flow_residuals(cert, primal.flow).items():
-        if not abs(r) <= _PRIMAL_TOLERANCE:
-            raise ConsistencyError(
-                f"primal flow conservation violated: certificate index {m}, "
-                f"S={set(mask_members(mask)) or '{}'}, residual {r:.3e} "
-                f"> {_PRIMAL_TOLERANCE:g}"
-            )
+    residuals = _conservation_residuals(cert, primal.flow)
+    m, mask = np.unravel_index(np.argmax(np.abs(residuals)), residuals.shape)
+    r = residuals[m, mask]
+    if not abs(r) <= _PRIMAL_TOLERANCE:
+        raise ConsistencyError(
+            f"primal flow conservation violated: certificate index {m}, "
+            f"S={set(mask_members(int(mask))) or '{}'}, residual {r:.3e} "
+            f"> {_PRIMAL_TOLERANCE:g}"
+        )
     values = primal_constraint_values(primal.flow, primal.weights)
     for m, value in enumerate(values):
         if not value <= 1.0 + _PRIMAL_TOLERANCE:

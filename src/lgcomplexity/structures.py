@@ -2,9 +2,13 @@
 
 Variables are indexed 1..n and subsets of [n] are bitmasks (bit j-1 holds
 variable j), so n is capped at 32.  An arc S -> S+{j} is the pair
-(source mask, j), or its position in arc_arrays order (arc_index); the lattice
-has no other encoding.  Full-lattice enumerations (all 2^n subsets, all
-n*2^(n-1) arcs) are additionally capped at n <= 22.
+(source mask, j), or its position (j-1) 2^(n-1) + (S with bit j-1 removed)
+(arc_index; arc_position is the same closed form on arrays); the lattice has no
+other encoding.  Arcs are direction-major: an array over arcs reshapes without
+a copy to (n, 2^(n-1)), row j-1 holding direction j's arcs in source order, and
+those arcs' sources and targets are the [..., 0, :] and [..., 1, :] halves of an
+array over subsets reshaped to (..., 2, 2^(j-1)).  Full-lattice enumerations
+(all 2^n subsets, all n*2^(n-1) arcs) are additionally capped at n <= 22.
 
 Each named kind declares generators of a symmetry group, variable
 permutations derived from its kind and params (_SYMMETRIES, next to the
@@ -416,37 +420,43 @@ def subset_sizes(n: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.uint8)
 
 
-@lru_cache(maxsize=8)
-def _arc_offsets(n: int) -> np.ndarray:
-    counts = n - subset_sizes(n).astype(np.int64)
-    offsets = np.zeros(1 << n, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    return offsets
-
-
 def arc_count(n: int) -> int:
     return n * (1 << (n - 1))
 
 
+def arc_position(n: int, masks, bit):
+    """Position of the arc joining S and S ^ {bit + 1}: bit 2^(n-1) + S with that bit removed.
+
+    The closed form behind arc_index, unchecked, on ints or broadcasting
+    integer arrays; either end of the arc gives its position.
+    """
+    return (bit << (n - 1)) | ((masks >> (bit + 1)) << bit) | (masks & ((1 << bit) - 1))
+
+
 def arc_index(n: int, source, j: int) -> int:
-    """Position of the arc (source, source+{j}) in the deterministic arc order."""
+    """Position of the arc (source, source+{j}): (j - 1) 2^(n-1) + source without bit j - 1."""
     mask = as_mask(source, n)
     if not 1 <= j <= n:
         raise StructuralError(f"arc variable j = {j} outside [1, {n}]")
     if (mask >> (j - 1)) & 1:
         raise StructuralError(f"arc variable {j} already in source {mask_members(mask)}")
-    below = mask & ((1 << (j - 1)) - 1)
-    return int(_arc_offsets(n)[mask]) + (j - 1) - below.bit_count()
+    return arc_position(n, mask, j - 1)
 
 
-def incident_arcs(n: int) -> np.ndarray:
-    """int32 table [mask, j-1] of the arc joining S and S ^ {j}, by arc_index's closed form."""
+def _arc_sources(n: int) -> np.ndarray:
+    """int64 (n, 2^(n-1)) table: row j - 1 lists the masks without variable j, ascending."""
     check_lattice(n)
-    masks = np.arange(1 << n, dtype=np.int64)[:, None]
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    source = masks & ~bits
-    below = subset_sizes(n).astype(np.int64)[masks & (bits - 1)]
-    return (_arc_offsets(n)[source] + np.arange(n) - below).astype(np.int32)
+    rest = np.arange(1 << (n - 1), dtype=np.int64)
+    bits = np.arange(n, dtype=np.int64)[:, None]
+    return ((rest >> bits) << (bits + 1)) | (rest & ((1 << bits) - 1))
+
+
+def arc_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source_mask, added_j, target_mask) arrays in arc_index order."""
+    sources = _arc_sources(n)
+    bits = np.arange(n, dtype=np.int64)
+    targets = sources | (np.int64(1) << bits[:, None])
+    return sources.ravel(), np.repeat(bits + 1, 1 << (n - 1)), targets.ravel()
 
 
 def permute_masks(g, n: int) -> np.ndarray:
@@ -470,7 +480,7 @@ def permute_masks(g, n: int) -> np.ndarray:
 
 
 def arc_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
-    """Orbit of every arc, in arc_arrays order, under the group the generators generate.
+    """Orbit of every arc, in arc_index order, under the group the generators generate.
 
     Orbits are numbered 0, 1, ... in the order of their first arc.  Union-find
     by minimum-label propagation: each generator moves arc (S, j) to
@@ -481,11 +491,10 @@ def arc_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
     label = np.arange(arc_count(n), dtype=np.int32)
     if not generators:
         return label
-    incident = incident_arcs(n)     # row S, column j: the arc joining S and S ^ {j}
+    sources = _arc_sources(n)
     moves = []
     for g, images in zip(generators, permute_masks(generators, n)):
-        move = np.empty_like(label)
-        move[incident] = incident[images][:, list(g)]
+        move = arc_position(n, images[sources], np.asarray(g)[:, None]).astype(np.int32).ravel()
         for _ in range((_order(g) - 1).bit_length()):
             moves.append(move)
             move = move[move]
@@ -514,18 +523,6 @@ def _order(g: Sequence[int]) -> int:
     return math.lcm(*lengths)
 
 
-def arc_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(source_mask, added_j, target_mask) arrays in the deterministic arc order."""
-    check_lattice(n)
-    masks = np.arange(1 << n, dtype=np.int64)
-    js = np.arange(1, n + 1, dtype=np.int64)
-    free = (masks[:, None] >> (js - 1)[None, :]) & 1 == 0
-    src = np.repeat(masks, free.sum(axis=1))
-    jj = np.broadcast_to(js, (1 << n, n))[free]
-    dst = src | (1 << (jj - 1))
-    return src, jj, dst
-
-
 @lru_cache(maxsize=6)
 def _membership_cached(cert: CertificateStructure) -> np.ndarray:
     masks = np.arange(1 << cert.n, dtype=np.int64)
@@ -541,16 +538,6 @@ def membership_table(cert: CertificateStructure) -> np.ndarray:
     """Boolean table [certificate, mask] of lattice membership; read-only view."""
     check_lattice(cert.n)
     return _membership_cached(cert)
-
-
-def is_upward_closed(member_row: np.ndarray, n: int) -> bool:
-    """Exhaustive check that a boolean membership row is closed under supersets."""
-    masks = np.arange(1 << n)
-    for j in range(n):
-        lower = masks[(masks >> j) & 1 == 0]
-        if np.any(member_row[lower] & ~member_row[lower | (1 << j)]):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from lgcomplexity.errors import (
     ParameterError,
     StructuralError,
 )
+from lattice_helpers import witness_from_entries
 
 
 FLAVORS = ("real_householder", "fourier")
@@ -127,7 +128,7 @@ class TestDifferenceCoefficients:
 
 class TestAssemble:
     def test_rank_one_block_for_empty_only_witness(self):
-        witness = lg.DualWitness.from_entries(2, 1, {((), 0): 1.0})
+        witness = witness_from_entries(2, 1, {((), 0): 1.0})
         dense = adv.assemble(witness, q=3).dense()
         assert np.linalg.matrix_rank(dense) == 1
         assert np.linalg.norm(dense, 2) == pytest.approx(1.0)
@@ -200,7 +201,7 @@ class TestSpectralNorm:
                                row_sets=[rng.choice(27, 25, replace=False) for _ in range(2)],
                                row_scales=rng.uniform(0.5, 2.0, 2),
                                col_codes=rng.choice(27, 15, replace=False))
-        report = adv.spectral_norm(op, tolerance=1e-12)
+        report = adv.spectral_norm(op)
         assert report.method == "lanczos"
         assert report.norm == pytest.approx(np.linalg.norm(op.dense(), 2), abs=1e-8)
 
@@ -226,7 +227,7 @@ class TestSpectralNorm:
         assert np.linalg.norm(dense, 2) ** 2 == pytest.approx(loads.max(), abs=1e-9)
 
     def test_single_block_norm_is_max_coefficient(self):
-        witness = lg.DualWitness.from_entries(
+        witness = witness_from_entries(
             2, 1, {((), 0): 0.3, ((1,), 0): -0.9, ((1, 2), 0): 0.4}
         )
         dense = adv.assemble(witness, q=4).dense()
@@ -234,9 +235,9 @@ class TestSpectralNorm:
 
     def test_lanczos_path_above_dense_cap(self):
         # q^n = 5^7 = 78125 is past the dense oracle's cap
-        witness = lg.DualWitness.from_entries(7, 1, {((), 0): 1.0})
+        witness = witness_from_entries(7, 1, {((), 0): 1.0})
         op = adv.assemble(witness, q=5)
-        report = adv.spectral_norm(op, tolerance=1e-10)
+        report = adv.spectral_norm(op)
         assert report.method == "lanczos"
         assert report.norm == pytest.approx(1.0, abs=1e-8)
 
@@ -244,7 +245,7 @@ class TestSpectralNorm:
     def test_flavors_assemble_identical_operators(self, flavor):
         # any orthonormal completion of the uniform vector gives the same
         # projector combination as the basis-free operator
-        witness = lg.DualWitness.from_entries(
+        witness = witness_from_entries(
             2, 1, {((), 0): 0.7, ((2,), 0): -0.2, ((1, 2), 0): 0.5}
         )
         dense = adv.assemble(witness, q=3).dense()
@@ -390,7 +391,7 @@ class TestHadamardMask:
             lm = adv.hadamard_mask(op.labeled(), j)
             dense_norm = np.linalg.norm(lm.matrix, 2)
             implicit = adv.hadamard_mask(op, j)
-            report = adv.spectral_norm(implicit, tolerance=1e-12)
+            report = adv.spectral_norm(implicit)
             assert report.method == "lanczos"
             assert report.norm == pytest.approx(dense_norm, abs=1e-7)
             rng = np.random.default_rng(j)
@@ -660,7 +661,7 @@ class TestAdversaryRatio:
         cert = st.CertificateStructure(3, (st.Certificate.from_sets([(1, 2), (2, 3)]),))
         eq = ar.OrthogonalArray(4, 2, tuple((c, c) for c in range(4)))
         inst = ar.build_instance(cert, 4, [[eq, eq]])
-        witness = lg.DualWitness.from_entries(3, 1, {((), 0): 1.0})
+        witness = witness_from_entries(3, 1, {((), 0): 1.0})
         assert lg.dual_feasibility_margin(cert, witness) <= 1.0
         with pytest.raises(InvariantViolation, match="uniform-projection"):
             adv.adversary_ratio(inst, witness)

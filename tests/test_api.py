@@ -74,7 +74,7 @@ LIBRARY_SURFACE = {
     "shift": ["w", "subset", "c", "p"],
     "solve_dual": ["cert", "params"],
     "solve_primal": ["cert", "params"],
-    "spectral_norm": ["op", "tolerance"],
+    "spectral_norm": ["op"],
     "sum_array": ["q", "k"],
     "tau": ["x", "d"],
     "triangle_structure": ["n"],

@@ -218,8 +218,8 @@ class TestLgCommands:
         def never(*args):
             raise AssertionError("a lattice table was built for a refused job")
 
-        monkeypatch.setattr(lg, "membership_table", never)
-        monkeypatch.setattr(lg, "arc_arrays", never)
+        for table in ("membership_table", "arc_orbits", "arc_position", "permute_masks"):
+            monkeypatch.setattr(lg, table, never)
         code, out, err = run(capsys, "lg", command, "--kind", "hidden_shift", "--params", "11")
         assert code == 2
         assert out == ""
@@ -524,6 +524,12 @@ class TestVerifyAll:
         with open(pathlib.Path(__file__).with_name("verify_all_seed0.csv"), newline="") as pin:
             assert got == list(csv.reader(pin))[1:]
         assert len(got) == 43
+
+    def test_suite_help_lists_only_the_suites(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify-all", "--help"])
+        help_text = capsys.readouterr().out
+        assert "{duality,witnesses," in help_text and "None" not in help_text
 
     def test_weak_duality_violation_is_a_failing_record(self, capsys, overscaled_witness):
         code, out, err = run(capsys, "verify-all", "--suite", "duality")

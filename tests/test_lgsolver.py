@@ -25,6 +25,7 @@ from lgcomplexity.errors import (
     ParameterError,
     StructuralError,
 )
+from lattice_helpers import flow_from_entries, weights_from_entries, witness_from_entries
 
 SQRT2 = math.sqrt(2.0)
 
@@ -111,7 +112,7 @@ def exact_unit_decay_witness(n: int) -> lg.DualWitness:
 class TestFlowResiduals:
     def test_unit_direct_flow_feasible(self):
         cert = single_certificate_structure()
-        flow = lg.FlowAssignment.from_entries(1, 1, {((0, 1), 0): 1.0})
+        flow = flow_from_entries(1, 1, {((0, 1), 0): 1.0})
         residuals = lg.flow_residuals(cert, flow)
         assert residuals == {(0, 0): 0.0}
 
@@ -123,7 +124,7 @@ class TestFlowResiduals:
     def test_one_subset_n2_unit_flows(self):
         # sinks {1} and {2} are members, so no conservation constraints there
         cert = st.ksubset_structure(2, 1)
-        flow = lg.FlowAssignment.from_entries(
+        flow = flow_from_entries(
             2, 2, {((0, 1), 0): 1.0, ((0, 2), 1): 1.0}
         )
         residuals = lg.flow_residuals(cert, flow)
@@ -131,13 +132,13 @@ class TestFlowResiduals:
 
     def test_arc_outside_lattice(self):
         with pytest.raises(StructuralError):
-            lg.FlowAssignment.from_entries(2, 1, {((0b01, 1), 0): 1.0})
+            flow_from_entries(2, 1, {((0b01, 1), 0): 1.0})
 
 
 class TestConstraintValues:
     def test_unit_flow_unit_weight(self):
-        flow = lg.FlowAssignment.from_entries(1, 1, {((0, 1), 0): 1.0})
-        weights = lg.WeightAssignment.from_entries(1, {(0, 1): 1.0})
+        flow = flow_from_entries(1, 1, {((0, 1), 0): 1.0})
+        weights = weights_from_entries(1, {(0, 1): 1.0})
         assert lg.primal_constraint_values(flow, weights) == pytest.approx([1.0])
 
     def test_zero_over_zero_is_zero(self):
@@ -146,7 +147,7 @@ class TestConstraintValues:
         assert lg.primal_constraint_values(flow, weights) == pytest.approx([0.0])
 
     def test_flow_on_zero_weight_is_infinite(self):
-        flow = lg.FlowAssignment.from_entries(1, 1, {((0, 1), 0): 1.0})
+        flow = flow_from_entries(1, 1, {((0, 1), 0): 1.0})
         weights = lg.WeightAssignment(1, np.zeros(1))
         assert lg.primal_constraint_values(flow, weights)[0] == math.inf
 
@@ -220,8 +221,8 @@ class TestSolvePrimal:
         def never(*args):
             raise AssertionError("a lattice table was built for a refused job")
 
-        monkeypatch.setattr(lg, "membership_table", never)
-        monkeypatch.setattr(lg, "arc_arrays", never)
+        for table in ("membership_table", "arc_orbits", "arc_position", "permute_masks"):
+            monkeypatch.setattr(lg, table, never)
         cert = st.build_named_structure(kind, params)
         with pytest.raises(CapacityError, match="over the cap 2147483648"):
             lg.solve_primal(cert)
@@ -288,7 +289,7 @@ class TestDualObjective:
         assert lg.dual_objective(lg.DualWitness.zeros(2, 3)) == 0.0
 
     def test_four_unit_entries(self):
-        witness = lg.DualWitness.from_entries(
+        witness = witness_from_entries(
             2, 4, {((), m): 1.0 for m in range(4)}
         )
         assert lg.dual_objective(witness) == pytest.approx(2.0)
@@ -312,7 +313,7 @@ class TestFeasibilityMargin:
 
     def test_zero_condition_violation_names_pair(self):
         cert = st.ksubset_structure(2, 1)
-        witness = lg.DualWitness.from_entries(2, 2, {((1,), 0): 0.5})
+        witness = witness_from_entries(2, 2, {((1,), 0): 0.5})
         with pytest.raises(InvariantViolation) as err:
             lg.dual_feasibility_margin(cert, witness)
         assert "{1}" in str(err.value) and "certificate index 0" in str(err.value)
@@ -410,7 +411,7 @@ class TestWitnessSerialization:
         assert np.array_equal(back.alpha, witness.alpha)
 
     def test_entries_only_nonzero(self):
-        witness = lg.DualWitness.from_entries(2, 2, {((), 0): 0.5})
+        witness = witness_from_entries(2, 2, {((), 0): 0.5})
         entries = witness.to_entries()
         assert entries == [{"subset_mask": 0, "cert_index": 0, "alpha": 0.5}]
 
@@ -890,7 +891,7 @@ class TestCertificateOrbits:
         w = rng.uniform(0.1, 2.0, len(orbits.size))[orbits.arc_orbit]
         laplacian = lg._StackedLaplacian(n, member[orbits.reps])
         potential = orbits.potentials(laplacian.flow(w)[1])
-        p = lg._arc_flows(potential, lg._conductances(w), laplacian.src, laplacian.dst)
+        p = lg._arc_flows(potential, lg._conductances(w))
         for m in range(len(cert)):
             p_ref, potential_ref = direct_flow(n, member[m], w)
             assert_close_relative(p[m], p_ref, 1e-10)

@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 
 from lgcomplexity import structures as st
 from lgcomplexity.errors import CapacityError, ParameterError, StructuralError
+from lattice_helpers import is_upward_closed
 
 
 def test_as_mask_rejects_index_zero():
@@ -122,7 +123,7 @@ def test_upward_closure_exhaustive(cert):
     assert cert.n <= 12
     table = st.membership_table(cert)
     for row in table:
-        assert st.is_upward_closed(row, cert.n)
+        assert is_upward_closed(row, cert.n)
 
 
 @given(
@@ -137,7 +138,7 @@ def test_upward_closure_random_certificates(n, seeds):
         return
     cert = st.CertificateStructure(n, (st.Certificate(tuple(minimal)),))
     table = st.membership_table(cert)
-    assert st.is_upward_closed(table[0], n)
+    assert is_upward_closed(table[0], n)
 
 
 class TestMinimalProfile:
@@ -176,27 +177,35 @@ class TestLatticeArcs:
             assert t == s | 1 << (j - 1)
 
     def test_deterministic_order(self):
-        # oracle: every (source mask, missing variable) pair, by source then variable
+        # oracle: every (source mask, missing variable) pair, by variable then source
         n = 3
-        keys = [(s, j) for s in range(1 << n) for j in range(1, n + 1) if not s >> (j - 1) & 1]
+        keys = [(s, j) for j in range(1, n + 1) for s in range(1 << n) if not s >> (j - 1) & 1]
         src, jj, _ = st.arc_arrays(n)
         assert list(zip(src.tolist(), jj.tolist())) == keys
 
     def test_arc_index_roundtrip(self):
-        n = 4
-        src, jj, _ = st.arc_arrays(n)
-        for idx, (s, j) in enumerate(zip(src.tolist(), jj.tolist())):
-            assert st.arc_index(n, s, j) == idx
+        # oracle: arc (S, j) at (j - 1) 2^(n-1) plus the rank of S among the masks without j
+        for n in (1, 4, 7):
+            src, jj, _ = st.arc_arrays(n)
+            assert len(src) == st.arc_count(n)
+            rank = {}
+            for s in range(1 << n):
+                for j in range(1, n + 1):
+                    if not s >> (j - 1) & 1:
+                        rank[s, j] = sum(1 for t in range(s) if not t >> (j - 1) & 1)
+            for idx, (s, j) in enumerate(zip(src.tolist(), jj.tolist())):
+                assert st.arc_index(n, s, j) == idx == (j - 1) * (1 << (n - 1)) + rank[s, j]
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_incident_arcs_join_each_neighbour(self, n):
-        # oracle: arc_index on the lower end of every edge S -- S ^ {j}
-        table = st.incident_arcs(n)
-        assert table.shape == (1 << n, n) and table.dtype == np.int32
-        for s in range(1 << n):
-            for j in range(1, n + 1):
+        # oracle: arc_index on the lower end of every edge S -- S ^ {j}; arc_position
+        # gives the same arc from either end, on ints and on arrays
+        masks = np.arange(1 << n)
+        for j in range(1, n + 1):
+            table = st.arc_position(n, masks, j - 1)
+            for s in range(1 << n):
                 low = s & ~(1 << (j - 1))
-                assert table[s, j - 1] == st.arc_index(n, low, j)
+                assert table[s] == st.arc_position(n, s, j - 1) == st.arc_index(n, low, j)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
