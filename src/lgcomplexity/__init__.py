@@ -47,7 +47,6 @@ from .lgsolver import (
     solve_primal,
 )
 from .witnesses import (
-    EdgeSubset,
     TriangleWitnessConfig,
     clip01,
     hidden_shift_witness,

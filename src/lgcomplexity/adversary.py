@@ -35,13 +35,15 @@ unconverged.  Dense matrices (`dense`, `block_dense`,
 Each distinct masked norm is taken once.  `_masked_norms` keeps a one-entry
 memo keyed on the identity (`is`) of the instance and witness, which are both
 immutable, so `adversary_ratio` and `bounded_norm_certificates` on the same
-pair share one set of masked norms.  Within a set, variable j reuses the norm
-of an earlier variable j0 when swapping j0 and j maps the certificates onto
-themselves by some permutation sigma, alpha[sigma(m)][swap(S)] equals
-alpha[m][S] exactly, and the swapped X_M and Y equal X_sigma(M) and Y; the
-masked matrix at j is then a row and column permutation of the one at j0.
-Any mismatch computes the norm, so a missed symmetry costs time, never
-accuracy.  Only transpositions are tried.
+pair share one set of masked norms.  Within a set, the norm is taken once per
+variable orbit of the structure's declared generators
+(`structures.structure_symmetry`) that also map the witness and instance onto
+themselves: a generator g with certificate permutation sigma is kept when
+alpha[sigma(m)][g(S)] equals alpha[m][S] exactly and g maps every X_M onto
+X_sigma(M) and Y onto Y, so the masked matrix at g(j) is a row and column
+permutation of the one at j.  A structure of no named kind has the trivial
+group and takes every masked norm; a dropped generator costs time, never
+accuracy.
 """
 
 from __future__ import annotations
@@ -64,10 +66,12 @@ from .arrays import HardInstance, verify_orthogonality_property
 from .indexing import ENUMERATION_CAP, check_enumerable, decode, encode
 from .lgsolver import DualWitness, dual_feasibility_margin
 from .structures import (
-    Certificate,
     CertificateStructure,
     mask_members,
     minimal_profile,
+    permute_masks,
+    structure_symmetry,
+    variable_orbits,
 )
 
 DENSE_SIDE_CAP = 1 << 14
@@ -502,37 +506,33 @@ def _require_sound(instance: HardInstance, witness: DualWitness) -> None:
             )
 
 
-def _swap_codes(codes: np.ndarray, q: int, n: int, a: int, b: int) -> np.ndarray:
-    """Input codes with the digits of variables a and b exchanged, sorted."""
-    digits = decode(codes, q, n)
-    digits[:, [a - 1, b - 1]] = digits[:, [b - 1, a - 1]]
-    return np.sort(encode(digits, q))
+def _instance_generators(instance: HardInstance, witness: DualWitness) -> list[tuple[int, ...]]:
+    """The structure's declared generators that map the instance and witness onto themselves.
 
-
-def _swap_is_symmetry(instance: HardInstance, witness: DualWitness, a: int, b: int) -> bool:
-    """Whether swapping variables a and b maps the instance and witness onto themselves.
-
-    All four must hold, for one certificate permutation sigma: the swap maps
-    certificate m onto certificate sigma(m); alpha[sigma(m)][swap(S)] equals
-    alpha[m][S] exactly; the swapped, sorted X_M equals X_sigma(M); and the
-    swapped, sorted Y equals Y.  Then the mask at b is a row and column
-    permutation of the mask at a, so their norms are equal.
+    A generator g of `structure_symmetry`, with certificate permutation sigma,
+    is kept when alpha[sigma(m)][g(S)] equals alpha[m][S] exactly, and moving
+    the digit of every variable i to variable g(i) maps each X_M onto
+    X_sigma(M) and Y onto Y.  Then the mask at variable g(j) is a row and
+    column permutation of the mask at j, so their norms are equal.
     """
+    symmetry = structure_symmetry(instance.cert)
+    if not symmetry.generators:
+        return []
     n, q = instance.n, instance.q
-    masks = np.arange(1 << n)
-    flip = ((masks >> (a - 1)) ^ (masks >> (b - 1))) & 1
-    swapped = masks ^ (flip * ((1 << (a - 1)) | (1 << (b - 1))))
-    certificates = instance.cert.certificates
-    index = {c: m for m, c in enumerate(certificates)}
-    sigma = [index.get(Certificate(tuple(int(swapped[s]) for s in c.minimal_sets)))
-             for c in certificates]
-    if None in sigma or sorted(sigma) != list(range(len(sigma))):
-        return False
-    return (np.array_equal(witness.alpha[sigma][:, swapped], witness.alpha)
-            and all(np.array_equal(_swap_codes(instance.x_sets[m], q, n, a, b),
-                                   instance.x_sets[sigma[m]])
-                    for m in range(len(certificates)))
-            and np.array_equal(_swap_codes(instance.y_codes, q, n, a, b), instance.y_codes))
+    digits = decode(np.concatenate(instance.x_sets + (instance.y_codes,)), q, n)
+    ends = np.cumsum([len(x) for x in instance.x_sets])
+    kept = []
+    for g, sigma, masks in zip(symmetry.generators, symmetry.images,
+                               permute_masks(symmetry.generators, n)):
+        if not np.array_equal(witness.alpha[sigma][:, masks], witness.alpha):
+            continue
+        moved = np.empty_like(digits)
+        moved[:, list(g)] = digits
+        images = [np.sort(codes) for codes in np.split(encode(moved, q), ends)]
+        if (all(np.array_equal(image, instance.x_sets[s]) for image, s in zip(images, sigma))
+                and np.array_equal(images[-1], instance.y_codes)):
+            kept.append(g)
+    return kept
 
 
 # (instance, witness, norms) of the last _masked_norms call; both types are
@@ -547,19 +547,18 @@ def _masked_norms(gamma: BlockOperator, instance: HardInstance,
     A call with the same instance and witness objects (`is`) as the last one
     returns the stored tuple, so `adversary_ratio` and
     `bounded_norm_certificates` on one pair take these norms once.  Otherwise
-    variable j reuses the norm of the first earlier variable j0 whose swap
-    with j passes `_swap_is_symmetry`; any mismatch computes the norm.
+    the norm is taken at the first variable of each orbit of the generators
+    `_instance_generators` keeps, and copied to the rest of the orbit.
     """
     global _masked_memo
     if _masked_memo is not None and _masked_memo[0] is instance and _masked_memo[1] is witness:
         return _masked_memo[2]
+    orbit = variable_orbits(instance.n, _instance_generators(instance, witness))
     norms: list[float] = []
-    for j in range(1, instance.n + 1):
-        twin = next((j0 for j0 in range(1, j) if _swap_is_symmetry(instance, witness, j0, j)),
-                    None)
-        norms.append(spectral_norm(hadamard_mask(gamma, j)).norm if twin is None
-                     else norms[twin - 1])
-    _masked_memo = (instance, witness, tuple(norms))
+    for j, label in enumerate(orbit, start=1):
+        if label == len(norms):  # orbits are numbered by their first variable
+            norms.append(spectral_norm(hadamard_mask(gamma, j)).norm)
+    _masked_memo = (instance, witness, tuple(norms[label] for label in orbit))
     return _masked_memo[2]
 
 

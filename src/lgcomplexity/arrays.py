@@ -233,9 +233,6 @@ class HardInstance:
             raise StructuralError(f"input entries must lie in [0, {self.q})")
         return int(encode(digits, self.q))
 
-    def in_x(self, m: int, x: Sequence[int]) -> bool:
-        return _listed(self.x_sets[m], self._code(x))
-
     def instance_hash(self) -> str:
         doc = {
             "structure": structure_to_dict(self.cert),

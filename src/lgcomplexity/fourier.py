@@ -190,36 +190,10 @@ class GeneralInstance:
         """Minimal set A of certificate m, component i (1-based, i <= minimal_count)."""
         return self.cert.certificates[m].minimal_sets[i - 1]
 
-    def x_component_size(self, m: int, i: int) -> int:
-        if i <= self.minimal_count(m):
-            return len(self.biased_set) * self.p ** (self.n - 1)
-        return self.p ** self.n
-
     def x_size(self, m: int) -> int:
         lm = self.minimal_count(m)
         return (len(self.biased_set) * self.p ** (self.n - 1)) ** lm * \
             self.p ** (self.n * (self.ell - lm))
-
-    def symbol_component(self, symbol: int, i: int) -> int:
-        """Component i (1-based) of a symbol code in Z_p^ell, big-endian."""
-        return (symbol // self.p ** (self.ell - i)) % self.p
-
-    def component_rows(self, m: int, i: int) -> OrthogonalArray:
-        """The component array Q: rows of Z_p^|A| whose entries sum into U."""
-        k = self.generator_mask(m, i).bit_count()
-        grid = all_inputs(self.p, k, _BRUTE_CAP)
-        in_u = self.biased_set.indicator()
-        keep = in_u[grid.sum(axis=1) % self.p]
-        rows = tuple(map(tuple, grid[keep].tolist()))
-        return OrthogonalArray(self.p, k, rows)
-
-    def in_x_component(self, m: int, i: int, w: Sequence[int]) -> bool:
-        """Does the Z_p^n vector w lie in the component-i positive set of m?"""
-        if i > self.minimal_count(m):
-            return True
-        members = mask_members(self.generator_mask(m, i))
-        total = sum(int(w[j - 1]) for j in members) % self.p
-        return total in set(self.biased_set.elements)
 
     def y_size(self) -> int:
         """Exact count of inputs avoiding every component constraint.

@@ -179,10 +179,6 @@ class FlowAssignment:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def zeros(cls, n: int, num_certificates: int) -> "FlowAssignment":
-        return cls(n, np.zeros((num_certificates, arc_count(n))))
-
     @property
     def num_certificates(self) -> int:
         return self.values.shape[0]

@@ -14,10 +14,13 @@ Each named kind declares generators of a symmetry group, variable
 permutations derived from its kind and params (_SYMMETRIES, next to the
 builders): S_n for ksubset, S_2n for collision, S_v acting on the edge
 variables for triangle(v), S_n x S_n for set_equality and the cyclic shift of
-each side for hidden_shift.  structure_symmetry checks them against the
-certificate set before any use and gives the certificate orbits; a structure
-of no named kind has the trivial group.  permute_masks and arc_orbits carry a
-group to the lattice's subsets and arcs.
+each side for hidden_shift.  This module alone decides symmetry:
+structure_symmetry checks the generators against the certificate set before
+any use and gives each one's certificate permutation and the certificate
+orbits; a structure of no named kind has the trivial group.  permute_masks,
+arc_orbits and variable_orbits carry a group to the lattice's subsets, its
+arcs and the variables.  The primal solver's per-orbit solve and the
+adversary's per-orbit masked norms both read them.
 """
 
 from __future__ import annotations
@@ -341,13 +344,16 @@ def build_named_structure(kind: str, params: Sequence[int]) -> CertificateStruct
 class Symmetry:
     """Checked variable permutations of a structure and the certificate orbits they generate.
 
-    generators is empty for the trivial group.  representative[m] is the least
+    generators is empty for the trivial group; g[i] is the 0-based image of
+    variable i + 1.  images[i, m] is the index of the certificate that
+    generator i maps certificate m onto, so row i is the generator's
+    certificate permutation sigma.  representative[m] is the least
     certificate index in certificate m's orbit, and carry[m] a group element
-    g (g[i] the 0-based image of variable i + 1) mapping the representative's
-    certificate onto certificate m.
+    mapping the representative's certificate onto certificate m.
     """
 
     generators: tuple[tuple[int, ...], ...]
+    images: np.ndarray
     representative: np.ndarray
     carry: np.ndarray
 
@@ -394,6 +400,7 @@ def structure_symmetry(cert: CertificateStructure) -> Symmetry:
                                       f"outside the structure")
             image.append(index[key])
         images.append(image)
+    images = np.array(images, dtype=np.int64).reshape(len(generators), count)
     representative = np.full(count, -1)
     carry = np.empty((count, n), dtype=np.int64)
     for first in range(count):
@@ -408,7 +415,7 @@ def structure_symmetry(cert: CertificateStructure) -> Symmetry:
                     representative[image[m]] = first
                     carry[image[m]] = np.asarray(g)[carry[m]]
                     queue.append(image[m])
-    return Symmetry(generators, representative, carry)
+    return Symmetry(generators, images, representative, carry)
 
 
 # ---------------------------------------------------------------------------
@@ -479,34 +486,56 @@ def permute_masks(g, n: int) -> np.ndarray:
     return high.reshape(g.shape[:-1] + (1 << n,))
 
 
-def arc_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
-    """Orbit of every arc, in arc_index order, under the group the generators generate.
+def _orbit_labels(size: int, generators: Sequence[Sequence[int]],
+                  moves: Sequence[np.ndarray]) -> np.ndarray:
+    """Orbit of every point of range(size) under the group the permutations moves generate.
 
-    Orbits are numbered 0, 1, ... in the order of their first arc.  Union-find
-    by minimum-label propagation: each generator moves arc (S, j) to
-    (g(S), g(j)), and a round takes every label to the least label on its
-    whole cycle under each generator (by the generator's powers 1, 2, 4, ...
-    up to its order), then jumps every label to its label's label.
+    moves[i] is generators[i]'s action on the points, so its order divides the
+    generator's.  Orbits are numbered 0, 1, ... in the order of their first
+    point.  Union-find by minimum-label propagation: a round takes every label
+    to the least label on its whole cycle under each move (by the move's
+    powers 1, 2, 4, ... up to the generator's order), then jumps every label
+    to its label's label.
     """
-    label = np.arange(arc_count(n), dtype=np.int32)
-    if not generators:
-        return label
-    sources = _arc_sources(n)
-    moves = []
-    for g, images in zip(generators, permute_masks(generators, n)):
-        move = arc_position(n, images[sources], np.asarray(g)[:, None]).astype(np.int32).ravel()
+    label = np.arange(size, dtype=np.int32)
+    powers = []
+    for g, move in zip(generators, moves):
         for _ in range((_order(g) - 1).bit_length()):
-            moves.append(move)
+            powers.append(move)
             move = move[move]
+    if not powers:
+        return label
     while True:
         before = label
         label = label.copy()
-        for move in moves:
+        for move in powers:
             np.minimum(label, label[move], out=label)
         label = label[label]
         if np.array_equal(label, before):
             first = label == np.arange(len(label), dtype=np.int32)
             return (np.cumsum(first, dtype=np.int32) - 1)[label]
+
+
+def arc_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
+    """Orbit of every arc, in arc_index order, under the group the generators generate.
+
+    Each generator moves arc (S, j) to (g(S), g(j)).  Orbits are numbered in
+    the order of their first arc.
+    """
+    moves = []
+    if generators:
+        sources = _arc_sources(n)
+        moves = [arc_position(n, images[sources], np.asarray(g)[:, None]).astype(np.int32).ravel()
+                 for g, images in zip(generators, permute_masks(generators, n))]
+    return _orbit_labels(arc_count(n), generators, moves)
+
+
+def variable_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
+    """Orbit of every variable (0-based) under the group the generators generate.
+
+    Orbits are numbered in the order of their least variable.
+    """
+    return _orbit_labels(n, generators, [np.asarray(g, dtype=np.int32) for g in generators])
 
 
 def _order(g: Sequence[int]) -> int:

@@ -101,30 +101,6 @@ def hidden_shift_witness(n: int, target: str = "hidden_shift") -> DualWitness:
 
 
 @dataclass(frozen=True)
-class EdgeSubset:
-    """A subset of the C(n,2) edge variables with an adjacency view."""
-
-    vertices: int
-    mask: int
-
-    def has_edge(self, u: int, v: int) -> bool:
-        bit = triangle_edge_index(self.vertices, u, v) - 1
-        return bool((self.mask >> bit) & 1)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for u in range(1, self.vertices + 1) if u != v and self.has_edge(u, v))
-
-    def common_neighbors(self, u: int, v: int) -> tuple[int, ...]:
-        return tuple(
-            w for w in range(1, self.vertices + 1)
-            if w not in (u, v) and self.has_edge(w, u) and self.has_edge(w, v)
-        )
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-
-@dataclass(frozen=True)
 class TriangleWitnessConfig:
     """Degree levels for the triangle witness.
 
@@ -146,12 +122,6 @@ class TriangleWitnessConfig:
             )
         if self.level_count != 1 + len(self.level_ds):
             raise ParameterError("level_count must count the first level plus the rest")
-
-    @property
-    def interval_bounds(self) -> tuple[float, ...]:
-        bounds = [0.0, self.threshold]
-        bounds.extend(2.0 * d for d in self.level_ds)
-        return tuple(bounds)
 
     @classmethod
     def for_vertices(cls, n: int) -> "TriangleWitnessConfig":

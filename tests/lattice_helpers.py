@@ -2,9 +2,12 @@
 
 An arc is its (source, j) pair and a subset its bitmask or its 1-based members;
 each builder places the given values at structures.arc_index or the subset's
-bitmask and leaves every other entry zero (or fill).
+bitmask and leaves every other entry zero (or fill).  EdgeSubset reads a
+subset of triangle edge variables as a graph, an oracle for the triangle
+witness.
 """
 
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -45,3 +48,27 @@ def is_upward_closed(member_row: np.ndarray, n: int) -> bool:
         if np.any(member_row[lower] & ~member_row[lower | (1 << j)]):
             return False
     return True
+
+
+@dataclass(frozen=True)
+class EdgeSubset:
+    """A subset of the C(n,2) edge variables with an adjacency view."""
+
+    vertices: int
+    mask: int
+
+    def has_edge(self, u: int, v: int) -> bool:
+        bit = st.triangle_edge_index(self.vertices, u, v) - 1
+        return bool((self.mask >> bit) & 1)
+
+    def degree(self, v: int) -> int:
+        return sum(1 for u in range(1, self.vertices + 1) if u != v and self.has_edge(u, v))
+
+    def common_neighbors(self, u: int, v: int) -> tuple[int, ...]:
+        return tuple(
+            w for w in range(1, self.vertices + 1)
+            if w not in (u, v) and self.has_edge(w, u) and self.has_edge(w, v)
+        )
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()

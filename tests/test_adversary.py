@@ -720,6 +720,17 @@ def _ksubset_pair(q):
     return ar.build_bounded_instance(cert, q), lg.normalize_witness(wt.ksubset_witness(3, 2), cert)
 
 
+# ksubset(3,2) reports: gamma, the masked norm (every j), ratio, part norms, hat and prime
+_KSUBSET_REPORTS = {
+    8: (1.6552028818887272, 0.8084551705385612, 2.0473650762677362,
+        (1.0, 0.5619590824849952), 1.1470823904094152, 0.884349823581666),
+    12: (1.7764775057123132, 0.9099454640356921, 1.9522900832248469,
+         (0.9999999999999999, 0.5619590824849952), 1.147082390409415, 0.965713598419867),
+    16: (1.8377247671506844, 0.9651672366685415, 1.9040480212464954,
+         (0.9999999999999998, 0.5619590824849952), 1.1470823904094152, 1.0090278929559204),
+}
+
+
 def _direct_masked_norms(inst, witness):
     gamma = adv.assemble(witness, inst)
     return [adv.spectral_norm(adv.hadamard_mask(gamma, j)).norm for j in range(1, inst.n + 1)]
@@ -779,10 +790,27 @@ class TestMaskedNormReuse:
         for norms in (rep.per_j_norms, bn.masked_norms):
             assert norms == pytest.approx(direct, rel=1e-12, abs=0)
 
-    def test_every_transposition_is_a_symmetry_of_ksubset(self):
+    @pytest.mark.parametrize("q", [8, 12, 16])
+    def test_report_matches_pinned_values(self, q):
+        inst, witness = _ksubset_pair(q)
+        rep = adv.adversary_ratio(inst, witness)
+        bn = adv.bounded_norm_certificates(inst, witness, 1)
+        gamma, masked, ratio, parts, hat, prime = _KSUBSET_REPORTS[q]
+        assert rep.gamma_norm == pytest.approx(gamma, rel=1e-12, abs=0)
+        assert rep.per_j_norms == pytest.approx((masked,) * 3, rel=1e-12, abs=0)
+        assert bn.masked_norms == rep.per_j_norms
+        assert rep.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
+        assert bn.hat_part_norms == pytest.approx(parts, rel=1e-12, abs=0)
+        assert bn.hat_norm == pytest.approx(hat, rel=1e-12, abs=0)
+        assert bn.prime_norm == pytest.approx(prime, rel=1e-12, abs=0)
+
+    def test_both_declared_generators_are_kept_on_ksubset(self):
+        # the swap of variables 1 and 2 and the 3-cycle, which generate S_3
         inst, witness = _ksubset_pair(8)
-        for a, b in ((1, 2), (1, 3), (2, 3)):
-            assert adv._swap_is_symmetry(inst, witness, a, b)
+        generators = st.structure_symmetry(inst.cert).generators
+        assert len(generators) == 2
+        assert adv._instance_generators(inst, witness) == list(generators)
+        assert st.variable_orbits(inst.n, generators).tolist() == [0, 0, 0]
 
     def test_asymmetric_alpha_computes_every_norm(self, norm_calls):
         # certificate {1, 2} weights subset {1} above {2}; normalizing keeps it feasible
@@ -808,20 +836,67 @@ class TestMaskedNormReuse:
         assert rep.per_j_norms == pytest.approx(direct, rel=1e-12, abs=0)
         assert len({round(x, 6) for x in direct}) == inst.n
 
-    def test_asymmetric_x_or_certificates_refuse_the_swap(self):
+    def test_planted_asymmetric_x_drops_the_generators_it_breaks(self, norm_calls):
         inst, witness = _ksubset_pair(8)
+        swap, _ = st.structure_symmetry(inst.cert).generators  # and the 3-cycle
+
+        def with_x_sets(x_sets):
+            return ar.HardInstance(cert=inst.cert, q=inst.q, arrays=inst.arrays,
+                                   x_sets=x_sets, y_codes=inst.y_codes)
+
+        # X_{1,3} and X_{2,3} each lose one input, the swap of 1 and 2 of the other:
+        # the swap still maps the instance onto itself, the cycle does not
+        code = int(inst.x_sets[1][0])
+        digits = adv.decode([code], inst.q, inst.n)
+        twin = int(adv.encode(digits[:, [1, 0, 2]], inst.q)[0])
+        assert twin in inst.x_sets[2]
+        swapped = with_x_sets((inst.x_sets[0], inst.x_sets[1][inst.x_sets[1] != code],
+                               inst.x_sets[2][inst.x_sets[2] != twin]))
+        assert adv._instance_generators(swapped, witness) == [swap]
+        norms = adv._masked_norms(adv.assemble(witness, swapped), swapped, witness)
+        assert len(norm_calls) == 2  # variables 1 and 2 share an orbit
+        direct = _direct_masked_norms(swapped, witness)
+        assert norms == pytest.approx(direct, rel=1e-12, abs=0)
+        # X_{1,2} loses an input that the swap moves: both generators break
+        del norm_calls[:]
         digits = adv.decode(inst.x_sets[0], inst.q, inst.n)
-        moved = np.flatnonzero(digits[:, 0] != digits[:, 1])[0]  # swapping 1 and 2 moves it
-        x_sets = (np.delete(inst.x_sets[0], moved),) + inst.x_sets[1:]
-        skewed = ar.HardInstance(cert=inst.cert, q=inst.q, arrays=inst.arrays,
-                                 x_sets=x_sets, y_codes=inst.y_codes)
-        assert not adv._swap_is_symmetry(skewed, witness, 1, 2)
-        # {1, 2} and {1, 3}: swapping 1 and 2 sends {1, 3} to the absent {2, 3}
-        cert = st.CertificateStructure(3, inst.cert.certificates[:2])
+        moved = np.flatnonzero(digits[:, 0] != digits[:, 1])[0]
+        skewed = with_x_sets((np.delete(inst.x_sets[0], moved),) + inst.x_sets[1:])
+        assert adv._instance_generators(skewed, witness) == []
+        norms = adv._masked_norms(adv.assemble(witness, skewed), skewed, witness)
+        assert len(norm_calls) == inst.n
+        assert norms == pytest.approx(_direct_masked_norms(skewed, witness), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_structure_of_no_named_kind_computes_every_norm(self, norm_calls, count):
+        # a kind-less structure has the trivial group, even where a swap would be a symmetry
+        inst, witness = _ksubset_pair(8)
+        cert = st.CertificateStructure(3, inst.cert.certificates[:count])
+        plain = ar.build_bounded_instance(cert, 8)
+        part = lg.DualWitness(3, witness.alpha[:count])
+        assert adv._instance_generators(plain, part) == []
+        rep = adv.adversary_ratio(plain, part)
+        assert len(norm_calls) == 1 + inst.n
+        assert rep.per_j_norms == pytest.approx(_direct_masked_norms(plain, part),
+                                                rel=1e-12, abs=0)
+
+    def test_named_structure_breaking_its_group_is_refused(self):
+        # labelled ksubset(3, 2), but holding two of its three certificates
+        inst, witness = _ksubset_pair(8)
+        cert = st.CertificateStructure(3, inst.cert.certificates[:2], "ksubset", (3, 2))
         pair = ar.build_bounded_instance(cert, 8)
-        part = lg.DualWitness(3, witness.alpha[:2])
-        assert not adv._swap_is_symmetry(pair, part, 1, 2)
-        assert adv._swap_is_symmetry(pair, part, 2, 3)
+        with pytest.raises(StructuralError, match="maps certificate"):
+            adv.adversary_ratio(pair, lg.DualWitness(3, witness.alpha[:2]))
+
+    def test_triangle_four_takes_one_masked_norm(self, norm_calls):
+        # S_4 on the vertices moves every edge variable onto every other
+        cert = st.triangle_structure(4)
+        inst = ar.build_instance(cert, 4, [[ar.sum_array(4, 3)]] * len(cert))
+        witness = lg.normalize_witness(wt.triangle_witness(4), cert)
+        rep = adv.adversary_ratio(inst, witness)
+        assert len(norm_calls) == 2
+        assert rep.per_j_norms == pytest.approx(_direct_masked_norms(inst, witness),
+                                                rel=1e-12, abs=0)
 
     def test_memo_misses_on_another_instance(self):
         inst8, witness = _ksubset_pair(8)

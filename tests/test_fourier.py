@@ -189,18 +189,20 @@ class TestGeneralInstance:
         assert inst.q == 256               # alphabet is p^ell
 
     def test_component_sizes(self):
-        cert = st.hidden_shift_structure(2)
-        inst = fo.build_general_instance(cert, 8, seed=0)
-        assert inst.x_component_size(0, 1) == len(inst.biased_set) * 8 ** 3
-        assert inst.x_component_size(0, 2) == len(inst.biased_set) * 8 ** 3
-
-    def test_component_arrays_are_orthogonal(self):
+        # each of the two components keeps |U| p^(n-1) of the p^n vectors
         cert = st.hidden_shift_structure(2)
         inst = fo.build_general_instance(cert, 8, seed=0)
         for m in range(2):
-            for i in (1, 2):
-                rows = inst.component_rows(m, i)
-                assert len(rows) == len(inst.biased_set) * 8
+            assert inst.x_size(m) == (len(inst.biased_set) * 8 ** 3) ** 2
+
+    def test_component_arrays_are_orthogonal(self):
+        # component i's array over Z_p^ell keeps the rows whose i-th components sum into U
+        cert = st.hidden_shift_structure(2)
+        inst = fo.build_general_instance(cert, 4, seed=0)
+        hard = inst.to_hard_instance()
+        for m in range(2):
+            for rows in hard.arrays[m]:
+                assert len(rows) == len(inst.biased_set) * inst.q ** rows.k // inst.p
                 assert ar.verify_orthogonal_array(rows).ok
 
     def test_product_factorization_at_p4(self):
@@ -211,12 +213,12 @@ class TestGeneralInstance:
         hard = inst.to_hard_instance()
         for m in range(2):
             assert hard.x_size(m) == inst.x_size(m)
-            codes = hard.x_sets[m][:200]
-            digits = ar.decode(codes, inst.q, inst.n)
-            for row in digits:
-                for i in (1, 2):
-                    w = tuple(inst.symbol_component(int(s), i) for s in row)
-                    assert inst.in_x_component(m, i, w)
+            digits = ar.decode(hard.x_sets[m], inst.q, inst.n)
+            for i in (1, 2):
+                # component i (big-endian) of every symbol, summed over the i-th minimal set
+                w = digits // inst.p ** (inst.ell - i) % inst.p
+                members = [j - 1 for j in st.mask_members(inst.generator_mask(m, i))]
+                assert inst.biased_set.indicator()[w[:, members].sum(axis=1) % inst.p].all()
 
     def test_orthogonality_exhaustive_at_p4(self):
         cert = st.hidden_shift_structure(2)

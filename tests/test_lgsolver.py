@@ -118,7 +118,7 @@ class TestFlowResiduals:
 
     def test_zero_flow_misses_source_constraint(self):
         cert = single_certificate_structure()
-        flow = lg.FlowAssignment.zeros(1, 1)
+        flow = flow_from_entries(1, 1, {})
         assert lg.flow_residuals(cert, flow) == {(0, 0): -1.0}
 
     def test_one_subset_n2_unit_flows(self):
@@ -142,7 +142,7 @@ class TestConstraintValues:
         assert lg.primal_constraint_values(flow, weights) == pytest.approx([1.0])
 
     def test_zero_over_zero_is_zero(self):
-        flow = lg.FlowAssignment.zeros(1, 1)
+        flow = flow_from_entries(1, 1, {})
         weights = lg.WeightAssignment(1, np.zeros(1))
         assert lg.primal_constraint_values(flow, weights) == pytest.approx([0.0])
 

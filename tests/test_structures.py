@@ -287,11 +287,14 @@ class TestSymmetry:
         cert = st.build_named_structure(kind, params)
         symmetry = st.structure_symmetry(cert)
         keys = {c.minimal_sets for c in cert.certificates}
-        for g in symmetry.generators:
+        index = {c.minimal_sets: m for m, c in enumerate(cert.certificates)}
+        assert symmetry.images.shape == (len(symmetry.generators), len(cert))
+        for g, sigma in zip(symmetry.generators, symmetry.images):
             assert sorted(g) == list(range(cert.n))
-            images = {tuple(sorted(image_of(m, g) for m in c.minimal_sets))
-                      for c in cert.certificates}
-            assert images == keys
+            images = [tuple(sorted(image_of(m, g) for m in c.minimal_sets))
+                      for c in cert.certificates]
+            assert set(images) == keys
+            assert sigma.tolist() == [index[image] for image in images]
         # every named structure is one orbit, and carry[m] maps certificate 0 onto m
         assert symmetry.orbit_count == 1
         assert not symmetry.representative.any()
@@ -363,6 +366,25 @@ class TestSymmetry:
         assert orbit_of_first == set(np.flatnonzero(labels == 0).tolist())
         first_arcs = np.unique(labels, return_index=True)[1]
         assert np.all(np.diff(first_arcs) > 0)
+
+    @pytest.mark.parametrize("kind,params,orbits", [
+        ("ksubset", (4, 2), [0, 0, 0, 0]),
+        ("triangle", (4,), [0] * 6),
+        ("hidden_shift", (3,), [0, 0, 0, 1, 1, 1]),
+        ("set_equality", (2,), [0, 0, 1, 1]),
+        ("collision", (2,), [0, 0, 0, 0]),
+    ])
+    def test_variable_orbits(self, kind, params, orbits):
+        cert = st.build_named_structure(kind, params)
+        generators = st.structure_symmetry(cert).generators
+        assert st.variable_orbits(cert.n, generators).tolist() == orbits
+        assert st.variable_orbits(cert.n, ()).tolist() == list(range(cert.n))
+
+    def test_variable_orbits_of_some_generators(self):
+        # hidden_shift(3)'s left shift alone fixes every variable on the right
+        left, right = st.structure_symmetry(st.hidden_shift_structure(3)).generators
+        assert st.variable_orbits(6, [left]).tolist() == [0, 0, 0, 1, 2, 3]
+        assert st.variable_orbits(6, [right]).tolist() == [0, 1, 2, 3, 3, 3]
 
     def test_triangle_six_has_572_arc_orbits(self):
         cert = st.triangle_structure(6)

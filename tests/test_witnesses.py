@@ -14,6 +14,8 @@ from lgcomplexity import structures as st
 from lgcomplexity import witnesses as wt
 from lgcomplexity.errors import CapacityError, ParameterError
 
+from lattice_helpers import EdgeSubset
+
 
 class TestKsubsetWitness:
     def test_objective_4_1(self):
@@ -158,10 +160,10 @@ class TestTriangleConfig:
         for n in (4, 5, 6, 7):
             config = wt.TriangleWitnessConfig.for_vertices(n)
             assert config.threshold == pytest.approx(n ** (3 / 7))
-            assert config.interval_bounds[0] == 0.0
-            assert config.interval_bounds[-1] >= n
-            # doubling boundaries
-            for lo, hi in zip(config.interval_bounds[1:-1], config.interval_bounds[2:]):
+            # level 2 starts at the threshold, each level doubles, and the last tops n
+            assert config.level_ds[0] == config.threshold
+            assert 2 * config.level_ds[-1] >= n
+            for lo, hi in zip(config.level_ds, config.level_ds[1:]):
                 assert hi == pytest.approx(2 * lo)
 
     def test_rejects_short_cover(self):
@@ -176,7 +178,7 @@ class TestEdgeSubset:
         edge_map = st.triangle_edge_map(n)
         for _ in range(20):
             mask = int(rng.integers(0, 1 << len(edge_map)))
-            view = wt.EdgeSubset(n, mask)
+            view = EdgeSubset(n, mask)
             edges = {edge_map[i] for i in range(len(edge_map)) if (mask >> i) & 1}
             for v in range(1, n + 1):
                 assert view.degree(v) == sum(1 for (a, b) in edges if v in (a, b))
@@ -249,7 +251,7 @@ class TestTriangleWitness:
             mask = int(rng.integers(0, 1 << witness.n))
             ci = int(rng.integers(0, len(triples)))
             a, b, c = triples[ci]
-            view = wt.EdgeSubset(n, mask)
+            view = EdgeSubset(n, mask)
             present = {
                 (x, y): view.has_edge(x, y)
                 for (x, y) in ((a, b), (a, c), (b, c))
@@ -275,3 +277,22 @@ class TestTriangleWitness:
                 base = n ** (-3 / 14) - n ** (-1.5) * len(view)
                 expected = max(base - g, 0.0)
             assert witness.alpha[ci, mask] == pytest.approx(expected, abs=1e-12)
+
+
+class TestEquivariance:
+    """alpha[sigma(m)][g(S)] == alpha[m][S] exactly for each declared generator g of the kind."""
+
+    @pytest.mark.parametrize("kind,params", (
+        [("ksubset", (n, k)) for n in range(2, 7) for k in range(1, n + 1)]
+        + [("hidden_shift", (n,)) for n in (2, 3, 4)]
+        + [("triangle", (v,)) for v in (4, 5, 6)]
+    ), ids=str)
+    def test_witness_is_invariant_under_the_declared_generators(self, kind, params):
+        structure = st.build_named_structure(kind, params)
+        alpha = {"ksubset": wt.ksubset_witness, "hidden_shift": wt.hidden_shift_witness,
+                 "triangle": wt.triangle_witness}[kind](*params).alpha
+        symmetry = st.structure_symmetry(structure)
+        assert symmetry.generators
+        for sigma, masks in zip(symmetry.images,
+                                st.permute_masks(symmetry.generators, structure.n)):
+            assert np.array_equal(alpha[sigma][:, masks], alpha)
