@@ -30,17 +30,17 @@ Solvers:
     permutations against the certificate set; only the least certificate of
     each orbit gets a Laplacian, and every other certificate's potentials are
     its representative's, read through the permuted masks, by one gather at
-    each gap evaluation and for the returned flows, mu and nu.  This is exact
+    each gap evaluation and for the returned flows and mu.  This is exact
     because the weights are invariant by construction: they are fitted on one
     column per arc orbit (structures.arc_orbits) and copied to every arc of
     the orbit.  A structure without generators is the trivial group, every
     certificate and arc its own orbit, on the same code path.
     Given flows, weights take the stationary form w_e = sqrt(sum_M mu_M
-    p_e(M)^2) with the multipliers mu, constant on certificate orbits,
-    fitted by multiplicative updates.  Each update first sets mu's overall
-    scale to its closed-form optimum, and the fit stops once its certified
-    relative gap max_M sum_e p_e(M)^2 / w_e - 1 is at most 1e-12 (at most
-    200 steps).
+    p_e(M)^2) with the multipliers mu, constant on certificate orbits, by
+    one multiplicative step per iteration: mu's overall scale is set to its
+    closed-form optimum, the weights are rescaled so the largest constraint
+    is exactly 1, and mu, moved by the constraint values, is carried to the
+    next iteration.  With one certificate orbit the move is by exactly 1.
     The alternation has restarted momentum: the flows are solved at the
     extrapolated weights w (w / w_prev)^_MOMENTUM, w_prev being the previous
     fitted weights, and whenever the fitted objective fails to fall, w_prev is
@@ -115,7 +115,6 @@ _SOLVE_RESIDUAL = 1e-12              # max |L x - b| accepted from CG
 # crossover lies near 128 nodes, and the cut stays at 200 so that no structure changes path
 _DENSE_NODE_CUT = 200
 _STACK_BYTES = 32 << 20              # largest stacked dense Laplacian array
-_WEIGHT_STEPS = 200                  # most multiplier steps in one weight fit
 # exponent of the weight-ratio extrapolation in solve_primal, measured to the 1e-6 certified
 # gap on 2 cores: 0.8 takes the duality-ladder structures 40, 30, 170 and 30 iterations (1720,
 # 40, 1410 and 30 without momentum) and certifies ksubset(n,1) up to n = 10, ksubset(5..6, 2..3),
@@ -218,7 +217,6 @@ class PrimalSolution:
     weights: WeightAssignment
     objective: float
     mu: np.ndarray                 # per-certificate constraint multipliers, >= 0
-    nu: np.ndarray                 # 2 mu_M times the potentials of the last flow solve
     iterations: int
     converged: bool                # the certified gap reached SolverParams.tolerance
     residual: float                # certified relative gap (primal - dual) / primal to witness
@@ -640,7 +638,7 @@ class _CertificateOrbits:
         weight, which makes w exactly invariant.  Returns (w per arc, mass).
         """
         p2 = np.add.reduceat((p ** 2)[:, self._arc_order], self._starts, axis=1)
-        fitted, mass, _ = _optimize_weights(p2 * self.size, mass)
+        fitted, mass = _optimize_weights(p2 * self.size, mass)
         return (fitted / self.size)[self.arc_orbit], mass
 
     def multipliers(self, mass: np.ndarray) -> np.ndarray:
@@ -653,35 +651,28 @@ class _CertificateOrbits:
 
 
 def _optimize_weights(p2: np.ndarray, mu: np.ndarray):
-    """Fit w_e = sqrt(sum_M mu_M p_e(M)^2) so every constraint value is <= 1, max tight.
+    """One step of w_e = sqrt(sum_M mu_M p_e(M)^2), rescaled so the largest constraint is 1.
 
-    Multiplicative ascent on the concave multiplier dual
+    A multiplicative ascent step on the concave multiplier dual
     2 sum_e sqrt(sum_M mu_M p_e(M)^2) - sum_M mu_M.  Its value at lambda*mu has
-    a closed-form best lambda, so each step first sets mu's scale: with
-    s = sqrt(mu @ p2) and c = sum(s) / sum(mu), mu becomes c^2 mu and w = c s.
-    At that scale sum_M mu_M vals_M = sum_M mu_M = sum_e w_e, so max_M vals_M - 1
-    is the certified relative gap of the fit for the given flows; the steps stop
-    once it is at most 1e-12, or after _WEIGHT_STEPS steps.  The final
-    rescale makes the largest constraint exactly 1, which any optimal weighting
-    must.  Returns (w, mu, steps taken), with w before the rescale equal to
-    sqrt(mu @ p2) up to the weight floor.
+    a closed-form best lambda, so the step first sets mu's scale: with
+    s = sqrt(mu @ p2) and c = sum(s) / sum(mu), w = c s up to the weight floor.
+    The rescale by the largest constraint value makes the weights feasible and
+    tight.  Returns (w, c^2 mu vals / max(vals)): the multipliers moved by the
+    constraint values, which solve_primal carries to its next iteration.  With
+    a single certificate vals / max(vals) is exactly 1.
     """
     totals = p2.sum(axis=1)
     if not totals.any():
-        return np.zeros(p2.shape[1]), mu, 0
+        return np.zeros(p2.shape[1]), mu
     mu = np.where(totals > 0, np.maximum(mu, 1e-300), 0.0)
-    for steps in range(1, _WEIGHT_STEPS + 1):
-        s = np.sqrt(mu @ p2)
-        scale = s.sum() / mu.sum()
-        mu = mu * scale ** 2
-        w = s * scale
-        w = np.maximum(w, _WEIGHT_FLOOR * max(1.0, float(w.max(initial=0.0))))
-        vals = (p2 / w).sum(axis=1)
-        top = float(vals.max())
-        if top <= 1.0 + 1e-12 or steps == _WEIGHT_STEPS:
-            break
-        mu = mu * vals           # a certificate without flow keeps mu = 0
-    return w * top, mu, steps
+    s = np.sqrt(mu @ p2)
+    scale = s.sum() / mu.sum()
+    w = _conductances(s * scale)
+    vals = (p2 / w).sum(axis=1)
+    top = float(vals.max())
+    # a certificate without flow keeps mu = 0
+    return w * top, mu * scale ** 2 * (vals / top)
 
 
 def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams()) -> PrimalSolution:
@@ -729,7 +720,6 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
         weights=WeightAssignment(n, w.copy()),
         objective=objective,
         mu=mu,
-        nu=2.0 * mu[:, None] * expanded,
         iterations=iterations,
         converged=converged,
         residual=residual,

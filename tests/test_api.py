@@ -34,7 +34,7 @@ LIBRARY_SURFACE = {
     "MinimalProfile": ["counts", "max_count", "boundedly_generated", "generator_bound"],
     "OrthogonalArray": ["q", "k", "rows"],
     "ParameterError": None,
-    "PrimalSolution": ["flow", "weights", "objective", "mu", "nu", "iterations", "converged",
+    "PrimalSolution": ["flow", "weights", "objective", "mu", "iterations", "converged",
                        "residual", "witness"],
     "SolverParams": ["tolerance", "max_iterations", "seed"],
     "SpectralReport": ["norm", "iterations", "residual", "method"],

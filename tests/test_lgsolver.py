@@ -233,55 +233,70 @@ class TestSolvePrimal:
 
 
 class TestOptimizeWeights:
-    def test_certified_stop_with_a_zero_multiplier(self):
+    def test_repeated_steps_reach_the_fit_with_a_zero_multiplier(self):
         # the optimal mu of the {1 or 2 or 3} certificate is 0, so no
-        # constraint test of the form |vals_M - 1| < tol can end the fit
+        # constraint test of the form |vals_M - 1| < tol can tell the fit is done
         cert = structure(3, [(3,)], [(2,)], [(1,), (2,), (3,)], [(3,)])
         sol = lg.solve_primal(cert, lg.SolverParams(max_iterations=5))
         p2 = sol.flow.values ** 2
-        w, _, steps = lg._optimize_weights(p2, np.ones(len(cert)))
-        assert steps <= 60
-        assert w.sum() == pytest.approx(fit_without_stop(p2, 5000).sum(), abs=1e-10)
+        target = fit_without_stop(p2, 5000).sum()
+        mu = np.ones(len(cert))
+        for _ in range(60):
+            w, mu = lg._optimize_weights(p2, mu)
+            if abs(w.sum() - target) <= 1e-10:
+                break
+        assert w.sum() == pytest.approx(target, abs=1e-10)
 
     @pytest.mark.parametrize("scale", [1.0, 7.0])
     def test_one_step_on_warm_started_ksubset(self, scale):
-        # mu's overall scale is set in closed form, so any multiple of a
-        # converged mu fits in one step
+        # mu's overall scale is set in closed form, so one step on any multiple
+        # of a converged mu gives the converged weights
         sol = lg.solve_primal(st.ksubset_structure(4, 1))
-        _, _, steps = lg._optimize_weights(sol.flow.values ** 2, scale * sol.mu)
-        assert steps == 1
+        w, _ = lg._optimize_weights(sol.flow.values ** 2, scale * sol.mu)
+        assert_close_relative(w, sol.weights.values, 1e-12)
 
     def test_closed_form_scale_and_tight_rescale(self):
-        # at this seed the fit ends at the 200-step cap, not at the certified stop
         rng = np.random.default_rng(5)
         p2 = rng.uniform(0.0, 1.0, (4, 12)) ** 2
         p2[2] = 0.0
-        w, mu, _ = lg._optimize_weights(p2, np.ones(4))
+        w, mu = lg._optimize_weights(p2, np.ones(4))
         assert mu[2] == 0.0
         values = (p2 / w).sum(axis=1)
         assert abs(values.max() - 1.0) <= 1e-15
-        # the returned mu is at its optimal scale: w before the rescale is
-        # sqrt(mu @ p2), whose total equals sum(mu)
-        unscaled = np.sqrt(mu @ p2)
-        assert np.allclose(w, unscaled * (p2 / unscaled).sum(axis=1).max(), rtol=1e-12, atol=0)
-        assert mu.sum() == pytest.approx(unscaled.sum(), rel=1e-12)
+        # before the rescale, w is the floored c s with s = sqrt(mu @ p2) and
+        # c = sum(s) / sum(mu), the certificate without flow counting as mu = 0
+        active = np.array([1.0, 1.0, 0.0, 1.0])
+        s = np.sqrt(active @ p2)
+        c = s.sum() / active.sum()
+        unscaled = lg._conductances(c * s)
+        vals = (p2 / unscaled).sum(axis=1)
+        top = vals.max()
+        assert np.array_equal(w, unscaled * top)
+        # at that scale sum(c^2 mu) = sum(w), and mu moves by vals / top
+        assert (active * c ** 2).sum() == pytest.approx(unscaled.sum(), rel=1e-12)
+        assert np.array_equal(mu, active * c ** 2 * (vals / top))
 
-    def test_ladder_iterations_and_one_step_per_fit(self, monkeypatch):
+    def test_ladder_iterations_and_exact_rescale_per_fit(self, monkeypatch):
+        # one certificate orbit: every fit returns c^2 times its input mu
+        # exactly, so the step does the same arithmetic as a bare rescale
         fit = lg._optimize_weights
-        steps = []
+        fits = []
 
-        def counted(*args):
-            result = fit(*args)
-            steps.append(result[2])
+        def recorded(p2, mu):
+            result = fit(p2, mu)
+            fits.append((p2, mu, result[1]))
             return result
 
-        monkeypatch.setattr(lg, "_optimize_weights", counted)
+        monkeypatch.setattr(lg, "_optimize_weights", recorded)
         for kind, params, iterations in [("ksubset", (4, 1), 40), ("ksubset", (4, 2), 30),
                                          ("hidden_shift", (3,), 170), ("collision", (2,), 30)]:
-            steps.clear()
+            fits.clear()
             sol = lg.solve_primal(st.build_named_structure(kind, params))
             assert sol.iterations == iterations
-            assert steps == [1] * iterations
+            assert len(fits) == iterations
+            for p2, mu, mu_out in fits:
+                c = np.sqrt(mu @ p2).sum() / mu.sum()
+                assert np.array_equal(mu_out, mu * c ** 2)
 
 
 class TestDualObjective:
@@ -599,6 +614,7 @@ class TestAsymmetricWitness:
             assert lg.dual_feasibility_margin(cert, rep.witness) <= 1.0 + 1e-12
             assert rep.primal.converged, cert
             assert rep.relative_gap <= lg.SolverParams().tolerance, cert
+            assert rep.primal.iterations <= 300, cert
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 3, 4, 5])
     def test_returned_weights_are_the_fit_to_the_returned_flows(self, monkeypatch, max_iterations):
@@ -907,7 +923,7 @@ class TestCertificateOrbits:
         assert np.array_equal(orbits.potentials(potential), potential)
         mu = np.array([0.5, 2.0, 1.5])
         w, mass = orbits.fit(p, mu)
-        expected, expected_mu, _ = lg._optimize_weights(p ** 2, mu)
+        expected, expected_mu = lg._optimize_weights(p ** 2, mu)
         assert np.array_equal(w, expected) and np.array_equal(mass, expected_mu)
 
     @pytest.mark.parametrize("kind,params", [("ksubset", (6, 2)), ("triangle", (4,))])
