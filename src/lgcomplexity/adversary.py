@@ -54,6 +54,7 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: loaded here, the first seeded call does not pay it
 
 from .errors import (
     CapacityError,

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+# numpy loads these two lazily: loaded here, the first transform or seeded draw does not pay it
+import numpy.fft
+import numpy.random
 
 from .arrays import HardInstance, OrthogonalArray
 from .errors import CapacityError, ParameterError, StructuralError

@@ -11,30 +11,22 @@ Solvers:
   * solve_primal - alternating minimization.  Given weights, each certificate's
     minimum-energy unit flow is an electrical flow (weighted-Laplacian solve on
     the lattice with the certificate's member sets grounded as a super-sink).
-    The Laplacian patterns of the certificates solved (one per orbit, below)
-    are built once per solve_primal call, grouped by the number of
-    non-member subsets.  Up to _DENSE_NODE_CUT
-    of them a group is solved dense, by one stacked np.linalg.solve per
-    array of at most _STACK_BYTES.  Above it the group is one block-diagonal
-    CSR matrix whose every row has n + 1 entries (the node and its n lattice
-    neighbours, a grounded neighbour as a zero on the node itself), solved by
-    Jacobi-preconditioned CG with the certificates' recurrences in lockstep:
-    one sparse product per step for the whole group, a converged certificate
-    frozen while the others go on.  A certificate's answer is kept only when
-    it converged and its recomputed residual max|L x - b| is at most 1e-12;
-    otherwise the refused certificates get one more PCG on their true
-    residual b - L x, and a certificate still refused is solved alone by
-    sparse LU.
-    Symmetric structures are solved one certificate orbit at a time.
-    structures.structure_symmetry checks the named kind's variable
-    permutations against the certificate set; only the least certificate of
-    each orbit gets a Laplacian, and every other certificate's potentials are
-    its representative's, read through the permuted masks, by one gather at
-    each gap evaluation and for the returned flows and mu.  This is exact
-    because the weights are invariant by construction: they are fitted on one
-    column per arc orbit (structures.arc_orbits) and copied to every arc of
-    the orbit.  A structure without generators is the trivial group, every
-    certificate and arc its own orbit, on the same code path.
+    The weights are invariant under the structure's checked symmetry group
+    (structures.structure_symmetry) by construction: they are fitted on one
+    column per arc orbit (structures.arc_orbits) and held as one value per
+    orbit.  So only the least certificate of each certificate orbit is solved,
+    on the quotient of its lattice by its stabilizer (_Quotient): the nodes
+    are the stabilizer's orbits of non-member subsets, the arc classes carry
+    their arc counts, and an iteration costs one pass over the classes.
+    Quotients of up to _DENSE_NODE_CUT nodes are solved dense, larger ones by
+    batched Jacobi-preconditioned CG with a residual check, one refinement
+    and a sparse LU fallback; only that path imports scipy.sparse.  No
+    full-lattice array is touched between gap evaluations: there every
+    certificate's potentials are its representative's, lifted through the
+    node labels and read through the permuted masks by one gather, for the
+    witness, the returned flows and mu.  A structure without generators is
+    the trivial group, every certificate, subset and arc its own orbit, on
+    the same code path.
     Given flows, weights take the stationary form w_e = sqrt(sum_M mu_M
     p_e(M)^2) with the multipliers mu, constant on certificate orbits, by
     one multiplicative step per iteration: mu's overall scale is set to its
@@ -67,9 +59,9 @@ Solvers:
 
 Flows and weights are arrays over arcs in structures.arc_index order, which is
 direction-major: they reshape without a copy to (..., n, 2^(n-1)), and alpha is
-an array over subset bitmasks.  The kernels that walk the arcs every iteration
-(_arc_flows, _arc_load_max, _node_degrees) and the conservation residuals read
-one strided view of the subset axis per direction, through no index array.
+an array over subset bitmasks.  The kernels that walk the whole lattice at a gap
+evaluation (_arc_flows, _arc_load_max) and the conservation residuals read one
+strided view of the subset axis per direction, through no index array.
 
 The primal is validated globally by the certified duality gap, which is also
 its stopping rule, not by a convergence proof.  SolverParams.seed is accepted
@@ -85,7 +77,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     CapacityError,
@@ -96,13 +87,15 @@ from .errors import (
 )
 from .structures import (
     CertificateStructure,
+    arc_arrays,
     arc_count,
     arc_orbits,
-    arc_position,
     mask_members,
     membership_table,
     permute_masks,
+    stabilizer_generators,
     structure_symmetry,
+    subset_orbits,
 )
 
 _WEIGHT_FLOOR = 1e-14
@@ -112,7 +105,8 @@ _SOLVE_RESIDUAL = 1e-12              # max |L x - b| accepted from CG
 # groups at uniform(0.1, 2) weights (quartiles of 12 draws): 0.23-0.26 vs 0.25-0.28 ms at 128
 # nodes (ksubset(8,1)), 0.92-1.01 vs 0.31-0.33 ms at 256 (ksubset(9,1)), 2.6-2.9 vs
 # 0.36-0.40 ms at 384 (ksubset(9,2)), 4.3-5.4 vs 0.39-0.55 ms at 512 (ksubset(10,1)); the
-# crossover lies near 128 nodes, and the cut stays at 200 so that no structure changes path
+# crossover lies near 128 nodes, and the cut stays at 200.  It counts quotient nodes, so
+# every symmetric structure of the benchmark is solved dense
 _DENSE_NODE_CUT = 200
 _STACK_BYTES = 32 << 20              # largest stacked dense Laplacian array
 # exponent of the weight-ratio extrapolation in solve_primal, measured to the 1e-6 certified
@@ -383,117 +377,205 @@ def normalize_witness(witness: DualWitness, cert: CertificateStructure) -> DualW
 # ---------------------------------------------------------------------------
 # primal solver
 
-class _LaplacianGroup:
-    """Grounded Laplacians of certificates with equal numbers of non-member subsets.
+class _Quotient:
+    """Each representative's grounded lattice, collapsed to the orbits of its stabilizer.
 
-    Certificate M's rows and columns are its non-member subsets in ascending
-    mask order, so the empty set is node 0.  The pattern of every certificate
-    is built once, with per-certificate offsets; each solve only refills the
-    conductances.  Every lattice node has exactly n neighbours S ^ {j}, so
-    row S holds n + 1 entries, S itself and then its neighbours in j order; a
-    member neighbour is grounded, and its entry points back at S with value 0.
-    The diagonal sums the conductances of all n incident arcs.  entry gives
-    each entry's position in solve's table of values.
+    Row k of member is representative k's membership row, labels[k] the orbit
+    of every subset under its stabilizer (structures.subset_orbits), and
+    arc_orbit the orbit of every arc under the whole group.  The nodes are the
+    orbits of non-member subsets, numbered representative by representative
+    in the order of their least mask, so each one's empty set comes first;
+    lift[k, S] is the node of S, or for a member S the ground, whose index is
+    the node count.  An arc class is (tail node, head node or ground, arc
+    orbit), with the number of its arcs.  With conductances constant on arc
+    orbits the full lattice's potentials are constant on stabilizer orbits, so
+    shorting each orbit leaves them unchanged (Doyle and Snell): the quotient
+    Laplacian P^T L P, P the orbits' indicator, is the sum over the classes of
+    count c_O times the class's edge Laplacian, and its solution lifted
+    through P is the full lattice's.  Every arc of a class carries the flow
+    c_O (phi_tail - phi_head).  The trivial group's quotient is the lattice
+    itself, every node and class one subset or arc.
 
-    Up to _DENSE_NODE_CUT nodes the group is one stacked (count, size, size)
-    array, summed from the entries.  Above it the group is one block-diagonal
-    CSR matrix of the fixed-width rows.  _jacobi_pcg runs the certificates'
-    CG recurrences in lockstep on the stacked vector.  The certificates whose
-    answer is unconverged or has max|L x - b| above _SOLVE_RESIDUAL are
-    refined by one more _jacobi_pcg on their residual, and each one still
-    refused is solved again alone by sparse LU.
+    Representatives are grouped by node count.  Up to _DENSE_NODE_CUT nodes a
+    group is one stacked (count, size, size) array, split so that one array
+    holds at most _STACK_BYTES.  Above it the group is one block-diagonal CSR
+    matrix, solved by _jacobi_pcg with the representatives' CG recurrences in
+    lockstep.  A representative whose answer is unconverged or has
+    max|L x - b| above _SOLVE_RESIDUAL is refined by one more _jacobi_pcg on
+    its residual, and each one still refused is solved again alone by sparse
+    LU.  scipy.sparse is imported only there.  A representative whose empty
+    set is a member has no nodes and keeps zero flow and potential.
+    Index arrays are int32: PRIMAL_BYTE_CAP keeps every count below 2^31.
     """
 
-    def __init__(self, certs: np.ndarray, member: np.ndarray):
-        nonmember = ~member[certs]
-        lattice = nonmember.shape[1]
-        n = lattice.bit_length() - 1
-        self.count = count = len(certs)
-        self.size = size = int(nonmember[0].sum())
-        self.width = width = n + 1
-        k_node, node = np.nonzero(nonmember)
-        self.pot_at = certs[k_node] * lattice + node
-        # int32: PRIMAL_BYTE_CAP keeps count * 2^n below 2^31
-        rows = len(node)
-        node = node.astype(np.int32)
-        bits = np.arange(n, dtype=np.int32)
-        # the row of each (certificate, subset) pair; read only at non-members
-        row_of = np.cumsum(nonmember, dtype=np.int32) - 1
-        flat = (k_node.astype(np.int32) * np.int32(lattice))[:, None] + (
-            node[:, None] ^ (np.int32(1) << bits))
-        grounded = ~nonmember.reshape(-1)[flat]
-        indices = np.empty((rows, width), dtype=np.int32)
-        indices[:, 0] = np.arange(rows, dtype=np.int32)
-        indices[:, 1:] = np.where(grounded, indices[:, :1], row_of[flat])
-        # each entry's position in [node degrees (2^n), -conductances (arcs), 0]
-        entry = np.empty((rows, width), dtype=np.int32)
-        entry[:, 0] = node
-        entry[:, 1:] = np.where(grounded, lattice + arc_count(n),
-                                lattice + arc_position(n, node[:, None], bits))
-        self.entry = entry.reshape(-1)
-        if size > _DENSE_NODE_CUT:
-            self.indices = indices.reshape(-1)
-            self.indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
-            self.rhs = np.zeros((count, size))
+    def __init__(self, n: int, member: np.ndarray, labels, arc_orbit: np.ndarray):
+        self.shape = (len(member), int(arc_orbit.max()) + 1)
+        orbits = self.shape[1]
+        tail, _, head = arc_arrays(n)
+        self.lift = np.empty(member.shape, dtype=np.int32)
+        sizes, starts, bounds, columns = [], [], [0], [[] for _ in range(5)]
+        ground = 0
+        for k, (row, label) in enumerate(zip(member, labels)):
+            # the stabilizer fixes the membership row, so an orbit is all members or none
+            outside = np.zeros(int(label.max()) + 1, dtype=bool)
+            outside[label[~row]] = True
+            size = int(outside.sum())
+            lift = np.where(outside, np.cumsum(outside) - 1, -1)[label]    # -1 on members
+            a, b = lift[tail], lift[head]
+            # a member source has a member target: members are upward closed
+            keep = np.flatnonzero(a >= 0)
+            # (tail, head) ranked first, so that no key overflows int64
+            ends, pair = np.unique(a[keep] * (size + 1) + np.where(b[keep] < 0, size, b[keep]),
+                                   return_inverse=True)
+            classes, count = np.unique(pair * orbits + arc_orbit[keep], return_counts=True)
+            pair, orbit = np.divmod(classes, orbits)
+            a, b = np.divmod(ends[pair], size + 1)
+            for column, part in zip(columns, (
+                    a + ground, np.where(b < size, b + ground, -1), orbit, k * orbits + orbit,
+                    count)):
+                column.append(part.astype(np.int32))
+            self.lift[k] = np.where(lift < 0, -1, lift + ground)
+            sizes.append(size)
+            starts.append(ground)
+            bounds.append(bounds[-1] + len(classes))
+            ground += size
+        self.ground = ground
+        self.lift[self.lift < 0] = ground
+        # popped, so that each column's parts are freed once copied
+        (self.tail, self.head, self.orbit, self.slot,
+         self.multiplicity) = (np.concatenate(columns.pop(0)) for _ in range(5))
+        self.head[self.head < 0] = ground
+        sizes, starts, bounds = np.array(sizes), np.array(starts), np.array(bounds)
+        self.groups = []
+        for size in sorted(set(sizes[sizes > 0].tolist())):
+            blocks = np.flatnonzero(sizes == size)
+            step = (len(blocks) if size > _DENSE_NODE_CUT
+                    else max(1, _STACK_BYTES // (8 * size ** 2)))
+            for chunk in (blocks[i:i + step] for i in range(0, len(blocks), step)):
+                self.groups.append(_QuotientGroup(size, starts[chunk], bounds[chunk],
+                                                  bounds[chunk + 1], self))
+
+    def flow(self, w: np.ndarray):
+        """Every representative's unit electrical flow from the empty set into its member ground.
+
+        w holds one weight per arc orbit; the conductances are the weights,
+        floored.  Returns (sum over each arc orbit of the squared per-arc flows,
+        a (representatives, arc orbits) array; the quotient potentials, with
+        the ground's zero last).
+        """
+        c = _conductances(w)
+        nodes = self.ground + 1
+        # every temporary over the classes is dropped once used: without symmetry the
+        # classes are the arcs, and these arrays set the solve's peak memory
+        class_c = c[self.orbit]
+        class_c *= self.multiplicity
+        # the node degrees, then the negated class conductances
+        values = np.empty(nodes + len(class_c))
+        values[:nodes] = np.bincount(self.tail, class_c, minlength=nodes)
+        values[:nodes] += np.bincount(self.head, class_c, minlength=nodes)
+        np.negative(class_c, out=values[nodes:])
+        del class_c
+        potentials = np.zeros(nodes)
+        for group in self.groups:
+            group.solve(values, potentials)
+        del values
+        # each class's flow c_O (phi_tail - phi_head), squared and counted per arc, in place
+        p = potentials[self.tail]
+        p -= potentials[self.head]
+        p *= c[self.orbit]
+        p *= p
+        p *= self.multiplicity
+        p2 = np.bincount(self.slot, p, minlength=math.prod(self.shape))
+        return p2.reshape(self.shape), potentials
+
+
+class _QuotientGroup:
+    """The quotient Laplacians of representatives with equal node counts.
+
+    Block i holds the quotient's nodes starts[i] .. starts[i] + size - 1 and
+    its classes firsts[i] .. lasts[i] - 1.  Each row holds its node's degree
+    on the diagonal and minus the conductance of each class joining it to
+    another node, columns ascending (classes of the same two nodes are
+    repeated entries, which the products and the dense sum add); of gives
+    each entry's position in solve's values (node degrees, then negated
+    class conductances), and at its position in the stacked dense array.
+    """
+
+    def __init__(self, size: int, starts: np.ndarray, firsts: np.ndarray, lasts: np.ndarray,
+                 quotient: _Quotient):
+        self.size, self.count = size, len(starts)
+        self.nodes = (starts[:, None] + np.arange(size)).reshape(-1)
+        sparse = size > _DENSE_NODE_CUT
+        # the classes joining two nodes of each block; the others end at the ground
+        inner = [first + np.flatnonzero(quotient.head[first:last] != quotient.ground)
+                 for first, last in zip(firsts, lasts)]
+        entries = len(self.nodes) + 2 * sum(map(len, inner))
+        # filled block by block, so that no temporary spans the whole group
+        self.of = np.empty(entries, dtype=np.int32)
+        at = np.empty(entries, dtype=np.int32)                   # column, or dense position
+        row_length = np.empty(len(self.nodes), dtype=np.int32)
+        end = 0
+        for i, (start, classes) in enumerate(zip(starts, inner)):
+            t, h = quotient.tail[classes] - start, quotient.head[classes] - start
+            r = np.concatenate([np.arange(size), t, h])
+            c = np.concatenate([np.arange(size), h, t])
+            order = np.argsort(r * size + c)
+            negated = quotient.ground + 1 + classes
+            self.of[end:end + len(r)] = np.concatenate(
+                [start + np.arange(size), negated, negated])[order]
+            at[end:end + len(r)] = (i * size + c[order] if sparse
+                                    else (i * size + r[order]) * size + c[order])
+            row_length[i * size:(i + 1) * size] = np.bincount(r, minlength=size)
+            end += len(r)
+        if sparse:
+            self.indices = at
+            self.indptr = np.concatenate([[0], np.cumsum(row_length)]).astype(np.int32)
+            self.rhs = np.zeros((self.count, size))
         else:
-            # flat positions in the stacked array; a grounded entry adds 0 to its diagonal
-            self.dense_at = (np.arange(rows)[:, None] * size + indices % size).reshape(-1)
-            self.rhs = np.zeros((count, size, 1))
+            self.at = at
+            self.rhs = np.zeros((self.count, size, 1))
         self.rhs[:, 0] = 1.0
 
-    def solve(self, table: np.ndarray, potentials: np.ndarray) -> None:
-        """Write every certificate's potentials into the flat per-(certificate, subset) array.
-
-        table holds the node degrees, the negated conductances and a zero.
-        """
-        data = table[self.entry]
-        if self.size > _DENSE_NODE_CUT:
-            potentials[self.pot_at] = self._solve_sparse(data)
-            return
+    def solve(self, values: np.ndarray, potentials: np.ndarray) -> None:
+        """Write the group's quotient potentials into the flat potentials array."""
         count, size = self.count, self.size
-        lap = np.bincount(self.dense_at, weights=data, minlength=count * size * size)
-        x = np.linalg.solve(lap.reshape(count, size, size), self.rhs)
-        potentials[self.pot_at] = x.reshape(-1)
+        if size > _DENSE_NODE_CUT:
+            potentials[self.nodes] = self._solve_sparse(values)
+            return
+        lap = np.bincount(self.at, values[self.of], minlength=count * size * size)
+        potentials[self.nodes] = np.linalg.solve(lap.reshape(count, size, size),
+                                                 self.rhs).reshape(-1)
 
-    def _solve_sparse(self, data: np.ndarray) -> np.ndarray:
-        size, count, width, rhs = self.size, self.count, self.width, self.rhs
-        diag = data[::width].reshape(count, size)
-        lap = scipy.sparse.csr_matrix((data, self.indices, self.indptr),
+    def _solve_sparse(self, values: np.ndarray) -> np.ndarray:
+        import scipy.sparse  # only a quotient above _DENSE_NODE_CUT nodes needs it
+
+        size, count, rhs = self.size, self.count, self.rhs
+        diag = values[self.nodes].reshape(count, size)
+        lap = scipy.sparse.csr_matrix((values[self.of], self.indices, self.indptr),
                                       shape=(count * size, count * size))
         x, converged = _jacobi_pcg(lap, rhs, diag)
-        # the conservation residual at a non-member node is exactly +-(L x - b)
         r = rhs - (lap @ x.reshape(-1)).reshape(count, size)
         refused = np.flatnonzero(~(converged & (np.abs(r).max(axis=1) <= _SOLVE_RESIDUAL)))
         if len(refused):
             # one refinement: PCG on the refused blocks' true residual b - L x
-            lap = self._blocks(data, refused)
-            dx, converged = _jacobi_pcg(lap, r[refused], diag[refused])
+            blocks = _diagonal_blocks(lap, size, refused)
+            dx, converged = _jacobi_pcg(blocks, r[refused], diag[refused])
             x[refused] += dx
-            r = rhs[refused] - (lap @ x[refused].reshape(-1)).reshape(len(refused), size)
+            r = rhs[refused] - (blocks @ x[refused].reshape(-1)).reshape(len(refused), size)
             refused = refused[~(converged & (np.abs(r).max(axis=1) <= _SOLVE_RESIDUAL))]
         for k in refused:
             from scipy.sparse.linalg import spsolve  # imported only once a CG answer is refused
 
-            x[k] = spsolve(self._blocks(data, [k]), rhs[k])
+            x[k] = spsolve(_diagonal_blocks(lap, size, [k]), rhs[k])
         return x.reshape(-1)
 
-    def _blocks(self, data: np.ndarray, blocks) -> scipy.sparse.csr_matrix:
-        """The CSR matrix of the given certificates' diagonal blocks, owning its arrays.
 
-        spsolve sums the duplicate grounded entries in place, so no block may
-        share its arrays with the whole group's.
-        """
-        size, width = self.size, self.width
-        blocks = np.asarray(blocks)
-        rows = (blocks[:, None] * size + np.arange(size)).reshape(-1)
-        entries = (rows[:, None] * width + np.arange(width)).reshape(-1)
-        shift = np.repeat(((blocks - np.arange(len(blocks))) * size).astype(np.int32),
-                          size * width)
-        return scipy.sparse.csr_matrix(
-            (data[entries], self.indices[entries] - shift,
-             np.arange(0, len(entries) + 1, width, dtype=np.int32)),
-            shape=(len(rows), len(rows)),
-        )
+def _diagonal_blocks(lap, size: int, blocks):
+    """The block-diagonal CSR matrix of lap's given size x size diagonal blocks, copied."""
+    import scipy.sparse
+
+    return scipy.sparse.block_diag(
+        [lap[k * size:(k + 1) * size, k * size:(k + 1) * size] for k in blocks], format="csr")
 
 
 def _jacobi_pcg(lap, b: np.ndarray, diag: np.ndarray):
@@ -529,54 +611,8 @@ def _jacobi_pcg(lap, b: np.ndarray, diag: np.ndarray):
     return x, ~active
 
 
-class _StackedLaplacian:
-    """Every certificate's weighted Laplacian with its member sets grounded.
-
-    Certificates whose empty set is not a member are grouped by their number
-    of non-member subsets.  Dense groups are split so that one stacked array
-    holds at most _STACK_BYTES; certificates whose empty set is a member keep
-    zero flow and potential.
-    """
-
-    def __init__(self, n: int, member: np.ndarray):
-        self.n = n
-        self.shape = member.shape
-        sizes = (~member).sum(axis=1)
-        active = ~member[:, 0]
-        self.groups = []
-        for size in np.unique(sizes[active]):
-            certs = np.flatnonzero(active & (sizes == size))
-            step = (len(certs) if size > _DENSE_NODE_CUT
-                    else max(1, _STACK_BYTES // (8 * int(size) ** 2)))
-            self.groups += [_LaplacianGroup(certs[i:i + step], member)
-                            for i in range(0, len(certs), step)]
-
-    def flow(self, w: np.ndarray):
-        """Unit electrical flows from the empty set into each member super-sink.
-
-        Returns (per-certificate, per-arc flows; per-certificate, per-subset
-        potentials).  Conductances are the weights, floored; member nodes are
-        grounded, so flow conservation holds at every non-member node.
-        """
-        c = _conductances(w)
-        potentials = np.zeros(self.shape)
-        table = np.concatenate([_node_degrees(c, self.n), -c, [0.0]])
-        for group in self.groups:
-            group.solve(table, potentials.reshape(-1))
-        return _arc_flows(potentials, c), potentials
-
-
 def _conductances(w: np.ndarray) -> np.ndarray:
     return np.maximum(w, _WEIGHT_FLOOR * max(1.0, float(w.max(initial=0.0))))
-
-
-def _node_degrees(c: np.ndarray, n: int) -> np.ndarray:
-    """Each subset's sum of the conductances c on its n incident arcs, by view adds."""
-    degree = np.zeros(1 << n)
-    for j, cj in enumerate(c.reshape(n, -1)):
-        ends = degree.reshape(-1, 2, 1 << j)
-        ends += cj.reshape(-1, 1, 1 << j)
-    return degree
 
 
 def _arc_flows(potentials: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -602,12 +638,13 @@ class _CertificateOrbits:
     reps lists the representatives, the least index of each orbit; orbit[m]
     is the position in reps of certificate m's representative, and count[r]
     the size of its orbit.  arc_orbit labels every arc's orbit, and size
-    holds the orbit sizes.  expand_at[m, S] is the position of certificate
-    m's potential at S in the representatives' potentials, flattened, with
-    one zero appended: the representative's potential at g^-1(S), for the
-    group element g that carries the representative onto m, and the zero on
-    m's member subsets.  A structure without generators has the trivial
-    group: every certificate and every arc is its own orbit.
+    holds the orbit sizes.  laplacian is the representatives' _Quotient, each
+    by its stabilizer in the group (structures.stabilizer_generators).
+    expand_at[m, S] is the position of certificate m's potential at S in the
+    quotient potentials: the node of g^-1(S) in its representative's
+    quotient, for the group element g that carries the representative onto
+    m, and the ground on m's member subsets.  A structure without generators
+    has the trivial group: every certificate and every arc is its own orbit.
     """
 
     def __init__(self, cert: CertificateStructure, member: np.ndarray):
@@ -618,36 +655,38 @@ class _CertificateOrbits:
         self.count = count.astype(float)
         self.arc_orbit = arc_orbits(n, symmetry.generators)
         self.size = np.bincount(self.arc_orbit).astype(float)
-        self._arc_order = np.argsort(self.arc_orbit, kind="stable")
-        self._starts = np.concatenate([[0], np.cumsum(self.size[:-1])]).astype(np.intp)
+        self.laplacian = _Quotient(
+            n, member[self.reps],
+            [subset_orbits(n, stabilizer_generators(symmetry, r)) for r in self.reps],
+            self.arc_orbit)
         lattice = 1 << n
-        self.expand_at = (self.orbit[:, None] * lattice
-                          + permute_masks(np.argsort(symmetry.carry, axis=1), n))
-        self.expand_at[member] = len(self.reps) * lattice
+        self.expand_at = self.laplacian.lift.reshape(-1)[
+            self.orbit[:, None] * lattice + permute_masks(np.argsort(symmetry.carry, axis=1), n)]
+        self.expand_at[member] = self.laplacian.ground
 
-    def fit(self, p: np.ndarray, mass: np.ndarray):
-        """Orbit-invariant weights fitted to the representatives' flows p.
+    def fit(self, p2: np.ndarray, mass: np.ndarray):
+        """Orbit-invariant weights fitted to the representatives' per-orbit squared flows p2.
 
-        mass[r] is N_r mu_r, the multiplier of representative r times its
-        orbit size N_r.  With mu constant on certificate orbits, the coset sum
-        sum_M mu_M p_e(M)^2 = sum_r N_r mu_r mean_{e' in orbit(e)} p_r(e')^2,
-        so the fit runs on one column per arc orbit O, holding |O| times the
-        orbit's sum of p_r^2.  Its weight for O is the orbit's total |O| w_O
-        (so the weight floor applies to orbit totals), and its constraint
-        values are the representatives'.  Every arc then takes its orbit's
-        weight, which makes w exactly invariant.  Returns (w per arc, mass).
+        p2[r, O] is the sum over arc orbit O of representative r's squared
+        flows, and mass[r] is N_r mu_r, the multiplier of representative r
+        times its orbit size N_r.  With mu constant on certificate orbits, the
+        coset sum sum_M mu_M p_e(M)^2 = sum_r N_r mu_r mean_{e' in orbit(e)}
+        p_r(e')^2, so the fit runs on one column per arc orbit O, holding |O|
+        times p2[:, O].  Its weight for O is the orbit's total |O| w_O (so the
+        weight floor applies to orbit totals), and its constraint values are
+        the representatives'.  Returns (w_O, the weight of each arc of orbit O;
+        mass).
         """
-        p2 = np.add.reduceat((p ** 2)[:, self._arc_order], self._starts, axis=1)
         fitted, mass = _optimize_weights(p2 * self.size, mass)
-        return (fitted / self.size)[self.arc_orbit], mass
+        return fitted / self.size, mass
 
     def multipliers(self, mass: np.ndarray) -> np.ndarray:
         """Every certificate's mu, its representative's."""
         return (mass / self.count)[self.orbit]
 
     def potentials(self, potentials: np.ndarray) -> np.ndarray:
-        """Every certificate's potentials from the representatives', by one gather."""
-        return np.append(potentials, 0.0)[self.expand_at]
+        """Every certificate's potentials on the full lattice from the quotient's, by one gather."""
+        return potentials[self.expand_at]
 
 
 def _optimize_weights(p2: np.ndarray, mu: np.ndarray):
@@ -689,17 +728,17 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
         )
     member = membership_table(cert)
     orbits = _CertificateOrbits(cert, member)
-    laplacian = _StackedLaplacian(n, member[orbits.reps])
-    w = np.ones(num_arcs)
+    w = np.ones(len(orbits.size))    # one weight per arc orbit, that of each of its arcs
     w_prev = None
     mass = orbits.count.copy()       # mu = 1 on every certificate
     objective = math.inf
     converged = False
     for iterations in range(1, params.max_iterations + 1):
         c = w if w_prev is None else w * (w / w_prev) ** _MOMENTUM
-        p, potentials = laplacian.flow(c)
-        fitted, mass = orbits.fit(p, mass)
-        fitted_objective = math.sqrt(fitted.sum())
+        p2, potentials = orbits.laplacian.flow(c)
+        fitted, mass = orbits.fit(p2, mass)
+        del p2                       # so that the next flow is not solved beside it
+        fitted_objective = math.sqrt(fitted @ orbits.size)
         # restart: unless the objective fell, the next flows are solved at the fitted weights
         # (a strict test, so an all-zero primal never divides by zero weights)
         w_prev = w if fitted_objective < objective else None
@@ -716,8 +755,8 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
 
     info = SolveInfo(iterations=iterations, converged=converged, residual=residual)
     return PrimalSolution(
-        flow=FlowAssignment(n, _arc_flows(expanded, _conductances(c))),
-        weights=WeightAssignment(n, w.copy()),
+        flow=FlowAssignment(n, _arc_flows(expanded, _conductances(c)[orbits.arc_orbit])),
+        weights=WeightAssignment(n, w[orbits.arc_orbit]),
         objective=objective,
         mu=mu,
         iterations=iterations,

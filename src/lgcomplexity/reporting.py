@@ -23,6 +23,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+# numpy loads numpy.random lazily, and environment_fingerprint reads scipy's version: loaded
+# here, neither is paid by the first suite run
+import numpy.random
+import scipy
 
 from . import adversary as adv
 from . import arrays as ar
@@ -214,8 +218,6 @@ def _num(x: float) -> float | str:
 
 
 def environment_fingerprint() -> dict:
-    import scipy
-
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -18,9 +18,11 @@ each side for hidden_shift.  This module alone decides symmetry:
 structure_symmetry checks the generators against the certificate set before
 any use and gives each one's certificate permutation and the certificate
 orbits; a structure of no named kind has the trivial group.  permute_masks,
-arc_orbits and variable_orbits carry a group to the lattice's subsets, its
-arcs and the variables.  The primal solver's per-orbit solve and the
-adversary's per-orbit masked norms both read them.
+subset_orbits, arc_orbits and variable_orbits carry a group to the
+lattice's subsets, its arcs and the variables, and stabilizer_generators
+gives the subgroup fixing one representative certificate.  The primal
+solver's per-orbit solve on its stabilizer quotient and the adversary's
+per-orbit masked norms both read them.
 """
 
 from __future__ import annotations
@@ -528,6 +530,38 @@ def arc_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
         moves = [arc_position(n, images[sources], np.asarray(g)[:, None]).astype(np.int32).ravel()
                  for g, images in zip(generators, permute_masks(generators, n))]
     return _orbit_labels(arc_count(n), generators, moves)
+
+
+def subset_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
+    """Orbit of every subset mask under the group the generators generate.
+
+    Orbits are numbered in the order of their least mask, so the empty set's is 0.
+    """
+    moves = []
+    if generators:
+        moves = [images.astype(np.int32) for images in permute_masks(generators, n)]
+    return _orbit_labels(1 << n, generators, moves)
+
+
+def stabilizer_generators(symmetry: Symmetry, r: int) -> tuple[tuple[int, ...], ...]:
+    """Schreier generators of representative certificate r's stabilizer in the declared group.
+
+    For every certificate m of r's orbit and every generator g, the element
+    carry[g m]^-1 g carry[m] maps r onto itself; by Schreier's lemma they
+    generate the stabilizer.  The identity and repeats are dropped, and the
+    rest sorted.
+    """
+    if symmetry.representative[r] != r:
+        raise ParameterError(f"certificate {r} is not the representative of its orbit")
+    orbit = np.flatnonzero(symmetry.representative == r)
+    carry = symmetry.carry
+    found = set()
+    for g, image in zip(symmetry.generators, symmetry.images):
+        moved = np.asarray(g)[carry[orbit]]                 # g carry[m]
+        back = np.argsort(carry[image[orbit]], axis=1)      # carry[g m]^-1
+        found.update(map(tuple, np.take_along_axis(back, moved, axis=1).tolist()))
+    found.discard(tuple(range(carry.shape[1])))
+    return tuple(sorted(found))
 
 
 def variable_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:

@@ -218,7 +218,8 @@ class TestLgCommands:
         def never(*args):
             raise AssertionError("a lattice table was built for a refused job")
 
-        for table in ("membership_table", "arc_orbits", "arc_position", "permute_masks"):
+        for table in ("membership_table", "arc_orbits", "arc_arrays", "subset_orbits",
+                      "permute_masks"):
             monkeypatch.setattr(lg, table, never)
         code, out, err = run(capsys, "lg", command, "--kind", "hidden_shift", "--params", "11")
         assert code == 2

@@ -221,7 +221,8 @@ class TestSolvePrimal:
         def never(*args):
             raise AssertionError("a lattice table was built for a refused job")
 
-        for table in ("membership_table", "arc_orbits", "arc_position", "permute_masks"):
+        for table in ("membership_table", "arc_orbits", "arc_arrays", "subset_orbits",
+                      "permute_masks"):
             monkeypatch.setattr(lg, table, never)
         cert = st.build_named_structure(kind, params)
         with pytest.raises(CapacityError, match="over the cap 2147483648"):
@@ -565,7 +566,7 @@ class TestCertifiedStop:
     def test_momentum_and_restart(self, monkeypatch):
         # the flows of each step are solved at w (w / w_prev)^_MOMENTUM, and at
         # the fitted weights w alone right after the fitted objective failed to fall
-        flow = lg._StackedLaplacian.flow
+        flow = lg._Quotient.flow
         fit = lg._CertificateOrbits.fit
         conductances, fitted = [], []
 
@@ -578,10 +579,13 @@ class TestCertifiedStop:
             fitted.append(result[0])
             return result
 
-        monkeypatch.setattr(lg._StackedLaplacian, "flow", recorded_flow)
+        monkeypatch.setattr(lg._Quotient, "flow", recorded_flow)
         monkeypatch.setattr(lg._CertificateOrbits, "fit", recorded_fit)
-        sol = lg.solve_primal(st.ksubset_structure(4, 2))
-        objectives = [math.sqrt(w.sum()) for w in fitted]
+        cert = st.ksubset_structure(4, 2)
+        sol = lg.solve_primal(cert)
+        # one weight per arc orbit, that of each of its arcs
+        size = lg._CertificateOrbits(cert, st.membership_table(cert)).size
+        objectives = [math.sqrt(w @ size) for w in fitted]
         restarts = 0
         for i in range(2, sol.iterations):
             w, w_prev = fitted[i - 1], fitted[i - 2]
@@ -656,8 +660,22 @@ def direct_flow(n: int, member_row: np.ndarray, w: np.ndarray):
     b = np.zeros(size)
     b[pos[0]] = 1.0
     potential = np.zeros(1 << n)
-    potential[nodes] = scipy.sparse.linalg.spsolve(lap, b)
+    # a symmetric fill-reducing order: 0.35 s on ksubset(12,2)'s 3072 nodes against 2.1 s
+    potential[nodes] = scipy.sparse.linalg.spsolve(lap, b, permc_spec="MMD_AT_PLUS_A")
     return c * (potential[src] - potential[dst]), potential
+
+
+def trivial_quotient(n: int, member: np.ndarray):
+    """Every membership row's grounded lattice as its own quotient, by the trivial group."""
+    return lg._Quotient(n, member, [st.subset_orbits(n, ())] * len(member),
+                        np.arange(st.arc_count(n)))
+
+
+def lattice_flow(n: int, member: np.ndarray, w: np.ndarray):
+    """Per-arc flows and per-subset potentials of every row, solved on its trivial quotient."""
+    quotient = trivial_quotient(n, member)
+    potential = quotient.flow(w)[1][quotient.lift]
+    return lg._arc_flows(potential, lg._conductances(w)), potential
 
 
 def assert_close_relative(actual, expected, rtol):
@@ -685,7 +703,7 @@ class TestLaplacianSolve:
         cert = st.ksubset_structure(n, 1)
         member = st.membership_table(cert)
         w = self.weights(spread)
-        p, potential = lg._StackedLaplacian(n, member).flow(w)
+        p, potential = lattice_flow(n, member, w)
         for m in range(len(cert)):
             p_ref, potential_ref = direct_flow(n, member[m], w)
             assert_close_relative(p[m], p_ref, 1e-10)
@@ -709,7 +727,7 @@ class TestLaplacianSolve:
     def test_cg_answer_accepted(self, monkeypatch, spread):
         calls = self.count_direct_solves(monkeypatch)
         member = st.membership_table(st.ksubset_structure(self.N, 1))
-        lg._StackedLaplacian(self.N, member[:1]).flow(self.weights(spread))
+        lattice_flow(self.N, member[:1], self.weights(spread))
         assert not calls
 
     @staticmethod
@@ -742,7 +760,7 @@ class TestLaplacianSolve:
         n = self.N
         member = st.membership_table(st.ksubset_structure(n, 1))
         w = self.weights(False)
-        p, potential = lg._StackedLaplacian(n, member[:1]).flow(w)
+        p, potential = lattice_flow(n, member[:1], w)
         assert len(calls) == 1
         p_ref, potential_ref = direct_flow(n, member[0], w)
         assert_close_relative(p[0], p_ref, 1e-10)
@@ -753,10 +771,10 @@ class TestLaplacianSolve:
         n, failed = self.N, 3
         member = st.membership_table(st.ksubset_structure(n, 1))
         w = self.weights(True)
-        p_pcg, potential_pcg = lg._StackedLaplacian(n, member).flow(w)
+        p_pcg, potential_pcg = lattice_flow(n, member, w)
         self.fail_pcg(monkeypatch, failure, [failed])
         calls = self.count_direct_solves(monkeypatch)
-        p, potential = lg._StackedLaplacian(n, member).flow(w)
+        p, potential = lattice_flow(n, member, w)
         assert len(calls) == 1
         others = np.arange(n) != failed
         assert np.array_equal(p[others], p_pcg[others])
@@ -782,7 +800,7 @@ class TestLaplacianSolve:
         n = self.N
         member = st.membership_table(st.ksubset_structure(n, 1))
         w = self.weights(True)
-        p, potential = lg._StackedLaplacian(n, member).flow(w)
+        p, potential = lattice_flow(n, member, w)
         assert not calls
         assert blocks == [n, 1]
         p_ref, potential_ref = direct_flow(n, member[3], w)
@@ -796,30 +814,76 @@ class TestLaplacianSolve:
         n = self.N
         cert = st.ksubset_structure(n, 1)
         with np.errstate(all="raise"):
-            p, _ = lg._StackedLaplacian(n, st.membership_table(cert)).flow(self.weights(True))
+            p, _ = lattice_flow(n, st.membership_table(cert), self.weights(True))
         assert not calls
         # the conservation residual at a non-member node is exactly +-(L x - b)
         residuals = lg.flow_residuals(cert, lg.FlowAssignment(n, p))
         assert max(abs(r) for r in residuals.values()) <= 1e-12
 
-    @pytest.mark.parametrize("code", [
-        "import lgcomplexity.cli",
-        "from lgcomplexity import lgsolver as lg, structures as st\n"
-        "import numpy as np\n"
-        "member = st.membership_table(st.ksubset_structure(10, 1))\n"
-        "lg._StackedLaplacian(10, member).flow(np.ones(st.arc_count(10)))",
-        "from lgcomplexity import lgsolver as lg, structures as st\n"
-        "lg.solve_primal(st.ksubset_structure(10, 2), lg.SolverParams(max_iterations=3))",
-    ], ids=["cli", "accepted-pcg", "symmetric-solve"])
-    def test_sparse_linalg_stays_unimported(self, code):
-        # csgraph's connected_components would label arc orbits, but its import alone
-        # costs more than the union-find in structures.arc_orbits
+    @staticmethod
+    def run_fresh(code: str) -> None:
+        """Run code in a fresh interpreter that imports this checkout's lgcomplexity."""
         source = str(Path(lg.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [source, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        check = ("\nimport sys\nfor name in ('scipy.sparse.linalg', 'scipy.sparse.csgraph'):\n"
-                 "    assert name not in sys.modules, name + ' imported'\n")
-        subprocess.run([sys.executable, "-c", code + check], env=env, check=True)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_workloads_import_nothing(self):
+        # every quotient of these jobs is dense, so scipy.sparse never loads, and
+        # nothing else may load inside a job either: each would be paid by its run
+        self.run_fresh("""
+import json, sys, tempfile
+import lgcomplexity.cli, lgcomplexity.reporting
+assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'
+from lgcomplexity import adversary as adv, arrays as ar, lgsolver as lg, reporting as rp
+from lgcomplexity import structures as st, witnesses as wt
+config, errors = rp.validate_config({})
+assert not errors, errors
+bounded = st.ksubset_structure(3, 2)
+instance = ar.build_bounded_instance(bounded, 8)
+witness = lg.normalize_witness(wt.ksubset_witness(3, 2), bounded)
+ladder = [st.build_named_structure(kind, params) for kind, params in
+          (('ksubset', (4, 1)), ('ksubset', (4, 2)), ('hidden_shift', (3,)), ('collision', (2,)))]
+large = st.ksubset_structure(12, 1)
+before = set(sys.modules)
+report = rp.run_suite(config)
+json.dumps(report.to_dict())
+with tempfile.TemporaryDirectory() as out:
+    rp.write_report(report, out)
+ratio = adv.adversary_ratio(instance, witness)
+adv.bounded_norm_certificates(instance, witness, 1)
+json.dumps(ratio.to_dict(witness_hash='0'))
+for cert in ladder:
+    lg.duality_report(cert)
+lg.solve_primal(large, lg.SolverParams(max_iterations=2))
+gained = sorted(set(sys.modules) - before)
+assert not gained, gained
+""")
+
+    def test_solve_above_the_cut_imports_scipy_sparse(self, tmp_path):
+        # an accepted PCG answer needs neither scipy.sparse.linalg nor csgraph; csgraph's
+        # connected_components would label orbits, but its import alone costs more than
+        # the union-find in structures
+        n, path = self.N, tmp_path / "potential.npy"
+        self.run_fresh(f"""
+import sys
+import numpy as np
+from lgcomplexity import lgsolver as lg, structures as st
+member = st.membership_table(st.ksubset_structure({n}, 1))
+quotient = lg._Quotient({n}, member, [st.subset_orbits({n}, ())] * {n},
+                        np.arange(st.arc_count({n})))
+assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'
+potential = quotient.flow(np.ones(st.arc_count({n})))[1][quotient.lift]
+assert 'scipy.sparse' in sys.modules, 'scipy.sparse not imported'
+for name in ('scipy.sparse.linalg', 'scipy.sparse.csgraph'):
+    assert name not in sys.modules, name + ' imported'
+np.save({str(path)!r}, potential)
+""")
+        potential = np.load(path)
+        member = st.membership_table(st.ksubset_structure(n, 1))
+        for m in range(n):
+            assert_close_relative(potential[m], direct_flow(n, member[m], self.weights(False))[1],
+                                  1e-10)
 
     def test_reference_objective_ksubset_12_1(self):
         cert = st.ksubset_structure(12, 1)
@@ -836,7 +900,7 @@ class TestStackedLaplacian:
         n = cert.n
         member = st.membership_table(cert)
         w = np.random.default_rng(3).uniform(0.1, 2.0, st.arc_count(n))
-        p, potential = lg._StackedLaplacian(n, member).flow(w)
+        p, potential = lattice_flow(n, member, w)
         for m in range(len(cert)):
             if member[m, 0]:
                 assert not p[m].any() and not potential[m].any()
@@ -874,9 +938,9 @@ class TestStackedLaplacian:
     def test_chunked_stack_is_bit_identical(self, monkeypatch):
         member = st.membership_table(st.ksubset_structure(4, 2))  # 6 certificates of 12 nodes
         w = np.random.default_rng(5).uniform(0.1, 2.0, st.arc_count(4))
-        whole = lg._StackedLaplacian(4, member)
+        whole = trivial_quotient(4, member)
         monkeypatch.setattr(lg, "_STACK_BYTES", 2 * 8 * 12 ** 2)
-        chunked = lg._StackedLaplacian(4, member)
+        chunked = trivial_quotient(4, member)
         assert (len(whole.groups), len(chunked.groups)) == (1, 3)
         for a, b in zip(whole.flow(w), chunked.flow(w)):
             assert np.array_equal(a, b)
@@ -891,11 +955,12 @@ class TestStackedLaplacian:
 
 
 class TestCertificateOrbits:
-    """One Laplacian solve and one weight fit per certificate orbit, expanded by one gather."""
+    """One quotient solve and one weight fit per certificate orbit, expanded by one gather."""
 
     @pytest.mark.parametrize("kind,params", [
         ("ksubset", (10, 1)), ("ksubset", (4, 2)), ("triangle", (4,)),
         ("collision", (2,)), ("hidden_shift", (3,)), ("set_equality", (3,)),
+        ("triangle", (5,)), ("hidden_shift", (6,)), ("ksubset", (12, 2)),
     ])
     def test_expansion_matches_direct_solves(self, kind, params):
         cert = st.build_named_structure(kind, params)
@@ -904,11 +969,12 @@ class TestCertificateOrbits:
         orbits = lg._CertificateOrbits(cert, member)
         assert len(orbits.reps) == 1
         rng = np.random.default_rng(11)
-        w = rng.uniform(0.1, 2.0, len(orbits.size))[orbits.arc_orbit]
-        laplacian = lg._StackedLaplacian(n, member[orbits.reps])
-        potential = orbits.potentials(laplacian.flow(w)[1])
+        w = rng.uniform(0.1, 2.0, len(orbits.size))
+        potential = orbits.potentials(orbits.laplacian.flow(w)[1])
+        w = w[orbits.arc_orbit]
         p = lg._arc_flows(potential, lg._conductances(w))
-        for m in range(len(cert)):
+        # every certificate, and every 13th of ksubset(12,2)'s 66
+        for m in range(0, len(cert), 13 if len(cert) > 20 else 1):
             p_ref, potential_ref = direct_flow(n, member[m], w)
             assert_close_relative(p[m], p_ref, 1e-10)
             assert_close_relative(potential[m], potential_ref, 1e-10)
@@ -919,10 +985,14 @@ class TestCertificateOrbits:
         orbits = lg._CertificateOrbits(cert, member)
         assert list(orbits.reps) == [0, 1, 2] and list(orbits.orbit) == [0, 1, 2]
         assert np.array_equal(orbits.size, np.ones(st.arc_count(3)))
-        p, potential = lg._StackedLaplacian(3, member).flow(np.linspace(0.5, 2.0, 12))
-        assert np.array_equal(orbits.potentials(potential), potential)
+        w = np.linspace(0.5, 2.0, 12)
+        p2, potentials = orbits.laplacian.flow(w)
+        p, potential = lattice_flow(3, member, w)
+        assert np.array_equal(orbits.potentials(potentials), potential)
+        # the per-orbit sums of squared class flows are the squared arc flows, bit for bit
+        assert np.array_equal(p2, p ** 2)
         mu = np.array([0.5, 2.0, 1.5])
-        w, mass = orbits.fit(p, mu)
+        w, mass = orbits.fit(p2, mu)
         expected, expected_mu = lg._optimize_weights(p ** 2, mu)
         assert np.array_equal(w, expected) and np.array_equal(mass, expected_mu)
 
@@ -930,18 +1000,20 @@ class TestCertificateOrbits:
     def test_weights_are_exactly_invariant(self, monkeypatch, kind, params):
         cert = st.build_named_structure(kind, params)
         conductances = []
-        flow = lg._StackedLaplacian.flow
+        flow = lg._Quotient.flow
 
         def recorded(self, w):
             conductances.append(w.copy())
             return flow(self, w)
 
-        monkeypatch.setattr(lg._StackedLaplacian, "flow", recorded)
+        monkeypatch.setattr(lg._Quotient, "flow", recorded)
         sol = lg.solve_primal(cert, lg.SolverParams(max_iterations=25))
         labels = lg._CertificateOrbits(cert, st.membership_table(cert)).arc_orbit
-        for w in [sol.weights.values, *conductances]:
-            first = w[np.unique(labels, return_index=True)[1]]
-            assert np.array_equal(w, first[labels])
+        # the quotient is solved at one conductance per arc orbit
+        assert {w.shape for w in conductances} == {(labels.max() + 1,)}
+        w = sol.weights.values
+        first = w[np.unique(labels, return_index=True)[1]]
+        assert np.array_equal(w, first[labels])
         assert np.array_equal(sol.mu, np.full(len(cert), sol.mu[0]))
 
     @pytest.mark.parametrize("kind,params", [("ksubset", (12, 2)), ("triangle", (6,))])
@@ -956,22 +1028,22 @@ class TestCertificateOrbits:
         monkeypatch.setattr(lg, "_jacobi_pcg", counted)
         cert = st.build_named_structure(kind, params)
         sol = lg.solve_primal(cert, lg.SolverParams(max_iterations=2))
-        # one solve per iteration, and triangle(6)'s second answer is refined once
-        assert blocks == {"ksubset": [1, 1], "triangle": [1, 1, 1]}[kind]
+        # ksubset(12,2)'s quotient has 22 nodes and is solved dense; triangle(6)'s has
+        # 1188: one solve per iteration, and its second answer is refined once
+        assert blocks == {"ksubset": [], "triangle": [1, 1, 1]}[kind]
         lg._check_primal(cert, sol)
 
     def test_planted_wrong_mask_map_fails_the_primal_check(self, monkeypatch):
         # certificate 1 expanded by certificate 2's group element: its potentials stay
         # zero on its own members, so the witness is admissible but the flows do not conserve
-        symmetry = st.structure_symmetry
+        permute = st.permute_masks
 
-        def planted(cert):
-            found = symmetry(cert)
-            carry = found.carry.copy()
-            carry[1] = carry[2]
-            return dataclasses.replace(found, carry=carry)
+        def planted(g, n):
+            images = permute(g, n)
+            images[1] = images[2]
+            return images
 
-        monkeypatch.setattr(lg, "structure_symmetry", planted)
+        monkeypatch.setattr(lg, "permute_masks", planted)
         with pytest.raises(ConsistencyError, match="conservation violated: certificate index 1"):
             lg.duality_report(st.ksubset_structure(4, 1), lg.SolverParams(max_iterations=10))
 
@@ -1004,7 +1076,7 @@ def test_weak_duality_random_feasible_pairs(data, n):
     rng = np.random.default_rng(seed)
     # feasible primal pair: exact flows for random weights, then fitted weights
     w0 = lg.WeightAssignment(n, rng.uniform(0.1, 2.0, st.arc_count(n)))
-    flows = lg._StackedLaplacian(n, st.membership_table(cert)).flow(w0.values)[0]
+    flows = lattice_flow(n, st.membership_table(cert), w0.values)[0]
     flow = lg.FlowAssignment(n, flows)
     weights = lg.WeightAssignment(n, lg._optimize_weights(flow.values ** 2, np.ones(n))[0])
     assert np.all(lg.primal_constraint_values(flow, weights) <= 1 + 1e-9)

@@ -389,3 +389,86 @@ class TestSymmetry:
     def test_triangle_six_has_572_arc_orbits(self):
         cert = st.triangle_structure(6)
         assert st.arc_orbits(cert.n, st.structure_symmetry(cert).generators).max() + 1 == 572
+
+
+# named kinds on at most 12 variables, for the brute-force stabilizer checks
+STABILIZER_SWEEP = ([("ksubset", (n, k)) for n in range(1, 7) for k in range(1, n + 1)]
+                    + [("ksubset", (12, 1)), ("ksubset", (12, 2))]
+                    + [("triangle", (v,)) for v in range(3, 6)]
+                    + [(kind, (n,)) for kind in ("collision", "set_equality") for n in range(1, 6)]
+                    + [("hidden_shift", (n,)) for n in range(1, 7)])
+
+
+def pair_orbit_partition(cert: st.CertificateStructure, symmetry: st.Symmetry, r: int):
+    """Subsets of [n] grouped by the group orbit of (r, S) among all (certificate, subset) pairs.
+
+    Brute force: connected components of the graph joining each pair (m, S)
+    to (g m, g S) for every generator g.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    lattice = 1 << cert.n
+    points = len(cert) * lattice
+    pairs = np.arange(points)
+    sources, targets = [], []
+    for g, image in zip(symmetry.generators, symmetry.images):
+        sources.append(pairs)
+        targets.append((image[:, None] * lattice + st.permute_masks(g, cert.n)).reshape(-1))
+    if not sources:
+        return np.arange(lattice)
+    graph = coo_matrix((np.ones(len(sources) * points),
+                        (np.concatenate(sources), np.concatenate(targets))), shape=(points, points))
+    return connected_components(graph, directed=True, connection="weak")[1][
+        r * lattice:(r + 1) * lattice]
+
+
+def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    joint = np.unique(np.stack([a, b]), axis=1).shape[1]
+    return joint == len(np.unique(a)) == len(np.unique(b))
+
+
+class TestStabilizer:
+    @pytest.mark.parametrize("kind,params", STABILIZER_SWEEP, ids=str)
+    def test_generators_fix_the_representative(self, kind, params):
+        cert = st.build_named_structure(kind, params)
+        row = st.membership_table(cert)[0]
+        generators = st.stabilizer_generators(st.structure_symmetry(cert), 0)
+        assert tuple(range(cert.n)) not in generators
+        for h in generators:
+            assert sorted(h) == list(range(cert.n))
+            assert np.array_equal(row[st.permute_masks(h, cert.n)], row)
+
+    @pytest.mark.parametrize("kind,params", STABILIZER_SWEEP, ids=str)
+    def test_subset_orbits_match_the_pair_orbits(self, kind, params):
+        cert = st.build_named_structure(kind, params)
+        symmetry = st.structure_symmetry(cert)
+        labels = st.subset_orbits(cert.n, st.stabilizer_generators(symmetry, 0))
+        assert same_partition(labels, pair_orbit_partition(cert, symmetry, 0))
+        # numbered in the order of their least mask
+        assert np.all(np.diff(np.unique(labels, return_index=True)[1]) > 0)
+
+    def test_trivial_group(self):
+        cert = st.CertificateStructure(3, st.ksubset_structure(3, 1).certificates)
+        symmetry = st.structure_symmetry(cert)
+        assert [st.stabilizer_generators(symmetry, r) for r in range(3)] == [(), (), ()]
+        assert np.array_equal(st.subset_orbits(3, ()), np.arange(8))
+
+    def test_only_representatives(self):
+        symmetry = st.structure_symmetry(st.ksubset_structure(4, 1))
+        with pytest.raises(ParameterError, match="not the representative"):
+            st.stabilizer_generators(symmetry, 1)
+
+    # the stabilizer orbits of non-member subsets are the nodes of the primal's quotient
+    @pytest.mark.parametrize("kind,params,nonmembers,orbits", [
+        ("ksubset", (12, 1), 2048, 12), ("ksubset", (12, 2), 3072, 22),
+        ("ksubset", (16, 2), 49152, 30), ("triangle", (5,), 896, 122),
+        ("triangle", (6,), 28672, 1188), ("hidden_shift", (3,), 27, 11),
+        ("hidden_shift", (6,), 729, 130), ("hidden_shift", (8,), 6561, 834),
+    ])
+    def test_non_member_orbit_counts(self, kind, params, nonmembers, orbits):
+        cert = st.build_named_structure(kind, params)
+        outside = ~st.membership_table(cert)[0]
+        labels = st.subset_orbits(cert.n, st.stabilizer_generators(st.structure_symmetry(cert), 0))
+        assert int(outside.sum()) == nonmembers
+        assert len(np.unique(labels[outside])) == orbits
