@@ -18,15 +18,15 @@ Solvers:
     on the quotient of its lattice by its stabilizer (_Quotient): the nodes
     are the stabilizer's orbits of non-member subsets, the arc classes carry
     their arc counts, and an iteration costs one pass over the classes.
-    Quotients of up to _DENSE_NODE_CUT nodes are solved dense, larger ones by
-    batched Jacobi-preconditioned CG with a residual check, one refinement
-    and a sparse LU fallback; only that path imports scipy.sparse.  No
-    full-lattice array is touched between gap evaluations: there every
-    certificate's potentials are its representative's, lifted through the
-    node labels and read through the permuted masks by one gather, for the
-    witness, the returned flows and mu.  A structure without generators is
-    the trivial group, every certificate, subset and arc its own orbit, on
-    the same code path.
+    Each representative's quotient is solved on its own: up to _DENSE_NODE_CUT
+    nodes dense, above it by Jacobi-preconditioned CG with a residual check,
+    one refinement and a sparse LU fallback; only that path imports
+    scipy.sparse.  No full-lattice array is touched between gap evaluations:
+    there every certificate's potentials are its representative's, lifted
+    through the node labels and read through the permuted masks by one
+    gather, for the witness, the returned flows and mu.  A structure without
+    generators is the trivial group, every certificate, subset and arc its
+    own orbit, on the same code path.
     Given flows, weights take the stationary form w_e = sqrt(sum_M mu_M
     p_e(M)^2) with the multipliers mu, constant on certificate orbits, by
     one multiplicative step per iteration: mu's overall scale is set to its
@@ -101,14 +101,13 @@ from .structures import (
 _WEIGHT_FLOOR = 1e-14
 _PRIMAL_TOLERANCE = 1e-9             # conservation residual and constraint excess
 _SOLVE_RESIDUAL = 1e-12              # max |L x - b| accepted from CG
-# measured per certificate on 2 cores, stacked dense vs batched Jacobi-PCG on whole ksubset
-# groups at uniform(0.1, 2) weights (quartiles of 12 draws): 0.23-0.26 vs 0.25-0.28 ms at 128
-# nodes (ksubset(8,1)), 0.92-1.01 vs 0.31-0.33 ms at 256 (ksubset(9,1)), 2.6-2.9 vs
-# 0.36-0.40 ms at 384 (ksubset(9,2)), 4.3-5.4 vs 0.39-0.55 ms at 512 (ksubset(10,1)); the
-# crossover lies near 128 nodes, and the cut stays at 200.  It counts quotient nodes, so
-# every symmetric structure of the benchmark is solved dense
+# one representative's trivial quotient solved dense vs by Jacobi-PCG, on 2 cores at
+# uniform(0.1, 2) weights (quartiles of 12 draws): 0.26-0.30 vs 0.74-0.82 ms at 128 nodes
+# (ksubset(8,1)), 2.1-2.3 vs 0.86-0.93 ms at 256 (ksubset(9,1)), 5.5-5.9 vs 0.63-0.65 ms at
+# 384 (ksubset(9,2)), 9.1-9.3 vs 1.17-1.22 ms at 512 (ksubset(10,1)); the crossover lies
+# between 128 and 256 nodes, and the cut stays at 200.  It counts quotient nodes, so every
+# symmetric structure of the benchmark is solved dense
 _DENSE_NODE_CUT = 200
-_STACK_BYTES = 32 << 20              # largest stacked dense Laplacian array
 # exponent of the weight-ratio extrapolation in solve_primal, measured to the 1e-6 certified
 # gap on 2 cores: 0.8 takes the duality-ladder structures 40, 30, 170 and 30 iterations (1720,
 # 40, 1410 and 30 without momentum) and certifies ksubset(n,1) up to n = 10, ksubset(5..6, 2..3),
@@ -396,15 +395,12 @@ class _Quotient:
     c_O (phi_tail - phi_head).  The trivial group's quotient is the lattice
     itself, every node and class one subset or arc.
 
-    Representatives are grouped by node count.  Up to _DENSE_NODE_CUT nodes a
-    group is one stacked (count, size, size) array, split so that one array
-    holds at most _STACK_BYTES.  Above it the group is one block-diagonal CSR
-    matrix, solved by _jacobi_pcg with the representatives' CG recurrences in
-    lockstep.  A representative whose answer is unconverged or has
-    max|L x - b| above _SOLVE_RESIDUAL is refined by one more _jacobi_pcg on
-    its residual, and each one still refused is solved again alone by sparse
-    LU.  scipy.sparse is imported only there.  A representative whose empty
-    set is a member has no nodes and keeps zero flow and potential.
+    Each representative with nodes is one _QuotientBlock, solved on its own:
+    up to _DENSE_NODE_CUT nodes by one dense solve, above it by _jacobi_pcg.
+    A PCG answer with max|L x - b| above _SOLVE_RESIDUAL is refined by one
+    more _jacobi_pcg on its residual, and if still refused solved by sparse
+    LU.  scipy.sparse is imported only above the cut.  A representative whose
+    empty set is a member has no nodes and keeps zero flow and potential.
     Index arrays are int32: PRIMAL_BYTE_CAP keeps every count below 2^31.
     """
 
@@ -445,15 +441,8 @@ class _Quotient:
         (self.tail, self.head, self.orbit, self.slot,
          self.multiplicity) = (np.concatenate(columns.pop(0)) for _ in range(5))
         self.head[self.head < 0] = ground
-        sizes, starts, bounds = np.array(sizes), np.array(starts), np.array(bounds)
-        self.groups = []
-        for size in sorted(set(sizes[sizes > 0].tolist())):
-            blocks = np.flatnonzero(sizes == size)
-            step = (len(blocks) if size > _DENSE_NODE_CUT
-                    else max(1, _STACK_BYTES // (8 * size ** 2)))
-            for chunk in (blocks[i:i + step] for i in range(0, len(blocks), step)):
-                self.groups.append(_QuotientGroup(size, starts[chunk], bounds[chunk],
-                                                  bounds[chunk + 1], self))
+        self.blocks = [_QuotientBlock(size, start, first, last, self) for size, start, first, last
+                       in zip(sizes, starts, bounds, bounds[1:]) if size]
 
     def flow(self, w: np.ndarray):
         """Every representative's unit electrical flow from the empty set into its member ground.
@@ -476,8 +465,8 @@ class _Quotient:
         np.negative(class_c, out=values[nodes:])
         del class_c
         potentials = np.zeros(nodes)
-        for group in self.groups:
-            group.solve(values, potentials)
+        for block in self.blocks:
+            potentials[block.nodes] = block.solve(values)
         del values
         # each class's flow c_O (phi_tail - phi_head), squared and counted per arc, in place
         p = potentials[self.tail]
@@ -489,126 +478,90 @@ class _Quotient:
         return p2.reshape(self.shape), potentials
 
 
-class _QuotientGroup:
-    """The quotient Laplacians of representatives with equal node counts.
+class _QuotientBlock:
+    """One representative's quotient Laplacian, on the quotient's nodes start .. start + size - 1.
 
-    Block i holds the quotient's nodes starts[i] .. starts[i] + size - 1 and
-    its classes firsts[i] .. lasts[i] - 1.  Each row holds its node's degree
-    on the diagonal and minus the conductance of each class joining it to
-    another node, columns ascending (classes of the same two nodes are
-    repeated entries, which the products and the dense sum add); of gives
-    each entry's position in solve's values (node degrees, then negated
-    class conductances), and at its position in the stacked dense array.
+    Its classes are the quotient's first .. last - 1.  Each row holds its
+    node's degree on the diagonal and minus the conductance of each class
+    joining it to another node, columns ascending (classes of the same two
+    nodes are repeated entries, which the product and the dense sum add); of
+    gives each entry's position in solve's values (node degrees, then negated
+    class conductances).  Up to _DENSE_NODE_CUT nodes at gives its position in
+    the dense (size, size) array, above it indices and indptr the CSR pattern.
     """
 
-    def __init__(self, size: int, starts: np.ndarray, firsts: np.ndarray, lasts: np.ndarray,
-                 quotient: _Quotient):
-        self.size, self.count = size, len(starts)
-        self.nodes = (starts[:, None] + np.arange(size)).reshape(-1)
-        sparse = size > _DENSE_NODE_CUT
-        # the classes joining two nodes of each block; the others end at the ground
-        inner = [first + np.flatnonzero(quotient.head[first:last] != quotient.ground)
-                 for first, last in zip(firsts, lasts)]
-        entries = len(self.nodes) + 2 * sum(map(len, inner))
-        # filled block by block, so that no temporary spans the whole group
-        self.of = np.empty(entries, dtype=np.int32)
-        at = np.empty(entries, dtype=np.int32)                   # column, or dense position
-        row_length = np.empty(len(self.nodes), dtype=np.int32)
-        end = 0
-        for i, (start, classes) in enumerate(zip(starts, inner)):
-            t, h = quotient.tail[classes] - start, quotient.head[classes] - start
-            r = np.concatenate([np.arange(size), t, h])
-            c = np.concatenate([np.arange(size), h, t])
-            order = np.argsort(r * size + c)
-            negated = quotient.ground + 1 + classes
-            self.of[end:end + len(r)] = np.concatenate(
-                [start + np.arange(size), negated, negated])[order]
-            at[end:end + len(r)] = (i * size + c[order] if sparse
-                                    else (i * size + r[order]) * size + c[order])
-            row_length[i * size:(i + 1) * size] = np.bincount(r, minlength=size)
-            end += len(r)
-        if sparse:
-            self.indices = at
-            self.indptr = np.concatenate([[0], np.cumsum(row_length)]).astype(np.int32)
-            self.rhs = np.zeros((self.count, size))
-        else:
-            self.at = at
-            self.rhs = np.zeros((self.count, size, 1))
-        self.rhs[:, 0] = 1.0
-
-    def solve(self, values: np.ndarray, potentials: np.ndarray) -> None:
-        """Write the group's quotient potentials into the flat potentials array."""
-        count, size = self.count, self.size
+    def __init__(self, size: int, start: int, first: int, last: int, quotient: _Quotient):
+        self.size = size
+        self.nodes = slice(start, start + size)
+        # the classes joining two nodes of the block; the others end at the ground
+        inner = first + np.flatnonzero(quotient.head[first:last] != quotient.ground)
+        t, h = quotient.tail[inner] - start, quotient.head[inner] - start
+        r = np.concatenate([np.arange(size), t, h])
+        c = np.concatenate([np.arange(size), h, t])
+        order = np.argsort(r * size + c)
+        negated = quotient.ground + 1 + inner
+        of = np.concatenate([start + np.arange(size), negated, negated])
+        self.of = of[order].astype(np.int32)
         if size > _DENSE_NODE_CUT:
-            potentials[self.nodes] = self._solve_sparse(values)
-            return
-        lap = np.bincount(self.at, values[self.of], minlength=count * size * size)
-        potentials[self.nodes] = np.linalg.solve(lap.reshape(count, size, size),
-                                                 self.rhs).reshape(-1)
+            self.indices = c[order].astype(np.int32)
+            self.indptr = np.concatenate(
+                [[0], np.cumsum(np.bincount(r, minlength=size))]).astype(np.int32)
+        else:
+            self.at = (r * size + c)[order].astype(np.int32)
+        self.rhs = np.zeros(size)
+        self.rhs[0] = 1.0
 
-    def _solve_sparse(self, values: np.ndarray) -> np.ndarray:
+    def solve(self, values: np.ndarray) -> np.ndarray:
+        """The block's quotient potentials, given flow's node degrees and negated conductances."""
+        size, b = self.size, self.rhs
+        if size <= _DENSE_NODE_CUT:
+            lap = np.bincount(self.at, values[self.of], minlength=size * size)
+            return np.linalg.solve(lap.reshape(size, size), b)
         import scipy.sparse  # only a quotient above _DENSE_NODE_CUT nodes needs it
 
-        size, count, rhs = self.size, self.count, self.rhs
-        diag = values[self.nodes].reshape(count, size)
+        diag = values[self.nodes]
         lap = scipy.sparse.csr_matrix((values[self.of], self.indices, self.indptr),
-                                      shape=(count * size, count * size))
-        x, converged = _jacobi_pcg(lap, rhs, diag)
-        r = rhs - (lap @ x.reshape(-1)).reshape(count, size)
-        refused = np.flatnonzero(~(converged & (np.abs(r).max(axis=1) <= _SOLVE_RESIDUAL)))
-        if len(refused):
-            # one refinement: PCG on the refused blocks' true residual b - L x
-            blocks = _diagonal_blocks(lap, size, refused)
-            dx, converged = _jacobi_pcg(blocks, r[refused], diag[refused])
-            x[refused] += dx
-            r = rhs[refused] - (blocks @ x[refused].reshape(-1)).reshape(len(refused), size)
-            refused = refused[~(converged & (np.abs(r).max(axis=1) <= _SOLVE_RESIDUAL))]
-        for k in refused:
-            from scipy.sparse.linalg import spsolve  # imported only once a CG answer is refused
+                                      shape=(size, size))
+        x = _jacobi_pcg(lap, b, diag)
+        r = b - lap @ x
+        if not np.abs(r).max() <= _SOLVE_RESIDUAL:
+            # one refinement: PCG on the true residual b - L x
+            x += _jacobi_pcg(lap, r, diag)
+            if not np.abs(b - lap @ x).max() <= _SOLVE_RESIDUAL:
+                from scipy.sparse.linalg import spsolve  # imported only once a CG answer is refused
 
-            x[k] = spsolve(_diagonal_blocks(lap, size, [k]), rhs[k])
-        return x.reshape(-1)
+                # a symmetric fill-reducing order: on 2 cores SuperLU's default COLAMD takes
+                # the n = 12 lattice grounded at the full set (4095 nodes, log-uniform(-3, 0)
+                # conductances) 7.4 s and 260 MB peak RSS, MMD_AT_PLUS_A 1.0 s and 103 MB
+                x = spsolve(lap, b, permc_spec="MMD_AT_PLUS_A")
+        return x
 
 
-def _diagonal_blocks(lap, size: int, blocks):
-    """The block-diagonal CSR matrix of lap's given size x size diagonal blocks, copied."""
-    import scipy.sparse
+def _jacobi_pcg(lap, b: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Jacobi-preconditioned CG on lap x = b from x = 0, diag being lap's diagonal.
 
-    return scipy.sparse.block_diag(
-        [lap[k * size:(k + 1) * size, k * size:(k + 1) * size] for k in blocks], format="csr")
-
-
-def _jacobi_pcg(lap, b: np.ndarray, diag: np.ndarray):
-    """Jacobi-preconditioned CG on the diagonal blocks of lap, their recurrences in lockstep.
-
-    b and diag are (blocks, size) arrays.  Each step takes one product lap @ p
-    for the whole stack and keeps alpha and beta per block.  A block stops once
-    its ||r||_2 is at most 1e-13 ||b||_2, or after size steps; a stopped block
-    is frozen with alpha = beta = 0.  Returns (x, per-block converged flags).
+    Stops once ||r||_2 is at most 1e-13 ||b||_2, or after len(b) steps; the
+    caller checks the answer's true residual.
     """
-    count, size = b.shape
-    tol = 1e-26 * np.einsum("ks,ks->k", b, b)          # on ||r||_2^2
+    tol = 1e-26 * (b @ b)            # on ||r||_2^2
     inverse = 1.0 / diag
     x = np.zeros_like(b)
     r = b.copy()
     p = np.zeros_like(b)
-    z = np.empty_like(b)
-    rz_old = np.ones(count)          # p starts at 0, so the first beta multiplies nothing
-    active = np.einsum("ks,ks->k", r, r) > tol
-    for _ in range(size):
-        if not active.any():
+    rz_old = 1.0                     # p starts at 0, so the first beta multiplies nothing
+    for _ in range(len(b)):
+        if not r @ r > tol:
             break
-        np.multiply(inverse, r, out=z)
-        rz = np.einsum("ks,ks->k", r, z)
-        p *= np.divide(rz, rz_old, out=np.zeros(count), where=active)[:, None]
+        z = inverse * r
+        rz = r @ z
+        p *= rz / rz_old
         p += z
-        q = (lap @ p.reshape(-1)).reshape(count, size)
-        alpha = np.divide(rz, np.einsum("ks,ks->k", p, q), out=np.zeros(count), where=active)
-        x += alpha[:, None] * p
-        r -= alpha[:, None] * q
+        q = lap @ p
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
         rz_old = rz
-        active &= np.einsum("ks,ks->k", r, r) > tol
-    return x, ~active
+    return x
 
 
 def _conductances(w: np.ndarray) -> np.ndarray:

@@ -684,7 +684,8 @@ def assert_close_relative(actual, expected, rtol):
 
 
 class TestLaplacianSolve:
-    """Above the dense cut, batched Jacobi-PCG with a residual-checked sparse LU fallback."""
+    """Above the dense cut, one Jacobi-PCG per representative, residual-checked, refined once,
+    with a sparse LU fallback."""
 
     N = 10  # ksubset(10,1): 512 non-member subsets per certificate
 
@@ -717,7 +718,7 @@ class TestLaplacianSolve:
         spsolve = scipy.sparse.linalg.spsolve
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs.get("permc_spec"))
             return spsolve(*args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "spsolve", counted)
@@ -731,51 +732,71 @@ class TestLaplacianSolve:
         assert not calls
 
     @staticmethod
-    def fail_pcg(monkeypatch, failure: str, blocks) -> None:
-        """Make every _jacobi_pcg answer on the given blocks unconverged or wrong by 1e-6.
+    def spoil_pcg(monkeypatch, spoil) -> list:
+        """Pass every _jacobi_pcg answer x through spoil(representative, refining, x).
 
-        The first call solves every block; a later call refines only the
-        refused ones, and fails on all of them, so refinement cannot repair it.
+        Representatives are solved in order, each by one PCG on its own CSR
+        matrix and, if that answer is refused, one refinement on the same
+        matrix, so a new matrix starts the next representative.  Returns the
+        representative of each call, in call order.
         """
         pcg = lg._jacobi_pcg
-        calls = []
+        laps, calls = [], []
 
-        def failing(lap, b, diag):
-            x, converged = pcg(lap, b, diag)
-            assert converged.all()
-            hit = slice(None) if calls else blocks
-            calls.append(len(b))
-            if failure == "info":
-                converged[hit] = False
+        def spoiled(lap, b, diag):
+            if not laps or laps[-1] is not lap:
+                laps.append(lap)
+            refining = len(laps) - 1 in calls
+            calls.append(len(laps) - 1)
+            x = pcg(lap, b, diag)
+            spoil(calls[-1], refining, x)
+            return x
+
+        monkeypatch.setattr(lg, "_jacobi_pcg", spoiled)
+        return calls
+
+    @classmethod
+    def fail_pcg(cls, monkeypatch, failure: str, failed: int) -> list:
+        """Make both PCG answers of representative failed zero or wrong by 1e-6.
+
+        Its first answer is refused and its refinement spoiled the same way,
+        so refinement cannot repair it.
+        """
+        def spoil(k, refining, x):
+            if k != failed:
+                return
+            if failure == "stopped":
+                x[:] = 0.0           # as if PCG stopped before its first step
             else:
-                x[hit, 0] += 1e-6  # a converged-looking answer that is wrong
-            return x, converged
+                x[0] += 1e-6         # a converged-looking answer that is wrong
 
-        monkeypatch.setattr(lg, "_jacobi_pcg", failing)
+        return cls.spoil_pcg(monkeypatch, spoil)
 
-    @pytest.mark.parametrize("failure", ["info", "wrong-x"])
+    @pytest.mark.parametrize("failure", ["stopped", "wrong-x"])
     def test_fallback_gives_the_direct_solve(self, monkeypatch, failure):
-        self.fail_pcg(monkeypatch, failure, [0])
+        pcg_calls = self.fail_pcg(monkeypatch, failure, 0)
         calls = self.count_direct_solves(monkeypatch)
         n = self.N
         member = st.membership_table(st.ksubset_structure(n, 1))
         w = self.weights(False)
         p, potential = lattice_flow(n, member[:1], w)
-        assert len(calls) == 1
+        assert pcg_calls == [0, 0]
+        assert calls == ["MMD_AT_PLUS_A"]
         p_ref, potential_ref = direct_flow(n, member[0], w)
         assert_close_relative(p[0], p_ref, 1e-10)
         assert_close_relative(potential[0], potential_ref, 1e-10)
 
-    @pytest.mark.parametrize("failure", ["info", "wrong-x"])
+    @pytest.mark.parametrize("failure", ["stopped", "wrong-x"])
     def test_fallback_only_for_the_failed_certificate(self, monkeypatch, failure):
         n, failed = self.N, 3
         member = st.membership_table(st.ksubset_structure(n, 1))
         w = self.weights(True)
         p_pcg, potential_pcg = lattice_flow(n, member, w)
-        self.fail_pcg(monkeypatch, failure, [failed])
+        pcg_calls = self.fail_pcg(monkeypatch, failure, failed)
         calls = self.count_direct_solves(monkeypatch)
         p, potential = lattice_flow(n, member, w)
-        assert len(calls) == 1
+        assert pcg_calls == [0, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9]
+        assert calls == ["MMD_AT_PLUS_A"]
         others = np.arange(n) != failed
         assert np.array_equal(p[others], p_pcg[others])
         assert np.array_equal(potential[others], potential_pcg[others])
@@ -784,32 +805,27 @@ class TestLaplacianSolve:
         assert_close_relative(potential[failed], potential_ref, 1e-10)
 
     def test_refinement_repairs_a_refused_answer(self, monkeypatch):
-        # only the first PCG answer is wrong; one more PCG on the true residual mends it
-        pcg = lg._jacobi_pcg
-        blocks = []
+        # only representative 3's first answer is wrong; one more PCG on the true residual
+        # mends it
+        def wrong_once(k, refining, x):
+            if k == 3 and not refining:
+                x[0] += 1e-6
 
-        def wrong_once(lap, b, diag):
-            x, converged = pcg(lap, b, diag)
-            if not blocks:
-                x[3, 0] += 1e-6
-            blocks.append(len(b))
-            return x, converged
-
-        monkeypatch.setattr(lg, "_jacobi_pcg", wrong_once)
+        pcg_calls = self.spoil_pcg(monkeypatch, wrong_once)
         calls = self.count_direct_solves(monkeypatch)
         n = self.N
         member = st.membership_table(st.ksubset_structure(n, 1))
         w = self.weights(True)
         p, potential = lattice_flow(n, member, w)
         assert not calls
-        assert blocks == [n, 1]
+        assert pcg_calls == [0, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9]
         p_ref, potential_ref = direct_flow(n, member[3], w)
         assert_close_relative(p[3], p_ref, 1e-10)
         assert_close_relative(potential[3], potential_ref, 1e-10)
 
-    def test_stopped_certificates_stay_frozen(self, monkeypatch):
-        # at spread weights the certificates converge after different numbers of
-        # steps; a 0/0 or overflow in a stopped certificate's recurrence raises here
+    def test_spread_weights_raise_no_floating_point_error(self, monkeypatch):
+        # at conductances spread over ten decades each representative's PCG takes its own
+        # number of steps; a 0/0, overflow or underflow in any recurrence raises here
         calls = self.count_direct_solves(monkeypatch)
         n = self.N
         cert = st.ksubset_structure(n, 1)
@@ -819,6 +835,15 @@ class TestLaplacianSolve:
         # the conservation residual at a non-member node is exactly +-(L x - b)
         residuals = lg.flow_residuals(cert, lg.FlowAssignment(n, p))
         assert max(abs(r) for r in residuals.values()) <= 1e-12
+
+    def test_sparse_path_iteration_count(self):
+        # hidden_shift(7)'s one representative has a 315-node quotient, above the cut;
+        # duality_report runs _check_primal on the certified primal
+        cert = st.build_named_structure("hidden_shift", (7,))
+        orbits = lg._CertificateOrbits(cert, st.membership_table(cert))
+        assert [block.size for block in orbits.laplacian.blocks] == [315]
+        report = lg.duality_report(cert)
+        assert (report.primal.iterations, report.primal.converged) == (520, True)
 
     @staticmethod
     def run_fresh(code: str) -> None:
@@ -893,7 +918,7 @@ np.save({str(path)!r}, potential)
 
 
 class TestStackedLaplacian:
-    """Below the dense cut, one stacked solve per group of equal non-member counts."""
+    """Below the dense cut, one dense solve per representative."""
 
     @staticmethod
     def flows_match_direct_solves(cert: st.CertificateStructure) -> None:
@@ -909,9 +934,9 @@ class TestStackedLaplacian:
             assert_close_relative(p[m], p_ref, 1e-10)
             assert_close_relative(potential[m], potential_ref, 1e-10)
 
-    def test_asymmetric_two_group_sizes(self, monkeypatch):
-        # {1,2} and {1,3} leave 6 non-member subsets and {3} leaves 4, so
-        # certificate 2 is the second of its group and certificate 1 the first
+    def test_one_dense_solve_per_representative(self, monkeypatch):
+        # {1,2} and {1,3} leave 6 non-member subsets and {3} leaves 4; without
+        # symmetry each certificate is its own representative, solved in order
         cert = structure(3, [(1, 2)], [(3,)], [(1, 3)])
         assert list((~st.membership_table(cert)).sum(axis=1)) == [6, 4, 6]
         solve = np.linalg.solve
@@ -923,7 +948,7 @@ class TestStackedLaplacian:
 
         monkeypatch.setattr(np.linalg, "solve", counted)
         self.flows_match_direct_solves(cert)
-        assert calls == [(1, 4, 4), (2, 6, 6)]
+        assert calls == [(6, 6), (4, 4), (6, 6)]
 
     def test_empty_set_member_gives_zero_rows(self):
         cert = st.CertificateStructure(
@@ -934,16 +959,6 @@ class TestStackedLaplacian:
 
     def test_ksubset_4_2(self):
         self.flows_match_direct_solves(st.ksubset_structure(4, 2))
-
-    def test_chunked_stack_is_bit_identical(self, monkeypatch):
-        member = st.membership_table(st.ksubset_structure(4, 2))  # 6 certificates of 12 nodes
-        w = np.random.default_rng(5).uniform(0.1, 2.0, st.arc_count(4))
-        whole = trivial_quotient(4, member)
-        monkeypatch.setattr(lg, "_STACK_BYTES", 2 * 8 * 12 ** 2)
-        chunked = trivial_quotient(4, member)
-        assert (len(whole.groups), len(chunked.groups)) == (1, 3)
-        for a, b in zip(whole.flow(w), chunked.flow(w)):
-            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind,params,iterations", [
         ("ksubset", (4, 1), 40), ("ksubset", (4, 2), 30),
@@ -1029,8 +1044,8 @@ class TestCertificateOrbits:
         cert = st.build_named_structure(kind, params)
         sol = lg.solve_primal(cert, lg.SolverParams(max_iterations=2))
         # ksubset(12,2)'s quotient has 22 nodes and is solved dense; triangle(6)'s has
-        # 1188: one solve per iteration, and its second answer is refined once
-        assert blocks == {"ksubset": [], "triangle": [1, 1, 1]}[kind]
+        # 1188: one PCG per iteration, and its second answer is refined once
+        assert blocks == {"ksubset": [], "triangle": [1188] * 3}[kind]
         lg._check_primal(cert, sol)
 
     def test_planted_wrong_mask_map_fails_the_primal_check(self, monkeypatch):
