@@ -532,8 +532,9 @@ class _QuotientBlock:
 
                 # a symmetric fill-reducing order: on 2 cores SuperLU's default COLAMD takes
                 # the n = 12 lattice grounded at the full set (4095 nodes, log-uniform(-3, 0)
-                # conductances) 7.4 s and 260 MB peak RSS, MMD_AT_PLUS_A 1.0 s and 103 MB
-                x = spsolve(lap, b, permc_spec="MMD_AT_PLUS_A")
+                # conductances) 7.4 s and 260 MB peak RSS, MMD_AT_PLUS_A 1.0 s and 103 MB.
+                # spsolve sums repeated entries in place, and lap shares the block's pattern
+                x = spsolve(lap.copy(), b, permc_spec="MMD_AT_PLUS_A")
         return x
 
 

@@ -823,6 +823,34 @@ class TestLaplacianSolve:
         assert_close_relative(p[3], p_ref, 1e-10)
         assert_close_relative(potential[3], potential_ref, 1e-10)
 
+    def test_fallback_keeps_a_repeated_entry_pattern(self, monkeypatch):
+        # hidden_shift(7)'s 315-node quotient joins some node pairs by several classes, which
+        # its CSR pattern holds as repeated entries; spsolve sums those in place, so the
+        # fallback must not hand it the block's own index arrays
+        cert = st.build_named_structure("hidden_shift", (7,))
+        member = st.membership_table(cert)
+        orbits = lg._CertificateOrbits(cert, member)
+        (block,) = orbits.laplacian.blocks
+        rows = np.repeat(np.arange(block.size), np.diff(block.indptr))
+        assert len(np.unique(rows * block.size + block.indices)) < len(block.indices)
+        indices, indptr = block.indices.copy(), block.indptr.copy()
+        w = np.random.default_rng(11).uniform(0.1, 2.0, len(orbits.size))
+        p_ref, potential_ref = direct_flow(cert.n, member[0], w[orbits.arc_orbit])
+
+        def flow():
+            potential = orbits.potentials(orbits.laplacian.flow(w)[1])
+            p = lg._arc_flows(potential, lg._conductances(w[orbits.arc_orbit]))
+            assert_close_relative(p[0], p_ref, 1e-10)
+            assert_close_relative(potential[0], potential_ref, 1e-10)
+
+        with monkeypatch.context() as patch:
+            pcg_calls = self.fail_pcg(patch, "wrong-x", 0)
+            calls = self.count_direct_solves(patch)
+            flow()
+        assert (pcg_calls, calls) == ([0, 0], ["MMD_AT_PLUS_A"])
+        assert np.array_equal(block.indices, indices) and np.array_equal(block.indptr, indptr)
+        flow()
+
     def test_spread_weights_raise_no_floating_point_error(self, monkeypatch):
         # at conductances spread over ten decades each representative's PCG takes its own
         # number of steps; a 0/0, overflow or underflow in any recurrence raises here
