@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ from .structures import (
 )
 
 _BRUTE_CAP = 1 << 20
+_CLASS_CHUNK = 4096     # index vectors whose candidate shifts are formed at once
 # draws per build_general_instance: with one, the default ladder's gaps tie or rise at 30 of
 # seeds 0-199 (a U in a coset of a subgroup); with 8, at none of seeds 0-1999
 _GENERAL_DRAWS = 8
@@ -51,12 +53,12 @@ def fourier_bias(elements: Iterable[int], p: int) -> float:
     """
     if p < 1:
         raise ParameterError(f"need p >= 1, got {p}")
+    codes = np.fromiter(elements, dtype=np.int64)
+    outside = (codes < 0) | (codes >= p)
+    if outside.any():
+        raise ParameterError(f"element {codes[outside.argmax()]} outside Z_{p}")
     indicator = np.zeros(p)
-    for u in elements:
-        u = int(u)
-        if not 0 <= u < p:
-            raise ParameterError(f"element {u} outside Z_{p}")
-        indicator[u] = 1.0
+    indicator[codes] = 1.0
     if p == 1:
         return 0.0
     size = int(indicator.sum())
@@ -70,17 +72,24 @@ def fourier_bias(elements: Iterable[int], p: int) -> float:
 
 @dataclass(frozen=True)
 class BiasedSet:
-    """A subset of Z_p with its cached Fourier bias."""
+    """A subset of Z_p with its cached Fourier bias.
+
+    The character-sum transform is computed on first use and kept, read-only;
+    it is not a field, so equality and hashing ignore it.
+    """
 
     p: int
     elements: tuple[int, ...]
     bias: float
 
     def __post_init__(self):
-        elements = tuple(sorted(set(int(u) for u in self.elements)))
-        object.__setattr__(self, "elements", elements)
-        if any(not 0 <= u < self.p for u in elements):
+        codes = np.fromiter(self.elements, dtype=np.int64)
+        if ((codes < 0) | (codes >= self.p)).any():
             raise ParameterError(f"elements must lie in Z_{self.p}")
+        present = np.zeros(self.p, dtype=bool)
+        present[codes] = True
+        elements = tuple(np.flatnonzero(present).tolist())   # sorted, without repeats
+        object.__setattr__(self, "elements", elements)
         if not -1e-12 <= self.bias <= len(elements) / self.p + 1e-12:
             raise ParameterError(
                 f"bias {self.bias} outside [0, |U|/p = {len(elements) / self.p}]"
@@ -104,9 +113,14 @@ class BiasedSet:
         return out
 
     def character_sums(self) -> np.ndarray:
-        """sum_{u in U} e^(2 pi i a u / p) / p for every a in Z_p."""
-        indicator = self.indicator().astype(float)
-        return np.conj(np.fft.fft(indicator)) / self.p
+        """sum_{u in U} e^(2 pi i a u / p) / p for every a in Z_p; read-only."""
+        return self._transform
+
+    @cached_property
+    def _transform(self) -> np.ndarray:
+        sums = np.conj(np.fft.fft(self.indicator().astype(float))) / self.p
+        sums.flags.writeable = False
+        return sums
 
 
 def _draw_biased_set(rng: np.random.Generator, p: int, delta: float) -> BiasedSet:
@@ -157,7 +171,10 @@ class GeneralInstance:
 
     Component i of certificate M carries the constraint "the i-th components
     of the entries on the minimal set A_M^(i) sum into U"; components beyond
-    the certificate's minimal-set count are unconstrained.
+    the certificate's minimal-set count are unconstrained.  The rows of each
+    component set, the p-th roots of unity and the minimal-set membership
+    table are computed on first use and kept, read-only; they are not fields,
+    so equality and hashing ignore them.
     """
 
     cert: CertificateStructure
@@ -192,6 +209,42 @@ class GeneralInstance:
     def generator_mask(self, m: int, i: int) -> int:
         """Minimal set A of certificate m, component i (1-based, i <= minimal_count)."""
         return self.cert.certificates[m].minimal_sets[i - 1]
+
+    def component_rows(self, mask: int) -> np.ndarray:
+        """The rows of Z_p^n, in code order, whose sum on the coordinates of mask lies in U.
+
+        Computed once per mask and kept read-only; refused over the brute-force
+        cap before anything is allocated.
+        """
+        rows = self._rows_by_mask.get(mask)
+        if rows is None:
+            grid = all_inputs(self.p, self.n, _BRUTE_CAP)
+            sums = grid[:, [j - 1 for j in mask_members(mask)]].sum(axis=1) % self.p
+            rows = grid[self.biased_set.indicator()[sums]]
+            rows.flags.writeable = False
+            self._rows_by_mask[mask] = rows
+        return rows
+
+    @cached_property
+    def _rows_by_mask(self) -> dict[int, np.ndarray]:
+        return {}
+
+    @cached_property
+    def _unit_roots(self) -> np.ndarray:
+        """exp(2 pi i k / p) for k in Z_p: the brute overlap's terms, bit-equal to exp per row."""
+        roots = np.exp(2j * np.pi * np.arange(self.p) / self.p)
+        roots.flags.writeable = False
+        return roots
+
+    @cached_property
+    def _on_minimal_set(self) -> np.ndarray:
+        """(certificate, coordinate, component) -> 1 when the coordinate is in that minimal set."""
+        masks = np.zeros((len(self.cert), self.ell), dtype=np.int64)
+        for m, certificate in enumerate(self.cert.certificates):
+            masks[m, :len(certificate.minimal_sets)] = certificate.minimal_sets
+        table = (masks[:, None, :] >> np.arange(self.n)[None, :, None]) & 1
+        table.flags.writeable = False
+        return table
 
     def x_size(self, m: int) -> int:
         lm = self.minimal_count(m)
@@ -295,23 +348,17 @@ def character_overlap(
     if i > instance.minimal_count(m):
         return 1.0 + 0.0j if w == w_prime else 0.0 + 0.0j
     mask = instance.generator_mask(m, i)
-    members = mask_members(mask)
     if method == "fast":
-        a = members[0]
-        wbar = shift(w, mask, -w[a - 1], p)
-        wbar_prime = shift(w_prime, mask, -w_prime[a - 1], p)
-        if wbar != wbar_prime:
+        # w' is a constant shift of w on the mask iff w' - w is that constant there, 0 elsewhere
+        a = (mask & -mask).bit_length() - 1     # the mask's first coordinate
+        phase = (w_prime[a] - w[a]) % p
+        diff = tuple((y - x) % p for x, y in zip(w, w_prime))
+        if diff != tuple(phase if (mask >> j) & 1 else 0 for j in range(n)):
             return 0.0 + 0.0j
-        phase = (w_prime[a - 1] - w[a - 1]) % p
-        sums = instance.biased_set.character_sums()
-        return complex(sums[phase])
+        return complex(instance.biased_set.character_sums()[phase])
     if method == "brute":
-        grid = all_inputs(p, n, _BRUTE_CAP)
-        sums = grid[:, [j - 1 for j in members]].sum(axis=1) % p
-        keep = instance.biased_set.indicator()[sums]
-        diff = np.array(w_prime) - np.array(w)
-        phases = (grid[keep] @ diff) % p
-        return complex(np.exp(2j * np.pi * phases / p).sum() / p ** n)
+        phases = instance.component_rows(mask) @ np.subtract(w_prime, w)   # taken mod p
+        return complex(instance._unit_roots.take(phases, mode="wrap").sum() / p ** n)
     raise ParameterError(f"method must be 'fast' or 'brute', got {method!r}")
 
 
@@ -344,33 +391,45 @@ class EquivalenceClass:
         return len(self.members)
 
 
+def _candidate_shifts(instance: GeneralInstance, m: int, vectors: np.ndarray, support_ok):
+    """Every candidate shift of many index vectors at once.
+
+    vectors is (R, n, ell), coordinate-major like a class member.  Component
+    i <= minimal_count shifts by -v_j^(i) for each j on its minimal set; the
+    other components do not shift.  Returns the shifted vectors (R, K, n, ell),
+    the shifts (R, K, ell) and whether support_ok(array of subset masks) keeps
+    each shifted vector (R, K).  Equal shifts repeat when coordinates agree.
+    """
+    p = instance.p
+    on = instance._on_minimal_set[m]
+    cands = [(-vectors[:, on[:, i] == 1, i]) % p for i in range(instance.minimal_count(m))]
+    picks = np.array(list(itertools.product(*(range(c.shape[1]) for c in cands))),
+                     dtype=np.intp)
+    shifts = np.zeros((len(vectors), len(picks), instance.ell), dtype=np.int64)
+    for i, c in enumerate(cands):
+        shifts[:, :, i] = c[:, picks[:, i]]
+    shifted = (vectors[:, None] + on * shifts[:, :, None, :]) % p
+    supports = shifted.any(axis=3) @ (1 << np.arange(instance.n))
+    return shifted, shifts, support_ok(supports)
+
+
+def _class_from(v, shifted: list, shifts: list, keep: list) -> EquivalenceClass:
+    """The class of v from one row of _candidate_shifts, as lists.
+
+    Distinct shifts give distinct members, so a member seen twice came from
+    the same shift.
+    """
+    seen = {tuple(map(tuple, member)): tuple(shift)
+            for member, shift, kept in zip(shifted, shifts, keep) if kept}
+    members = tuple(sorted(seen))
+    return EquivalenceClass(representative=v, members=members,
+                            shifts=tuple(seen[member] for member in members))
+
+
 def _class_of(instance: GeneralInstance, m: int, v, support_ok) -> EquivalenceClass:
-    """Build the equivalence class of v; support_ok(subset_mask) gates members."""
-    p, ell = instance.p, instance.ell
-    lm = instance.minimal_count(m)
-    candidate_lists = []
-    for i in range(1, ell + 1):
-        if i > lm:
-            candidate_lists.append((0,))
-            continue
-        members = mask_members(instance.generator_mask(m, i))
-        cands = sorted({(-v[j - 1][i - 1]) % p for j in members})
-        candidate_lists.append(tuple(cands))
-    seen = {}
-    for combo in itertools.product(*candidate_lists):
-        shifted = []
-        for j in range(instance.n):
-            symbol = list(v[j])
-            for i in range(1, lm + 1):
-                if (instance.generator_mask(m, i) >> j) & 1:
-                    symbol[i - 1] = (symbol[i - 1] + combo[i - 1]) % p
-            shifted.append(tuple(symbol))
-        shifted = tuple(shifted)
-        if support_ok(_vector_support_mask(shifted)) and shifted not in seen:
-            seen[shifted] = combo
-    members = tuple(sorted(seen.keys()))
-    shifts = tuple(seen[member] for member in members)
-    return EquivalenceClass(representative=v, members=members, shifts=shifts)
+    """Build the equivalence class of v; support_ok(array of subset masks) gates members."""
+    shifted, shifts, keep = _candidate_shifts(instance, m, np.array([v]), support_ok)
+    return _class_from(v, shifted[0].tolist(), shifts[0].tolist(), keep[0].tolist())
 
 
 def equivalence_classes(
@@ -386,7 +445,8 @@ def equivalence_classes(
     over those subsets, not q^n; cap bounds that count and is checked before
     anything is allocated.  Classes come in code order of their first member.
     Each class has at most n^ell members because a member must keep a zero
-    somewhere on every minimal set.
+    somewhere on every minimal set.  The candidate shifts are formed for
+    _CLASS_CHUNK vectors at a time.
     """
     q, n = instance.q, instance.n
     beta_row = np.asarray(beta)[m]
@@ -397,8 +457,8 @@ def equivalence_classes(
             f"{total} index vectors with nonzero coefficient exceed the enumeration cap {cap}"
         )
 
-    def support_ok(mask: int) -> bool:
-        return beta_row[mask] != 0
+    def support_ok(masks: np.ndarray) -> np.ndarray:
+        return beta_row[masks] != 0
 
     blocks = [np.zeros((0, n), dtype=np.int64)]
     for mask in supports:
@@ -411,16 +471,21 @@ def equivalence_classes(
     # lexicographic on the digits, i.e. code order, without forming codes:
     # sum_j d_j q^(n-1-j) may overflow int64 once q^n no longer bounds the call
     digits = digits[np.lexsort(digits.T[::-1])]
-    symbols = list(map(tuple, decode(np.arange(q), instance.p, instance.ell).tolist()))
+    symbol_table = decode(np.arange(q), instance.p, instance.ell)
+    symbols = list(map(tuple, symbol_table.tolist()))
     classes = []
     done = set()
-    for row in digits.tolist():
-        v = tuple(symbols[d] for d in row)
-        if v in done:
-            continue
-        cls = _class_of(instance, m, v, support_ok)
-        done.update(cls.members)
-        classes.append(cls)
+    for start in range(0, len(digits), _CLASS_CHUNK):
+        chunk = digits[start:start + _CLASS_CHUNK]
+        shifted, shifts, keep = _candidate_shifts(instance, m, symbol_table[chunk], support_ok)
+        for row, *candidates in zip(chunk.tolist(), shifted.tolist(), shifts.tolist(),
+                                    keep.tolist()):
+            v = tuple(symbols[d] for d in row)
+            if v in done:
+                continue
+            cls = _class_from(v, *candidates)
+            done.update(cls.members)
+            classes.append(cls)
     return classes
 
 

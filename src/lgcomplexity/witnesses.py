@@ -22,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from . import lgsolver
+from .errors import CapacityError, ParameterError
 from .lgsolver import DualWitness
 from .structures import (
+    check_lattice,
     collision_structure,
     hidden_shift_structure,
     ksubset_structure,
@@ -131,6 +133,12 @@ class TriangleWitnessConfig:
         return cls(n=n, threshold=threshold, level_ds=ds, level_count=1 + doublings)
 
 
+def _triangle_table_bytes(n: int) -> int:
+    """Bytes of triangle_witness's tables on n vertices: per edge subset, 1 of membership
+    and 8 of alpha per triple, and 1 of degree per vertex (and an unused row 0)."""
+    return (math.comb(n, 3) * 9 + n + 1) << math.comb(n, 2)
+
+
 def triangle_witness(n: int) -> DualWitness:
     """The degree-leveled triangle witness on C(n,2) edge variables.
 
@@ -140,11 +148,19 @@ def triangle_witness(n: int) -> DualWitness:
     n^(-3/14) * clip01(min(2 deg(a)/d, nu/t) - 1) where nu counts common
     neighbors of the missing edge's endpoints weighted by the trapezoid
     profile at that level.  If two or more of M's edges are missing every g_i
-    is zero.
+    is zero.  An over-cap edge lattice, or tables over lgsolver.PRIMAL_BYTE_CAP
+    bytes, are refused before anything is allocated.
     """
     structure = triangle_structure(n)
-    member = membership_table(structure)  # refuses an over-cap edge lattice first
     nvars = structure.n
+    check_lattice(nvars)
+    needed = _triangle_table_bytes(n)
+    if needed > lgsolver.PRIMAL_BYTE_CAP:
+        raise CapacityError(
+            f"triangle witness on {n} vertices needs {needed} bytes for its membership, "
+            f"alpha and degree tables, over the cap {lgsolver.PRIMAL_BYTE_CAP}"
+        )
+    member = membership_table(structure)
     config = TriangleWitnessConfig.for_vertices(n)
     t = config.threshold
     height = float(n) ** (-3.0 / 14.0)

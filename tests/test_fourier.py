@@ -1,5 +1,6 @@
 """Character sums, low-bias sets, overlaps, and the product-alphabet gap."""
 
+import itertools
 import math
 import time
 
@@ -526,3 +527,143 @@ class TestSupportEnumeration:
             )
             closed = fo.restriction_gap(inst, witness, 1, m)
             assert closed == pytest.approx(exhaustive, abs=1e-12)
+
+
+def _class_by_loop(instance, m, v, support_ok):
+    """Oracle: one candidate shift at a time, with a scalar support gate."""
+    p, ell = instance.p, instance.ell
+    lm = instance.minimal_count(m)
+    candidate_lists = []
+    for i in range(1, ell + 1):
+        if i > lm:
+            candidate_lists.append((0,))
+            continue
+        members = st.mask_members(instance.generator_mask(m, i))
+        candidate_lists.append(tuple(sorted({(-v[j - 1][i - 1]) % p for j in members})))
+    seen = {}
+    for combo in itertools.product(*candidate_lists):
+        shifted = []
+        for j in range(instance.n):
+            symbol = list(v[j])
+            for i in range(1, lm + 1):
+                if (instance.generator_mask(m, i) >> j) & 1:
+                    symbol[i - 1] = (symbol[i - 1] + combo[i - 1]) % p
+            shifted.append(tuple(symbol))
+        shifted = tuple(shifted)
+        if support_ok(fo._vector_support_mask(shifted)) and shifted not in seen:
+            seen[shifted] = combo
+    members = tuple(sorted(seen))
+    return fo.EquivalenceClass(representative=v, members=members,
+                               shifts=tuple(seen[member] for member in members))
+
+
+class TestCachedCharacterData:
+    def test_transform_computed_once_and_read_only(self):
+        biased = fo.random_low_bias_set(11, 0.4, seed=2)
+        sums = biased.character_sums()
+        assert sums is biased.character_sums()
+        assert not sums.flags.writeable
+        with pytest.raises(ValueError):
+            sums[1] = 0.0
+        direct = np.conj(np.fft.fft(biased.indicator().astype(float))) / 11
+        assert np.array_equal(sums, direct)
+
+    def test_component_rows_computed_once_and_read_only(self, overlap_instance):
+        mask = overlap_instance.generator_mask(0, 1)
+        rows = overlap_instance.component_rows(mask)
+        assert rows is overlap_instance.component_rows(mask)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        grid = all_inputs(7, 3)
+        keep = overlap_instance.biased_set.indicator()[grid[:, [0, 1]].sum(axis=1) % 7]
+        assert np.array_equal(rows, grid[keep])
+
+    def test_equality_and_hashing_ignore_the_caches(self):
+        cert = st.hidden_shift_structure(2)
+        cached = fo.build_general_instance(cert, 8, seed=1)
+        fresh = fo.build_general_instance(cert, 8, seed=1)
+        cached.biased_set.character_sums()
+        cached.component_rows(cached.generator_mask(0, 1))
+        fo.equivalence_classes(cached, 0, adv.difference_coefficients(
+            wt.hidden_shift_witness(2), 1))
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert cached.biased_set == fresh.biased_set
+        assert hash(cached.biased_set) == hash(fresh.biased_set)
+        assert cached != fo.build_general_instance(cert, 8, seed=2)
+
+    def test_brute_matches_fast_for_every_w_prime_in_z5_cubed(self):
+        cert = st.CertificateStructure(3, (st.Certificate.from_sets([(1, 3)]),))
+        inst = fo.GeneralInstance(
+            cert=cert, p=5, ell=1, biased_set=fo.random_low_bias_set(5, 0.4, seed=4)
+        )
+        grid = [tuple(row) for row in all_inputs(5, 3).tolist()]
+        for w in ((0, 0, 0), (1, 2, 3), (4, 0, 2), (3, 3, 1), (2, 4, 4)):
+            for w_prime in grid:
+                brute = fo.character_overlap(w, w_prime, 0, 1, inst, "brute")
+                fast = fo.character_overlap(w, w_prime, 0, 1, inst, "fast")
+                assert abs(brute - fast) <= 1e-12
+
+    def test_brute_is_the_exhaustive_sum_bit_for_bit(self):
+        cert = st.hidden_shift_structure(2)
+        inst = fo.build_general_instance(cert, 8, seed=3)
+        grid = all_inputs(8, 4)
+        rng = np.random.default_rng(9)
+        for m, i in ((0, 1), (0, 2), (1, 1), (1, 2)):
+            members = [j - 1 for j in st.mask_members(inst.generator_mask(m, i))]
+            keep = inst.biased_set.indicator()[grid[:, members].sum(axis=1) % 8]
+            for _ in range(10):
+                w, w_prime = rng.integers(0, 8, 4), rng.integers(0, 8, 4)
+                phases = (grid[keep] @ (w_prime - w)) % 8
+                direct = complex(np.exp(2j * np.pi * phases / 8).sum() / 8 ** 4)
+                assert fo.character_overlap(w, w_prime, m, i, inst, "brute") == direct
+
+    def test_bias_and_elements_from_arrays(self):
+        elements = np.random.default_rng(6).choice(10007, size=5003, replace=False)
+        biased = fo.BiasedSet.from_elements(elements, 10007)
+        assert biased.elements == tuple(sorted(set(elements.tolist())))
+        indicator = np.zeros(10007)
+        indicator[elements] = 1.0
+        assert biased.bias == float(np.abs(np.fft.fft(indicator)[1:]).max() / 10007)
+        assert fo.BiasedSet.from_elements([3, 1, 3], 5).elements == (1, 3)
+        with pytest.raises(ParameterError, match="element -1 outside Z_5"):
+            fo.fourier_bias(iter([2, -1, 7]), 5)
+        with pytest.raises(ParameterError):
+            fo.BiasedSet(p=5, elements=(1, 5), bias=0.1)
+
+
+class TestBroadcastClasses:
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_classes_equal_the_loop_on_hidden_shift_2_at_p8(self, j):
+        cert = st.hidden_shift_structure(2)
+        inst = fo.build_general_instance(cert, 8, seed=0)
+        beta = adv.difference_coefficients(wt.hidden_shift_witness(2), j)
+        for m in range(len(cert)):
+            classes = fo.equivalence_classes(inst, m, beta)
+            assert classes == [_class_by_loop(inst, m, cls.representative,
+                                              lambda mask: beta[m][mask] != 0)
+                               for cls in classes]
+
+    def test_class_of_equals_the_loop_on_a_three_set(self):
+        # a three-element minimal set repeats candidate shifts whenever two of its
+        # coordinates agree; every vector of Z_9^4 is a representative here
+        cert = st.CertificateStructure(
+            4, (st.Certificate.from_sets([(1, 2, 3), (2, 4)]),)
+        )
+        inst = fo.GeneralInstance(cert=cert, p=3, ell=2,
+                                  biased_set=fo.random_low_bias_set(3, 0.4, seed=0))
+        beta_row = np.random.default_rng(8).integers(0, 2, 16).astype(float)
+        beta_row[0] = 1.0
+        symbols = [tuple(s) for s in decode(np.arange(9), 3, 2).tolist()]
+        for row in all_inputs(9, 4).tolist():
+            v = tuple(symbols[d] for d in row)
+            assert fo._class_of(inst, 0, v, lambda mask: beta_row[mask] != 0) == \
+                _class_by_loop(inst, 0, v, lambda mask: beta_row[mask] != 0)
+
+    def test_chunk_boundaries_do_not_move_classes(self, monkeypatch):
+        cert = st.hidden_shift_structure(2)
+        inst = fo.build_general_instance(cert, 8, seed=0)
+        beta = adv.difference_coefficients(wt.hidden_shift_witness(2), 1)
+        whole = fo.equivalence_classes(inst, 0, beta)
+        monkeypatch.setattr(fo, "_CLASS_CHUNK", 7)
+        assert fo.equivalence_classes(inst, 0, beta) == whole

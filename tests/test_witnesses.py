@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,33 @@ class TestTriangleWitness:
         with pytest.raises(CapacityError, match="needs n <= 22, got n = 28"):
             wt.triangle_witness(8)
         assert time.perf_counter() - start < 0.1
+
+    def test_byte_cap_refuses_before_allocating(self, monkeypatch):
+        needed = wt._triangle_table_bytes(6)
+        monkeypatch.setattr(lg, "PRIMAL_BYTE_CAP", needed - 1)
+
+        def never(cert):
+            raise AssertionError("membership table built before the byte check")
+
+        monkeypatch.setattr(wt, "membership_table", never)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"needs {needed} bytes"):
+                wt.triangle_witness(6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < needed // 20
+
+    def test_byte_cap_counts_the_tables(self, monkeypatch):
+        # the tables of v = 4..7 fit the real cap (v = 7 needs 677 MB); at a cap of
+        # exactly the count the witness builds, and the count is its tables' bytes
+        assert all(wt._triangle_table_bytes(v) <= lg.PRIMAL_BYTE_CAP for v in range(4, 8))
+        needed = wt._triangle_table_bytes(5)
+        monkeypatch.setattr(lg, "PRIMAL_BYTE_CAP", needed)
+        witness = wt.triangle_witness(5)
+        member = st.membership_table(st.triangle_structure(5))
+        assert needed == witness.alpha.nbytes + member.nbytes + (5 + 1) * (1 << witness.n)
 
     def test_scalar_spot_checks_against_direct_evaluation(self):
         # recompute alpha for a handful of subsets straight from the formula,
