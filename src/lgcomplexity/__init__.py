@@ -47,7 +47,6 @@ from .lgsolver import (
     solve_primal,
 )
 from .witnesses import (
-    TriangleWitnessConfig,
     clip01,
     hidden_shift_witness,
     ksubset_witness,

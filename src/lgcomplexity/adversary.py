@@ -205,9 +205,6 @@ class LabeledMatrix:
         if self.matrix.shape != (len(self.row_codes), len(self.col_codes)):
             raise StructuralError("label lengths must match the matrix shape")
 
-    def digit(self, codes: np.ndarray, j: int) -> np.ndarray:
-        return (codes // self.q ** (self.n - j)) % self.q
-
 
 class BlockOperator:
     """sum_S coeff_S(M) E_S per certificate, stacked, optionally restricted/scaled.
@@ -371,19 +368,8 @@ def _lanczos_norm(op: BlockOperator) -> SpectralReport:
     gives the norm of one application.
     """
     rows, cols = op.shape
-    applications = 0
-
-    def count(apply):
-        def counted(x):
-            nonlocal applications
-            applications += 1
-            return apply(x)
-        return counted
-
     # the Gram side is the smaller one: A^T A on columns or A A^T on rows
-    first, second = count(op.matvec), count(op.rmatvec)
-    if rows < cols:
-        first, second = second, first
+    first, second = (op.rmatvec, op.matvec) if rows < cols else (op.matvec, op.rmatvec)
 
     def triple(x):
         """sigma = |first(x)| for unit x, and the residual of (u, sigma, v) built from it."""
@@ -420,12 +406,13 @@ def _lanczos_norm(op: BlockOperator) -> SpectralReport:
         theta, s = values[-1], vectors[:, -1]
         if beta * abs(s[-1]) <= stop * abs(theta) or k == side:
             norm, residual = triple(basis[:k].T @ s)
-            return SpectralReport(norm=norm, iterations=applications, residual=residual,
+            # two applications per step and two for the triple
+            return SpectralReport(norm=norm, iterations=2 * k + 2, residual=residual,
                                   method="lanczos")
         off_diagonal.append(beta)
         v = w / beta
     raise ConsistencyError(
-        f"Lanczos did not converge on the {rows} x {cols} operator after {applications} "
+        f"Lanczos did not converge on the {rows} x {cols} operator after {2 * steps} "
         f"applications (last residual {beta * abs(s[-1]) / theta:.3g})"
     )
 
@@ -457,8 +444,8 @@ def hadamard_mask(op, j: int):
                             [-1.0, 1.0]])
         return BlockOperator(_per_axis(inverse, table, op.n), op.q, op.n, op.row_sets,
                              op.row_scales, op.col_codes)
-    row_d = op.digit(op.row_codes, j)
-    col_d = op.digit(op.col_codes, j)
+    row_d = decode(op.row_codes, op.q, op.n)[:, j - 1]
+    col_d = decode(op.col_codes, op.q, op.n)[:, j - 1]
     mask = row_d[:, None] != col_d[None, :]
     return LabeledMatrix(op.matrix * mask, op.q, op.n, op.row_codes, op.col_codes)
 

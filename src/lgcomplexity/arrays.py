@@ -22,6 +22,7 @@ from .indexing import all_inputs, check_enumerable, decode, encode
 from .structures import (
     CertificateStructure,
     mask_members,
+    membership_table,
     minimal_profile,
     structure_to_dict,
 )
@@ -67,10 +68,6 @@ class OrthogonalArray:
         object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def size(self) -> int:
         return len(self.rows)
 
     def row_codes(self) -> np.ndarray:
@@ -351,8 +348,7 @@ def verify_orthogonality_property(instance: HardInstance, m: int) -> Orthogonali
     and assignments by ascending code; returns the first violation.
     """
     n, q = instance.n, instance.q
-    certificate = instance.cert.certificates[m]
-    outside = [mask for mask in range(1 << n) if not certificate.contains(mask)]
+    outside = np.flatnonzero(~membership_table(instance.cert)[m]).tolist()
     offender = _first_nonuniform(
         decode(instance.x_sets[m], q, n), q,
         [[j - 1 for j in mask_members(mask)] for mask in outside],

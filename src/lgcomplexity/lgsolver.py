@@ -66,9 +66,10 @@ strided view of the subset axis per direction, through no index array.
 The primal is validated globally by the certified duality gap, which is also
 its stopping rule, not by a convergence proof.  SolverParams.seed is accepted
 but no solver reads it; SolverParams itself owns the validity of its values.
-solve_primal refuses a job whose M * n * 2^(n-1) (certificate, arc) pairs would
-need more than PRIMAL_BYTE_CAP bytes, counted at _PAIR_BYTES per pair, before it
-builds any table; the lattice-size rule itself belongs to structures.check_lattice.
+solve_primal refuses a job that would need more than PRIMAL_BYTE_CAP bytes before
+it builds any table, counting _PAIR_BYTES per (certificate, arc) pair for the
+full-lattice arrays and _CLASS_BYTES per (representative, arc) pair for the
+quotient's classes; the lattice-size rule itself belongs to structures.check_lattice.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ from .errors import (
 )
 from .structures import (
     CertificateStructure,
+    Symmetry,
     arc_arrays,
     arc_count,
     arc_orbits,
@@ -120,12 +122,19 @@ _MOMENTUM = 0.8
 # and 300 iterations at 1, 5, 10 and 20, and the whole in-process duality-ladder run 86, 62,
 # 63 and 76 ms, on 2 cores
 _GAP_EVERY = 10
-# peak RSS of 3 solve_primal iterations per (certificate, arc) pair, above the RSS before
-# the call, on 2 cores: 51 B on triangle(6) (4.9e6 pairs, 294 MB peak), 49 B on
-# ksubset(12,2), 40 B on hidden_shift(8) and collision(5); the largest, 65 B, is
-# triangle(5)'s, whose 5e4 pairs leave fixed costs dominant; rounded up
-_PAIR_BYTES = 80
-PRIMAL_BYTE_CAP = 2 << 30            # largest primal job, in bytes at _PAIR_BYTES per pair
+# solve_primal's byte estimate, pairs * _PAIR_BYTES + representatives * arcs * _CLASS_BYTES:
+# the full-lattice arrays scale with the (certificate, arc) pairs, the quotient's class
+# arrays with the representatives' arcs.  Peak RSS of 3 iterations above the RSS before the
+# call, fresh processes on 2 cores, in bytes per pair: one representative each, triangle(6)
+# 15.9 (74 MB), ksubset(12,2) 15.1, hidden_shift(8) 17.6, hidden_shift(9) 14.9 (301 MB),
+# collision(5) 14.5, set_equality(5) 16.9, ksubset(16,2) 11.9 (714 MB); random structures
+# without symmetry, every certificate a representative, 71.7-101.7 at n = 13..15 with 12-30
+# certificates, the most at n = 13 with 12, whose 62 MB include 13.5 MB of scipy.sparse
+# import.  A block whose PCG answer and refinement are both refused falls to sparse LU,
+# whose fill no estimate here bounds: 2.5 GB and 235 s for one 30720-node block at n = 15
+_PAIR_BYTES = 20
+_CLASS_BYTES = 88
+PRIMAL_BYTE_CAP = 2 << 30            # largest primal job, in bytes by solve_primal's estimate
 
 
 @dataclass(frozen=True)
@@ -377,23 +386,33 @@ def normalize_witness(witness: DualWitness, cert: CertificateStructure) -> DualW
 # primal solver
 
 class _Quotient:
-    """Each representative's grounded lattice, collapsed to the orbits of its stabilizer.
+    """Certificate orbits, and each representative's lattice collapsed by its stabilizer.
 
-    Row k of member is representative k's membership row, labels[k] the orbit
-    of every subset under its stabilizer (structures.subset_orbits), and
-    arc_orbit the orbit of every arc under the whole group.  The nodes are the
-    orbits of non-member subsets, numbered representative by representative
-    in the order of their least mask, so each one's empty set comes first;
-    lift[k, S] is the node of S, or for a member S the ground, whose index is
-    the node count.  An arc class is (tail node, head node or ground, arc
-    orbit), with the number of its arcs.  With conductances constant on arc
-    orbits the full lattice's potentials are constant on stabilizer orbits, so
-    shorting each orbit leaves them unchanged (Doyle and Snell): the quotient
-    Laplacian P^T L P, P the orbits' indicator, is the sum over the classes of
-    count c_O times the class's edge Laplacian, and its solution lifted
-    through P is the full lattice's.  Every arc of a class carries the flow
-    c_O (phi_tail - phi_head).  The trivial group's quotient is the lattice
-    itself, every node and class one subset or arc.
+    Built from the structure's checked symmetry (structures.structure_symmetry)
+    and its membership table.  reps lists one representative certificate per
+    orbit of the group, the least index of each orbit; rep_of[m] is the
+    position in reps of certificate m's representative, and count[r] the size
+    of its orbit.  arc_orbit labels every arc's orbit under the whole group,
+    and size holds the arc orbit sizes.  A structure without generators has
+    the trivial group: every certificate and every arc is its own orbit.
+
+    Representative k's grounded lattice is collapsed to the orbits of its
+    subsets under its stabilizer in the group (structures.stabilizer_generators).
+    The nodes are the orbits of non-member subsets, numbered representative by
+    representative in the order of their least mask, so each one's empty set
+    comes first; the ground's index is the node count.  An arc class is (tail
+    node, head node or ground, arc orbit), with the number of its arcs.  With
+    conductances constant on arc orbits the full lattice's potentials are
+    constant on stabilizer orbits, so shorting each orbit leaves them unchanged
+    (Doyle and Snell): the quotient Laplacian P^T L P, P the orbits' indicator,
+    is the sum over the classes of count c_O times the class's edge Laplacian,
+    and its solution lifted through P is the full lattice's.  Every arc of a
+    class carries the flow c_O (phi_tail - phi_head).  The trivial group's
+    quotient is the lattice itself, every node and class one subset or arc.
+    expand_at[m, S] is the position of certificate m's potential at S in the
+    quotient potentials: the node of g^-1(S) in its representative's
+    quotient, for the group element g that carries the representative onto
+    m, and the ground on m's member subsets.
 
     Each representative with nodes is one _QuotientBlock, solved on its own:
     up to _DENSE_NODE_CUT nodes by one dense solve, above it by _jacobi_pcg.
@@ -404,45 +423,56 @@ class _Quotient:
     Index arrays are int32: PRIMAL_BYTE_CAP keeps every count below 2^31.
     """
 
-    def __init__(self, n: int, member: np.ndarray, labels, arc_orbit: np.ndarray):
-        self.shape = (len(member), int(arc_orbit.max()) + 1)
+    def __init__(self, symmetry: Symmetry, member: np.ndarray):
+        n = member.shape[1].bit_length() - 1
+        self.reps, self.rep_of, count = np.unique(
+            symmetry.representative, return_inverse=True, return_counts=True)
+        self.count = count.astype(float)
+        self.arc_orbit = arc_orbits(n, symmetry.generators)
+        self.size = np.bincount(self.arc_orbit).astype(float)
+        self.shape = (len(self.reps), len(self.size))
         orbits = self.shape[1]
         tail, _, head = arc_arrays(n)
-        self.lift = np.empty(member.shape, dtype=np.int32)
+        lift = np.empty((len(self.reps), 1 << n), dtype=np.int32)
         sizes, starts, bounds, columns = [], [], [0], [[] for _ in range(5)]
         ground = 0
-        for k, (row, label) in enumerate(zip(member, labels)):
+        for k, r in enumerate(self.reps):
+            row = member[r]
+            label = subset_orbits(n, stabilizer_generators(symmetry, r))
             # the stabilizer fixes the membership row, so an orbit is all members or none
             outside = np.zeros(int(label.max()) + 1, dtype=bool)
             outside[label[~row]] = True
             size = int(outside.sum())
-            lift = np.where(outside, np.cumsum(outside) - 1, -1)[label]    # -1 on members
-            a, b = lift[tail], lift[head]
+            node = np.where(outside, np.cumsum(outside) - 1, -1)[label]    # -1 on members
+            a, b = node[tail], node[head]
             # a member source has a member target: members are upward closed
             keep = np.flatnonzero(a >= 0)
             # (tail, head) ranked first, so that no key overflows int64
             ends, pair = np.unique(a[keep] * (size + 1) + np.where(b[keep] < 0, size, b[keep]),
                                    return_inverse=True)
-            classes, count = np.unique(pair * orbits + arc_orbit[keep], return_counts=True)
+            classes, count = np.unique(pair * orbits + self.arc_orbit[keep], return_counts=True)
             pair, orbit = np.divmod(classes, orbits)
             a, b = np.divmod(ends[pair], size + 1)
             for column, part in zip(columns, (
                     a + ground, np.where(b < size, b + ground, -1), orbit, k * orbits + orbit,
                     count)):
                 column.append(part.astype(np.int32))
-            self.lift[k] = np.where(lift < 0, -1, lift + ground)
+            lift[k] = np.where(node < 0, -1, node + ground)
             sizes.append(size)
             starts.append(ground)
             bounds.append(bounds[-1] + len(classes))
             ground += size
         self.ground = ground
-        self.lift[self.lift < 0] = ground
+        lift[lift < 0] = ground
         # popped, so that each column's parts are freed once copied
         (self.tail, self.head, self.orbit, self.slot,
          self.multiplicity) = (np.concatenate(columns.pop(0)) for _ in range(5))
         self.head[self.head < 0] = ground
         self.blocks = [_QuotientBlock(size, start, first, last, self) for size, start, first, last
                        in zip(sizes, starts, bounds, bounds[1:]) if size]
+        self.expand_at = lift.reshape(-1)[
+            self.rep_of[:, None] * (1 << n) + permute_masks(np.argsort(symmetry.carry, axis=1), n)]
+        self.expand_at[member] = ground
 
     def flow(self, w: np.ndarray):
         """Every representative's unit electrical flow from the empty set into its member ground.
@@ -586,63 +616,6 @@ def _arc_flows(potentials: np.ndarray, c: np.ndarray) -> np.ndarray:
     return p.reshape(count, -1)
 
 
-class _CertificateOrbits:
-    """One representative certificate per orbit of the structure's symmetry group.
-
-    reps lists the representatives, the least index of each orbit; orbit[m]
-    is the position in reps of certificate m's representative, and count[r]
-    the size of its orbit.  arc_orbit labels every arc's orbit, and size
-    holds the orbit sizes.  laplacian is the representatives' _Quotient, each
-    by its stabilizer in the group (structures.stabilizer_generators).
-    expand_at[m, S] is the position of certificate m's potential at S in the
-    quotient potentials: the node of g^-1(S) in its representative's
-    quotient, for the group element g that carries the representative onto
-    m, and the ground on m's member subsets.  A structure without generators
-    has the trivial group: every certificate and every arc is its own orbit.
-    """
-
-    def __init__(self, cert: CertificateStructure, member: np.ndarray):
-        n = cert.n
-        symmetry = structure_symmetry(cert)
-        self.reps, self.orbit, count = np.unique(
-            symmetry.representative, return_inverse=True, return_counts=True)
-        self.count = count.astype(float)
-        self.arc_orbit = arc_orbits(n, symmetry.generators)
-        self.size = np.bincount(self.arc_orbit).astype(float)
-        self.laplacian = _Quotient(
-            n, member[self.reps],
-            [subset_orbits(n, stabilizer_generators(symmetry, r)) for r in self.reps],
-            self.arc_orbit)
-        lattice = 1 << n
-        self.expand_at = self.laplacian.lift.reshape(-1)[
-            self.orbit[:, None] * lattice + permute_masks(np.argsort(symmetry.carry, axis=1), n)]
-        self.expand_at[member] = self.laplacian.ground
-
-    def fit(self, p2: np.ndarray, mass: np.ndarray):
-        """Orbit-invariant weights fitted to the representatives' per-orbit squared flows p2.
-
-        p2[r, O] is the sum over arc orbit O of representative r's squared
-        flows, and mass[r] is N_r mu_r, the multiplier of representative r
-        times its orbit size N_r.  With mu constant on certificate orbits, the
-        coset sum sum_M mu_M p_e(M)^2 = sum_r N_r mu_r mean_{e' in orbit(e)}
-        p_r(e')^2, so the fit runs on one column per arc orbit O, holding |O|
-        times p2[:, O].  Its weight for O is the orbit's total |O| w_O (so the
-        weight floor applies to orbit totals), and its constraint values are
-        the representatives'.  Returns (w_O, the weight of each arc of orbit O;
-        mass).
-        """
-        fitted, mass = _optimize_weights(p2 * self.size, mass)
-        return fitted / self.size, mass
-
-    def multipliers(self, mass: np.ndarray) -> np.ndarray:
-        """Every certificate's mu, its representative's."""
-        return (mass / self.count)[self.orbit]
-
-    def potentials(self, potentials: np.ndarray) -> np.ndarray:
-        """Every certificate's potentials on the full lattice from the quotient's, by one gather."""
-        return potentials[self.expand_at]
-
-
 def _optimize_weights(p2: np.ndarray, mu: np.ndarray):
     """One step of w_e = sqrt(sum_M mu_M p_e(M)^2), rescaled so the largest constraint is 1.
 
@@ -673,34 +646,43 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
     n = cert.n
     num_certs = len(cert)
     num_arcs = arc_count(n)
+    symmetry = structure_symmetry(cert)
     pairs = num_certs * num_arcs
-    if pairs * _PAIR_BYTES > PRIMAL_BYTE_CAP:
+    classes = symmetry.orbit_count * num_arcs
+    needed = pairs * _PAIR_BYTES + classes * _CLASS_BYTES
+    if needed > PRIMAL_BYTE_CAP:
         raise CapacityError(
-            f"primal solve on {num_certs} certificates over n = {n} needs about "
-            f"{pairs * _PAIR_BYTES} bytes ({pairs} certificate-arc pairs at {_PAIR_BYTES} B), "
-            f"over the cap {PRIMAL_BYTE_CAP}"
+            f"primal solve on {num_certs} certificates over n = {n} needs about {needed} bytes "
+            f"({pairs} certificate-arc pairs at {_PAIR_BYTES} B, {classes} representative-arc "
+            f"pairs at {_CLASS_BYTES} B), over the cap {PRIMAL_BYTE_CAP}"
         )
-    member = membership_table(cert)
-    orbits = _CertificateOrbits(cert, member)
-    w = np.ones(len(orbits.size))    # one weight per arc orbit, that of each of its arcs
+    quotient = _Quotient(symmetry, membership_table(cert))
+    w = np.ones(len(quotient.size))    # one weight per arc orbit, that of each of its arcs
     w_prev = None
-    mass = orbits.count.copy()       # mu = 1 on every certificate
+    mass = quotient.count.copy()       # mu = 1 on every certificate
     objective = math.inf
     converged = False
     for iterations in range(1, params.max_iterations + 1):
         c = w if w_prev is None else w * (w / w_prev) ** _MOMENTUM
-        p2, potentials = orbits.laplacian.flow(c)
-        fitted, mass = orbits.fit(p2, mass)
+        p2, potentials = quotient.flow(c)
+        # p2[r, O] sums representative r's squared flows over arc orbit O, and mass[r] is
+        # N_r mu_r, its multiplier times its orbit size N_r.  With mu constant on certificate
+        # orbits the coset sum sum_M mu_M p_e(M)^2 = sum_r N_r mu_r mean_{e' in orbit(e)}
+        # p_r(e')^2, so the fit runs on one column per arc orbit O, holding |O| p2[:, O].  Its
+        # weight for O is the orbit's total |O| w_O (so the weight floor applies to orbit
+        # totals), and its constraint values are the representatives'
+        fitted, mass = _optimize_weights(p2 * quotient.size, mass)
+        fitted = fitted / quotient.size
         del p2                       # so that the next flow is not solved beside it
-        fitted_objective = math.sqrt(fitted @ orbits.size)
+        fitted_objective = math.sqrt(fitted @ quotient.size)
         # restart: unless the objective fell, the next flows are solved at the fitted weights
         # (a strict test, so an all-zero primal never divides by zero weights)
         w_prev = w if fitted_objective < objective else None
         w, objective = fitted, fitted_objective
         if iterations % _GAP_EVERY and iterations < params.max_iterations:
             continue
-        mu = orbits.multipliers(mass)
-        expanded = orbits.potentials(potentials)
+        mu = (mass / quotient.count)[quotient.rep_of]
+        expanded = potentials[quotient.expand_at]
         witness = _multiplier_witness(cert, mu, expanded)
         residual = _relative_gap(objective, dual_objective(witness))
         if residual <= params.tolerance:
@@ -709,8 +691,8 @@ def solve_primal(cert: CertificateStructure, params: SolverParams = SolverParams
 
     info = SolveInfo(iterations=iterations, converged=converged, residual=residual)
     return PrimalSolution(
-        flow=FlowAssignment(n, _arc_flows(expanded, _conductances(c)[orbits.arc_orbit])),
-        weights=WeightAssignment(n, w[orbits.arc_orbit]),
+        flow=FlowAssignment(n, _arc_flows(expanded, _conductances(c)[quotient.arc_orbit])),
+        weights=WeightAssignment(n, w[quotient.arc_orbit]),
         objective=objective,
         mu=mu,
         iterations=iterations,

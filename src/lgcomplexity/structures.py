@@ -104,10 +104,6 @@ class Certificate:
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> "Certificate":
         return cls(tuple(as_mask(s) for s in sets))
 
-    def contains(self, subset) -> bool:
-        mask = as_mask(subset)
-        return any(m & ~mask == 0 for m in self.minimal_sets)
-
     @property
     def minimal_members(self) -> tuple[tuple[int, ...], ...]:
         return tuple(mask_members(m) for m in self.minimal_sets)
@@ -361,7 +357,8 @@ class Symmetry:
 
     @property
     def orbit_count(self) -> int:
-        return len(np.unique(self.representative))
+        # each orbit's least certificate is its own representative (np.unique would load numpy.ma)
+        return int(np.count_nonzero(self.representative == np.arange(len(self.representative))))
 
 
 def _permute_mask(mask: int, g: Sequence[int]) -> int:

@@ -18,7 +18,6 @@ a member of M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,37 +101,6 @@ def hidden_shift_witness(n: int, target: str = "hidden_shift") -> DualWitness:
     return DualWitness(structure.n, alpha)
 
 
-@dataclass(frozen=True)
-class TriangleWitnessConfig:
-    """Degree levels for the triangle witness.
-
-    Level 1 covers degrees [0, t) with t = n^(3/7); level i >= 2 covers
-    [t*2^(i-2), t*2^(i-1)) (half-open, the last one closed at the top).  The
-    levels cover every possible degree up to n.
-    """
-
-    n: int
-    threshold: float
-    level_ds: tuple[float, ...]   # the d parameter of each level i >= 2
-    level_count: int
-
-    def __post_init__(self):
-        top = self.level_ds[-1] * 2.0 if self.level_ds else self.threshold
-        if top < self.n:
-            raise ParameterError(
-                f"degree levels top out at {top}, below the vertex count {self.n}"
-            )
-        if self.level_count != 1 + len(self.level_ds):
-            raise ParameterError("level_count must count the first level plus the rest")
-
-    @classmethod
-    def for_vertices(cls, n: int) -> "TriangleWitnessConfig":
-        threshold = float(n) ** (3.0 / 7.0)
-        doublings = max(1, math.ceil(math.log2(n / threshold)))
-        ds = tuple(threshold * 2.0 ** m for m in range(doublings))
-        return cls(n=n, threshold=threshold, level_ds=ds, level_count=1 + doublings)
-
-
 def _triangle_table_bytes(n: int) -> int:
     """Bytes of triangle_witness's tables on n vertices: per edge subset, 1 of membership
     and 8 of alpha per triple, and 1 of degree per vertex (and an unused row 0)."""
@@ -161,8 +129,10 @@ def triangle_witness(n: int) -> DualWitness:
             f"alpha and degree tables, over the cap {lgsolver.PRIMAL_BYTE_CAP}"
         )
     member = membership_table(structure)
-    config = TriangleWitnessConfig.for_vertices(n)
-    t = config.threshold
+    # level 1 covers degrees [0, t) with t = n^(3/7), and the level of each d in level_ds
+    # covers [d, 2d) (the last one closed at the top); the levels double up to degree n
+    t = float(n) ** (3.0 / 7.0)
+    level_ds = [t * 2.0 ** m for m in range(max(1, math.ceil(math.log2(n / t))))]
     height = float(n) ** (-3.0 / 14.0)
     slope = float(n) ** (-1.5)
 
@@ -191,7 +161,7 @@ def triangle_witness(n: int) -> DualWitness:
             sub = masks[sel]
             dega = degree[third][sel].astype(float)
             g = height * clip01(2.0 - dega / t)
-            for d in config.level_ds:
+            for d in level_ds:
                 nu = np.zeros(sel.sum())
                 for v in range(1, n + 1):
                     if v in (e1, e2):

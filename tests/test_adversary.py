@@ -205,6 +205,18 @@ class TestSpectralNorm:
         assert report.method == "lanczos"
         assert report.norm == pytest.approx(np.linalg.norm(op.dense(), 2), abs=1e-8)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_iterations_count_every_application(self, monkeypatch, seed):
+        # iterations is computed from the loop, two applications per step and two for the
+        # returned triple; here the operator counts its own applications
+        op = _random_operator(np.random.default_rng(seed), 3, 3)
+        applied = []
+        for name in ("matvec", "rmatvec"):
+            apply = getattr(op, name)
+            monkeypatch.setattr(op, name, lambda x, apply=apply: applied.append(x) or apply(x))
+        report = adv.spectral_norm(op)
+        assert report.iterations == len(applied) > 2
+
     def test_block_operator_matvec_consistent_with_dense(self):
         cert = st.ksubset_structure(3, 2)
         inst = ar.build_bounded_instance(cert, 8)

@@ -10,7 +10,8 @@ import lgcomplexity
 # public library surface edits this table and says why.  Exception classes and the enum
 # FValue take the interpreter's constructor arguments and are listed as None.  EdgeSubset
 # left the surface for tests/lattice_helpers.py: only the triangle-witness tests read it,
-# as an oracle.
+# as an oracle.  TriangleWitnessConfig left it too: triangle_witness takes only the vertex
+# count and computes its degree levels inline, so no caller could set the config's fields.
 LIBRARY_SURFACE = {
     "AdversaryReport": ["gamma_norm", "per_j_norms", "ratio", "witness_objective",
                         "rayleigh_identity", "rayleigh_predicted", "instance_hash"],
@@ -39,7 +40,6 @@ LIBRARY_SURFACE = {
     "SolverParams": ["tolerance", "max_iterations", "seed"],
     "SpectralReport": ["norm", "iterations", "residual", "method"],
     "StructuralError": None,
-    "TriangleWitnessConfig": ["n", "threshold", "level_ds", "level_count"],
     "WeightAssignment": ["n", "values"],
     "adversary_ratio": ["instance", "witness"],
     "assemble": ["witness_or_coeffs", "instance", "q", "restrict_columns"],

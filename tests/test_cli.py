@@ -224,7 +224,7 @@ class TestLgCommands:
         code, out, err = run(capsys, "lg", command, "--kind", "hidden_shift", "--params", "11")
         assert code == 2
         assert out == ""
-        assert "primal solve on 11 certificates over n = 22 needs about 40600862720 bytes" in err
+        assert "primal solve on 11 certificates over n = 22 needs about 14210301952 bytes" in err
 
 
 class TestWitnessCommands:

@@ -16,7 +16,7 @@ from lgcomplexity import lgsolver as lg
 from lgcomplexity import structures as st
 from lgcomplexity import witnesses as wt
 from lgcomplexity.errors import CapacityError, ParameterError
-from lgcomplexity.indexing import all_inputs, decode
+from lgcomplexity.indexing import all_inputs, check_enumerable, decode
 
 
 class TestFourierBias:
@@ -407,13 +407,21 @@ class TestRestrictionGap:
             assert 0.0 < gap <= fo.restriction_gap_bound(inst, beta, m)
 
 
-def _full_scan_grid(instance):
-    """All q^n digit rows in code order, with each row's support mask."""
-    digits = all_inputs(instance.q, instance.n, 1 << 24)
-    support_masks = np.zeros(len(digits), dtype=np.int64)
-    for j in range(instance.n):
-        support_masks |= (digits[:, j] != 0).astype(np.int64) << j
-    return digits, support_masks
+def _full_scan_grid(instance, beta_rows):
+    """The q^n digit rows in code order whose support some beta row weights nonzero, with
+    each kept row's support mask; decoded 2^20 codes at a time."""
+    weighted = np.any(np.asarray(beta_rows) != 0, axis=0)
+    total = check_enumerable(instance.q, instance.n, 1 << 24)
+    kept = []
+    for start in range(0, total, 1 << 20):
+        digits = decode(np.arange(start, min(start + (1 << 20), total)), instance.q, instance.n)
+        support_masks = np.zeros(len(digits), dtype=np.int64)
+        for j in range(instance.n):
+            support_masks |= (digits[:, j] != 0).astype(np.int64) << j
+        keep = weighted[support_masks]
+        kept.append((digits[keep], support_masks[keep]))
+    digits, support_masks = zip(*kept)
+    return np.concatenate(digits), np.concatenate(support_masks)
 
 
 def _classes_by_full_scan(instance, m, beta, grid=None):
@@ -424,7 +432,7 @@ def _classes_by_full_scan(instance, m, beta, grid=None):
     def support_ok(mask):
         return beta_row[mask] != 0
 
-    digits, support_masks = grid if grid is not None else _full_scan_grid(instance)
+    digits, support_masks = grid if grid is not None else _full_scan_grid(instance, [beta_row])
     keep = beta_row[support_masks] != 0
     symbols = [tuple(decode([c], instance.p, instance.ell)[0].tolist()) for c in range(q)]
     classes = []
@@ -455,9 +463,9 @@ class TestSupportEnumeration:
         cert = st.hidden_shift_structure(2)
         witness = wt.hidden_shift_witness(2)
         inst = fo.build_general_instance(cert, p, seed=0)
-        grid = _full_scan_grid(inst)
-        for j in (1, 2):
-            beta = adv.difference_coefficients(witness, j)
+        betas = [adv.difference_coefficients(witness, j) for j in (1, 2)]
+        grid = _full_scan_grid(inst, np.concatenate(betas))
+        for beta in betas:
             for m in (0, 1):
                 assert fo.equivalence_classes(inst, m, beta) == \
                     _classes_by_full_scan(inst, m, beta, grid)

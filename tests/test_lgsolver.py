@@ -228,9 +228,19 @@ class TestSolvePrimal:
         with pytest.raises(CapacityError, match="over the cap 2147483648"):
             lg.solve_primal(cert)
 
-    def test_byte_cap_admits_triangle_six(self):
-        cert = st.triangle_structure(6)
-        assert len(cert) * st.arc_count(cert.n) * lg._PAIR_BYTES <= lg.PRIMAL_BYTE_CAP
+    @pytest.mark.parametrize("kind,params", [("triangle", (6,)), ("ksubset", (16, 2))])
+    def test_byte_cap_admits(self, monkeypatch, kind, params):
+        # an admitted job goes on to its membership table, where this one stops unsolved;
+        # ksubset(16,2) has 62.9e6 certificate-arc pairs but one representative
+        class Admitted(Exception):
+            pass
+
+        def admitted(cert):
+            raise Admitted
+
+        monkeypatch.setattr(lg, "membership_table", admitted)
+        with pytest.raises(Admitted):
+            lg.solve_primal(st.build_named_structure(kind, params))
 
 
 class TestOptimizeWeights:
@@ -567,24 +577,24 @@ class TestCertifiedStop:
         # the flows of each step are solved at w (w / w_prev)^_MOMENTUM, and at
         # the fitted weights w alone right after the fitted objective failed to fall
         flow = lg._Quotient.flow
-        fit = lg._CertificateOrbits.fit
+        fit = lg._optimize_weights
+        cert = st.ksubset_structure(4, 2)
+        # one weight per arc orbit, that of each of its arcs; the fit holds orbit totals
+        size = quotient_of(cert).size
         conductances, fitted = [], []
 
         def recorded_flow(self, w):
             conductances.append(w.copy())
             return flow(self, w)
 
-        def recorded_fit(self, *args):
-            result = fit(self, *args)
-            fitted.append(result[0])
+        def recorded_fit(*args):
+            result = fit(*args)
+            fitted.append(result[0] / size)
             return result
 
         monkeypatch.setattr(lg._Quotient, "flow", recorded_flow)
-        monkeypatch.setattr(lg._CertificateOrbits, "fit", recorded_fit)
-        cert = st.ksubset_structure(4, 2)
+        monkeypatch.setattr(lg, "_optimize_weights", recorded_fit)
         sol = lg.solve_primal(cert)
-        # one weight per arc orbit, that of each of its arcs
-        size = lg._CertificateOrbits(cert, st.membership_table(cert)).size
         objectives = [math.sqrt(w @ size) for w in fitted]
         restarts = 0
         for i in range(2, sol.iterations):
@@ -665,16 +675,16 @@ def direct_flow(n: int, member_row: np.ndarray, w: np.ndarray):
     return c * (potential[src] - potential[dst]), potential
 
 
-def trivial_quotient(n: int, member: np.ndarray):
-    """Every membership row's grounded lattice as its own quotient, by the trivial group."""
-    return lg._Quotient(n, member, [st.subset_orbits(n, ())] * len(member),
-                        np.arange(st.arc_count(n)))
+def quotient_of(cert: st.CertificateStructure):
+    """solve_primal's quotient of the structure."""
+    return lg._Quotient(st.structure_symmetry(cert), st.membership_table(cert))
 
 
-def lattice_flow(n: int, member: np.ndarray, w: np.ndarray):
-    """Per-arc flows and per-subset potentials of every row, solved on its trivial quotient."""
-    quotient = trivial_quotient(n, member)
-    potential = quotient.flow(w)[1][quotient.lift]
+def lattice_flow(cert: st.CertificateStructure, w: np.ndarray):
+    """Per-arc flows and per-subset potentials of every certificate, each solved on its own
+    grounded lattice: the structure without its kind has the trivial group."""
+    quotient = quotient_of(st.CertificateStructure(cert.n, cert.certificates))
+    potential = quotient.flow(w)[1][quotient.expand_at]
     return lg._arc_flows(potential, lg._conductances(w)), potential
 
 
@@ -704,13 +714,17 @@ class TestLaplacianSolve:
         cert = st.ksubset_structure(n, 1)
         member = st.membership_table(cert)
         w = self.weights(spread)
-        p, potential = lattice_flow(n, member, w)
+        p, potential = lattice_flow(cert, w)
         for m in range(len(cert)):
             p_ref, potential_ref = direct_flow(n, member[m], w)
             assert_close_relative(p[m], p_ref, 1e-10)
             assert_close_relative(potential[m], potential_ref, 1e-10)
         residuals = lg.flow_residuals(cert, lg.FlowAssignment(n, p))
         assert max(abs(r) for r in residuals.values()) <= 1e-12
+
+    def first_certificate(self) -> st.CertificateStructure:
+        """ksubset(N,1)'s first certificate alone."""
+        return st.CertificateStructure(self.N, st.ksubset_structure(self.N, 1).certificates[:1])
 
     @staticmethod
     def count_direct_solves(monkeypatch) -> list:
@@ -727,8 +741,7 @@ class TestLaplacianSolve:
     @pytest.mark.parametrize("spread", [False, True], ids=["uniform", "spread-1e-10"])
     def test_cg_answer_accepted(self, monkeypatch, spread):
         calls = self.count_direct_solves(monkeypatch)
-        member = st.membership_table(st.ksubset_structure(self.N, 1))
-        lattice_flow(self.N, member[:1], self.weights(spread))
+        lattice_flow(self.first_certificate(), self.weights(spread))
         assert not calls
 
     @staticmethod
@@ -779,7 +792,7 @@ class TestLaplacianSolve:
         n = self.N
         member = st.membership_table(st.ksubset_structure(n, 1))
         w = self.weights(False)
-        p, potential = lattice_flow(n, member[:1], w)
+        p, potential = lattice_flow(self.first_certificate(), w)
         assert pcg_calls == [0, 0]
         assert calls == ["MMD_AT_PLUS_A"]
         p_ref, potential_ref = direct_flow(n, member[0], w)
@@ -789,12 +802,13 @@ class TestLaplacianSolve:
     @pytest.mark.parametrize("failure", ["stopped", "wrong-x"])
     def test_fallback_only_for_the_failed_certificate(self, monkeypatch, failure):
         n, failed = self.N, 3
-        member = st.membership_table(st.ksubset_structure(n, 1))
+        cert = st.ksubset_structure(n, 1)
+        member = st.membership_table(cert)
         w = self.weights(True)
-        p_pcg, potential_pcg = lattice_flow(n, member, w)
+        p_pcg, potential_pcg = lattice_flow(cert, w)
         pcg_calls = self.fail_pcg(monkeypatch, failure, failed)
         calls = self.count_direct_solves(monkeypatch)
-        p, potential = lattice_flow(n, member, w)
+        p, potential = lattice_flow(cert, w)
         assert pcg_calls == [0, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9]
         assert calls == ["MMD_AT_PLUS_A"]
         others = np.arange(n) != failed
@@ -814,9 +828,10 @@ class TestLaplacianSolve:
         pcg_calls = self.spoil_pcg(monkeypatch, wrong_once)
         calls = self.count_direct_solves(monkeypatch)
         n = self.N
-        member = st.membership_table(st.ksubset_structure(n, 1))
+        cert = st.ksubset_structure(n, 1)
+        member = st.membership_table(cert)
         w = self.weights(True)
-        p, potential = lattice_flow(n, member, w)
+        p, potential = lattice_flow(cert, w)
         assert not calls
         assert pcg_calls == [0, 1, 2, 3, 3, 4, 5, 6, 7, 8, 9]
         p_ref, potential_ref = direct_flow(n, member[3], w)
@@ -829,17 +844,17 @@ class TestLaplacianSolve:
         # fallback must not hand it the block's own index arrays
         cert = st.build_named_structure("hidden_shift", (7,))
         member = st.membership_table(cert)
-        orbits = lg._CertificateOrbits(cert, member)
-        (block,) = orbits.laplacian.blocks
+        quotient = quotient_of(cert)
+        (block,) = quotient.blocks
         rows = np.repeat(np.arange(block.size), np.diff(block.indptr))
         assert len(np.unique(rows * block.size + block.indices)) < len(block.indices)
         indices, indptr = block.indices.copy(), block.indptr.copy()
-        w = np.random.default_rng(11).uniform(0.1, 2.0, len(orbits.size))
-        p_ref, potential_ref = direct_flow(cert.n, member[0], w[orbits.arc_orbit])
+        w = np.random.default_rng(11).uniform(0.1, 2.0, len(quotient.size))
+        p_ref, potential_ref = direct_flow(cert.n, member[0], w[quotient.arc_orbit])
 
         def flow():
-            potential = orbits.potentials(orbits.laplacian.flow(w)[1])
-            p = lg._arc_flows(potential, lg._conductances(w[orbits.arc_orbit]))
+            potential = quotient.flow(w)[1][quotient.expand_at]
+            p = lg._arc_flows(potential, lg._conductances(w[quotient.arc_orbit]))
             assert_close_relative(p[0], p_ref, 1e-10)
             assert_close_relative(potential[0], potential_ref, 1e-10)
 
@@ -858,7 +873,7 @@ class TestLaplacianSolve:
         n = self.N
         cert = st.ksubset_structure(n, 1)
         with np.errstate(all="raise"):
-            p, _ = lattice_flow(n, st.membership_table(cert), self.weights(True))
+            p, _ = lattice_flow(cert, self.weights(True))
         assert not calls
         # the conservation residual at a non-member node is exactly +-(L x - b)
         residuals = lg.flow_residuals(cert, lg.FlowAssignment(n, p))
@@ -868,8 +883,8 @@ class TestLaplacianSolve:
         # hidden_shift(7)'s one representative has a 315-node quotient, above the cut;
         # duality_report runs _check_primal on the certified primal
         cert = st.build_named_structure("hidden_shift", (7,))
-        orbits = lg._CertificateOrbits(cert, st.membership_table(cert))
-        assert [block.size for block in orbits.laplacian.blocks] == [315]
+        quotient = quotient_of(cert)
+        assert [block.size for block in quotient.blocks] == [315]
         report = lg.duality_report(cert)
         assert (report.primal.iterations, report.primal.converged) == (520, True)
 
@@ -922,11 +937,10 @@ assert not gained, gained
 import sys
 import numpy as np
 from lgcomplexity import lgsolver as lg, structures as st
-member = st.membership_table(st.ksubset_structure({n}, 1))
-quotient = lg._Quotient({n}, member, [st.subset_orbits({n}, ())] * {n},
-                        np.arange(st.arc_count({n})))
+plain = st.CertificateStructure({n}, st.ksubset_structure({n}, 1).certificates)
+quotient = lg._Quotient(st.structure_symmetry(plain), st.membership_table(plain))
 assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'
-potential = quotient.flow(np.ones(st.arc_count({n})))[1][quotient.lift]
+potential = quotient.flow(np.ones(st.arc_count({n})))[1][quotient.expand_at]
 assert 'scipy.sparse' in sys.modules, 'scipy.sparse not imported'
 for name in ('scipy.sparse.linalg', 'scipy.sparse.csgraph'):
     assert name not in sys.modules, name + ' imported'
@@ -953,7 +967,7 @@ class TestStackedLaplacian:
         n = cert.n
         member = st.membership_table(cert)
         w = np.random.default_rng(3).uniform(0.1, 2.0, st.arc_count(n))
-        p, potential = lattice_flow(n, member, w)
+        p, potential = lattice_flow(cert, w)
         for m in range(len(cert)):
             if member[m, 0]:
                 assert not p[m].any() and not potential[m].any()
@@ -1009,12 +1023,12 @@ class TestCertificateOrbits:
         cert = st.build_named_structure(kind, params)
         n = cert.n
         member = st.membership_table(cert)
-        orbits = lg._CertificateOrbits(cert, member)
-        assert len(orbits.reps) == 1
+        quotient = quotient_of(cert)
+        assert len(quotient.reps) == 1
         rng = np.random.default_rng(11)
-        w = rng.uniform(0.1, 2.0, len(orbits.size))
-        potential = orbits.potentials(orbits.laplacian.flow(w)[1])
-        w = w[orbits.arc_orbit]
+        w = rng.uniform(0.1, 2.0, len(quotient.size))
+        potential = quotient.flow(w)[1][quotient.expand_at]
+        w = w[quotient.arc_orbit]
         p = lg._arc_flows(potential, lg._conductances(w))
         # every certificate, and every 13th of ksubset(12,2)'s 66
         for m in range(0, len(cert), 13 if len(cert) > 20 else 1):
@@ -1025,19 +1039,18 @@ class TestCertificateOrbits:
     def test_trivial_group_is_the_identity(self):
         cert = structure(3, [(1, 2)], [(3,)], [(1, 3)])
         member = st.membership_table(cert)
-        orbits = lg._CertificateOrbits(cert, member)
-        assert list(orbits.reps) == [0, 1, 2] and list(orbits.orbit) == [0, 1, 2]
-        assert np.array_equal(orbits.size, np.ones(st.arc_count(3)))
+        quotient = quotient_of(cert)
+        assert list(quotient.reps) == [0, 1, 2] and list(quotient.rep_of) == [0, 1, 2]
+        assert np.array_equal(quotient.count, np.ones(3))
+        assert np.array_equal(quotient.size, np.ones(st.arc_count(3)))
         w = np.linspace(0.5, 2.0, 12)
-        p2, potentials = orbits.laplacian.flow(w)
-        p, potential = lattice_flow(3, member, w)
-        assert np.array_equal(orbits.potentials(potentials), potential)
-        # the per-orbit sums of squared class flows are the squared arc flows, bit for bit
+        p2, potentials = quotient.flow(w)
+        p, potential = lattice_flow(cert, w)
+        assert np.array_equal(potentials[quotient.expand_at], potential)
+        # the per-orbit sums of squared class flows are the squared arc flows, bit for bit;
+        # with unit orbit sizes and counts solve_primal's fit is then _optimize_weights on
+        # the squared flows (test_returned_weights_are_the_fit_to_the_returned_flows)
         assert np.array_equal(p2, p ** 2)
-        mu = np.array([0.5, 2.0, 1.5])
-        w, mass = orbits.fit(p2, mu)
-        expected, expected_mu = lg._optimize_weights(p ** 2, mu)
-        assert np.array_equal(w, expected) and np.array_equal(mass, expected_mu)
 
     @pytest.mark.parametrize("kind,params", [("ksubset", (6, 2)), ("triangle", (4,))])
     def test_weights_are_exactly_invariant(self, monkeypatch, kind, params):
@@ -1051,7 +1064,7 @@ class TestCertificateOrbits:
 
         monkeypatch.setattr(lg._Quotient, "flow", recorded)
         sol = lg.solve_primal(cert, lg.SolverParams(max_iterations=25))
-        labels = lg._CertificateOrbits(cert, st.membership_table(cert)).arc_orbit
+        labels = quotient_of(cert).arc_orbit
         # the quotient is solved at one conductance per arc orbit
         assert {w.shape for w in conductances} == {(labels.max() + 1,)}
         w = sol.weights.values
@@ -1119,7 +1132,7 @@ def test_weak_duality_random_feasible_pairs(data, n):
     rng = np.random.default_rng(seed)
     # feasible primal pair: exact flows for random weights, then fitted weights
     w0 = lg.WeightAssignment(n, rng.uniform(0.1, 2.0, st.arc_count(n)))
-    flows = lattice_flow(n, st.membership_table(cert), w0.values)[0]
+    flows = lattice_flow(cert, w0.values)[0]
     flow = lg.FlowAssignment(n, flows)
     weights = lg.WeightAssignment(n, lg._optimize_weights(flow.values ** 2, np.ones(n))[0])
     assert np.all(lg.primal_constraint_values(flow, weights) <= 1 + 1e-9)

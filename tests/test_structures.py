@@ -92,23 +92,20 @@ class TestBuilders:
             st.triangle_structure(9)  # C(9,2) = 36 > 32 variables
 
 
-class TestContains:
+class TestMembership:
     def test_triangle_full_set(self):
         cert = st.triangle_structure(3)
         assert cert.n == 3
-        assert cert.certificates[0].contains((1, 2, 3))
+        assert st.membership_table(cert)[0, st.as_mask((1, 2, 3))]
 
     def test_empty_set_never_member(self):
         for cert in (st.ksubset_structure(4, 2), st.hidden_shift_structure(2)):
-            for certificate in cert.certificates:
-                assert not certificate.contains(0)
+            assert not st.membership_table(cert)[:, 0].any()
 
     def test_superset_closure_example(self):
         cert = st.ksubset_structure(4, 2)
-        generated_by_12 = next(
-            c for c in cert.certificates if c.minimal_members == ((1, 2),)
-        )
-        assert generated_by_12.contains((1, 2, 3))
+        m = next(m for m, c in enumerate(cert.certificates) if c.minimal_members == ((1, 2),))
+        assert st.membership_table(cert)[m, st.as_mask((1, 2, 3))]
 
 
 @pytest.mark.parametrize("cert", [
@@ -249,8 +246,8 @@ class TestCertificateValidation:
             st.Certificate(())
 
     def test_empty_minimal_set_allowed(self):
-        cert = st.Certificate((0,))
-        assert cert.contains(0) and cert.contains(0b101)
+        cert = st.CertificateStructure(3, (st.Certificate((0,)),))
+        assert st.membership_table(cert).all()
 
     def test_variables_outside_range(self):
         with pytest.raises(ParameterError):

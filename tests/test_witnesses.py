@@ -156,20 +156,34 @@ class TestClip01:
         assert wt.clip01(2.0) == 1.0
 
 
-class TestTriangleConfig:
-    def test_levels_cover_max_degree(self):
-        for n in (4, 5, 6, 7):
-            config = wt.TriangleWitnessConfig.for_vertices(n)
-            assert config.threshold == pytest.approx(n ** (3 / 7))
-            # level 2 starts at the threshold, each level doubles, and the last tops n
-            assert config.level_ds[0] == config.threshold
-            assert 2 * config.level_ds[-1] >= n
-            for lo, hi in zip(config.level_ds, config.level_ds[1:]):
-                assert hi == pytest.approx(2 * lo)
+def triangle_levels(v: int) -> tuple[float, list[float]]:
+    """The triangle witness's threshold t = v^(3/7) and the d of each level after the first,
+    by the witness's own expressions."""
+    t = float(v) ** (3.0 / 7.0)
+    return t, [t * 2.0 ** m for m in range(max(1, math.ceil(math.log2(v / t))))]
 
-    def test_rejects_short_cover(self):
-        with pytest.raises(ParameterError):
-            wt.TriangleWitnessConfig(n=6, threshold=2.0, level_ds=(2.0,), level_count=2)
+
+class TestTriangleLevels:
+    @pytest.mark.parametrize("v", range(3, 9))
+    def test_levels_cover_every_degree(self, v):
+        # level 1 is [0, t) and the level of d is [d, 2d), the last one closed at the top
+        t, ds = triangle_levels(v)
+        levels = [(0.0, t)] + [(d, 2.0 * d) for d in ds]
+        assert all(end == start for (_, end), (start, _) in zip(levels, levels[1:]))
+        assert levels[-1][1] >= v
+
+    @pytest.mark.parametrize("v", range(3, 7))
+    def test_witness_uses_the_levels(self, monkeypatch, v):
+        seen = set()
+        tau = wt.tau
+
+        def recorded(x, d):
+            seen.add(d)
+            return tau(x, d)
+
+        monkeypatch.setattr(wt, "tau", recorded)
+        wt.triangle_witness(v)
+        assert sorted(seen) == triangle_levels(v)[1]
 
 
 class TestEdgeSubset:
@@ -270,7 +284,7 @@ class TestTriangleWitness:
         # using the EdgeSubset adjacency view as an independent route
         n = 5
         witness = wt.triangle_witness(n)
-        config = wt.TriangleWitnessConfig.for_vertices(n)
+        t, ds = triangle_levels(n)
         cert = st.triangle_structure(n)
         edge_map = st.triangle_edge_map(n)
         triples = list(itertools.combinations(range(1, n + 1), 3))
@@ -293,14 +307,14 @@ class TestTriangleWitness:
                     e1, e2 = missing[0]
                     third = ({a, b, c} - {e1, e2}).pop()
                     dega = view.degree(third)
-                    g += n ** (-3 / 14) * wt.clip01(2.0 - dega / config.threshold)
-                    for d in config.level_ds:
+                    g += n ** (-3 / 14) * wt.clip01(2.0 - dega / t)
+                    for d in ds:
                         nu = sum(
                             wt.tau(view.degree(v), d)
                             for v in view.common_neighbors(e1, e2)
                         )
                         g += n ** (-3 / 14) * wt.clip01(
-                            min(2.0 * dega / d, nu / config.threshold) - 1.0
+                            min(2.0 * dega / d, nu / t) - 1.0
                         )
                 base = n ** (-3 / 14) - n ** (-1.5) * len(view)
                 expected = max(base - g, 0.0)
