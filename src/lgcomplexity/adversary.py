@@ -16,8 +16,13 @@ E_S[x, y] = prod_{j in S} ([x_j = y_j] - 1/q) * q^-(n-|S|).  Three per-axis
 
 - the pattern table g[e], the block entry for the equality bitmask e;
 - the Moebius coefficients d with sum_S c_S E_S = sum_U d_U A_U, where A_U
-  averages over the coordinates outside U and broadcasts back, which is how
-  a block is applied in about 3n (q+1)^n flops;
+  averages over the coordinates outside U and broadcasts back.  That is how
+  the operator is applied: one pass that averages the column vector out to
+  a (q+1)^n layout holding every A_U image (about n (q+1)^n flops), then a
+  gather of 2^n layout entries per block row, |rows| 2^n in all; the
+  transpose scatters |rows| 2^n entries into one layout and spreads it back
+  in another such pass.  There is one such pass per application, whatever
+  the number of certificates;
 - the inverse of the table, so the coordinate mask "x_j != y_j" (the table
   with bit j zeroed) is again a `BlockOperator`.
 
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -78,6 +83,10 @@ from .structures import (
 DENSE_SIDE_CAP = 1 << 14
 # bytes of one Lanczos basis: 2 vectors at the 2^24 enumeration cap
 LANCZOS_BYTE_CAP = 1 << 28
+# bytes of a BlockOperator's position table: 2^25 intp (row, U) entries
+POSITION_BYTE_CAP = 1 << 28
+# (row, U) entries an application gathers or scatters at a time: 8 MB of floats
+_CHUNK_ENTRIES = 1 << 20
 
 
 def ones_projector(q: int) -> np.ndarray:
@@ -127,25 +136,63 @@ def _per_axis(mat: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _average_out(x: np.ndarray, q: int, n: int) -> np.ndarray:
-    """(..., q^n) -> (..., (q+1)^n): each variable's axis gains its mean as index q.
+    """q^n -> (q+1)^n, flat: each variable's axis gains its mean as index q.
 
     Entry (i_1, .., i_n) is then (A_U x) at the digits i_j for j in U, where
     U = {j : i_j < q} and A_U averages over the variables outside U.
     """
-    lead = x.shape[:-1]
-    t = x.reshape(lead + (q,) * n)
-    for axis in range(len(lead), len(lead) + n):
+    t = x.reshape((q,) * n)
+    for axis in range(n):
         t = np.concatenate([t, t.sum(axis=axis, keepdims=True) / q], axis=axis)
-    return t
+    return t.ravel()
 
 
-def _spread_back(t: np.ndarray, n: int) -> np.ndarray:
+def _spread_back(t: np.ndarray, q: int, n: int) -> np.ndarray:
     """Adjoint gather of _average_out's layout: out[x] = sum_U t[x on U, mean elsewhere]."""
-    lead = t.shape[:t.ndim - n]
-    for axis in range(len(lead), len(lead) + n):
+    t = t.reshape((q + 1,) * n)
+    for axis in range(n):
         head = (slice(None),) * axis
         t = t[head + (slice(-1),)] + t[head + (slice(-1, None),)]
-    return t.reshape(lead + (-1,))
+    return t.ravel()
+
+
+def _layout_positions(rows: np.ndarray, q: int, n: int) -> np.ndarray:
+    """pos[r, U]: the index in _average_out's layout of rows[r]'s digits on U, q elsewhere.
+
+    U is a bitmask with bit j-1 for variable j, the layout's axis j-1 with
+    stride (q+1)^(n-j).  Built by subset sums: each variable either keeps the
+    mean index q or moves to the row's digit.  Entries are intp, which numpy
+    gathers and bincount take without a conversion.
+    """
+    strides = (q + 1) ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    digits = decode(rows, q, n)
+    table = np.full((len(rows), 1), q * strides.sum(), dtype=np.intp)
+    for j in range(n):  # decode column j is variable j + 1, i.e. bit j
+        table = np.concatenate([table, table + ((digits[:, j] - q) * strides[j])[:, None]],
+                               axis=1)
+    return table
+
+
+# (row arrays, q, n, table) of the last _row_positions call; the strong
+# references keep the arrays' ids from being reused
+_position_memo: tuple[tuple[np.ndarray, ...], int, int, np.ndarray] | None = None
+
+
+def _row_positions(row_sets: Sequence[np.ndarray], q: int, n: int) -> np.ndarray:
+    """`_layout_positions` of the concatenated row sets, shared by operators on the same rows.
+
+    A call with the same row arrays (`is`), q and n as the last one returns the
+    stored table, so an operator, its masks and every operator assembled on
+    one instance's X_M build one table between them.
+    """
+    global _position_memo
+    memo = _position_memo
+    if (memo is not None and memo[1:3] == (q, n) and len(memo[0]) == len(row_sets)
+            and all(a is b for a, b in zip(memo[0], row_sets))):
+        return memo[3]
+    rows = np.concatenate(row_sets) if row_sets else np.empty(0, np.int64)
+    _position_memo = (tuple(row_sets), q, n, _layout_positions(rows, q, n))
+    return _position_memo[3]
 
 
 def _equality_masks(row_codes: np.ndarray, col_codes: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -214,10 +261,19 @@ class BlockOperator:
     either all inputs or the negative set Y.
 
     Applied implicitly: block m is sum_U d_U A_U with d the Moebius
-    coefficients, so one application averages the input over the variables
-    outside every U at once (`_average_out`), weights each entry by its d_U
-    and sums the broadcasts back (`_spread_back`).  Each block is real and
-    symmetric, so `rmatvec` applies the same blocks.
+    coefficients, and (A_U x)[r] is the entry of x's averaged layout
+    (`_average_out`) at pos(r, U), row r's digits on U and the mean index
+    elsewhere.  So `matvec` averages the scattered column vector once,
+    gathers the layout at the table pos of every block row and sums each
+    row's 2^n entries weighted by its block's d_U.  `rmatvec` is its adjoint:
+    a bincount of the weighted row entries into one layout, each scaled by
+    A_U's averaging factor q^(|U|-n), then one `_spread_back`.  Both go
+    through the rows in runs of at most _CHUNK_ENTRIES table entries, so the
+    floats they gather or scatter stay within 8 MB; below that there is one
+    run.  The table has |rows| 2^n intp entries, is built at the first
+    application and is shared through `_row_positions` by operators on the
+    same row arrays; it is refused over POSITION_BYTE_CAP bytes when the
+    operator is built.
     """
 
     def __init__(self, coeffs: np.ndarray, q: int, n: int,
@@ -240,15 +296,29 @@ class BlockOperator:
         self.row_scales = ([1.0] * len(coeffs) if row_scales is None
                            else [float(s) for s in row_scales])
         self.col_codes = every if col_codes is None else np.asarray(col_codes, dtype=np.int64)
-        # d_U per certificate on _average_out's layout: axis j is variable j
-        # (bit j-1 of U, so the C-order bit axes are reversed), its digit
-        # indices 0..q-1 have j in U and its mean index q has j outside U
-        weights = _per_axis(_MOEBIUS, coeffs, n).reshape((len(coeffs),) + (2,) * n)
-        weights = weights.transpose((0,) + tuple(range(n, 0, -1)))
-        in_u = np.r_[np.ones(q, dtype=np.int64), 0]
-        for axis in range(1, n + 1):
-            weights = np.take(weights, in_u, axis=axis)
-        self._weights = weights
+        table_bytes = 8 * (self.shape[0] << n)
+        if table_bytes > POSITION_BYTE_CAP:
+            raise CapacityError(f"applying blocks to {self.shape[0]} rows needs a position "
+                                f"table of {table_bytes} bytes, over the cap of "
+                                f"{POSITION_BYTE_CAP}")
+        # runs of at most _CHUNK_ENTRIES table entries, each with its pieces of
+        # blocks: (piece within the run, piece overall, certificate)
+        ends = np.cumsum([0] + [len(r) for r in self.row_sets]).tolist()
+        step = max(1, _CHUNK_ENTRIES >> n)
+        self._runs = []
+        for start in range(0, ends[-1], step):
+            stop = min(start + step, ends[-1])
+            pieces = []
+            for m, (first, last) in enumerate(zip(ends, ends[1:])):
+                low, high = max(first, start), min(last, stop)
+                if low < high:
+                    pieces.append((slice(low - start, high - start), slice(low, high), m))
+            self._runs.append((slice(start, stop), pieces))
+        # d_U per certificate times its row scale, and the adjoint's copy
+        # with A_U's averaging factor q^(|U|-n)
+        self._forward = _per_axis(_MOEBIUS, coeffs, n) * np.reshape(self.row_scales, (-1, 1))
+        sizes = np.bitwise_count(np.arange(1 << n)).astype(int)
+        self._backward = self._forward * float(q) ** (sizes - n)
 
     @property
     def num_certificates(self) -> int:
@@ -287,21 +357,30 @@ class BlockOperator:
         codes, _ = self.row_labels()
         return LabeledMatrix(self.dense(), self.q, self.n, codes, self.col_codes.copy())
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        return _row_positions(self.row_sets, self.q, self.n)
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         full = np.zeros(self.q ** self.n)
         full[self.col_codes] = v
-        images = _spread_back(self._weights * _average_out(full, self.q, self.n), self.n)
-        return np.concatenate([images[m, rows] * scale for m, (rows, scale)
-                               in enumerate(zip(self.row_sets, self.row_scales))])
+        layout = _average_out(full, self.q, self.n)
+        image = np.empty(self.shape[0])
+        for run, pieces in self._runs:
+            gathered = layout[self._table[run]]
+            for local, piece, m in pieces:
+                image[piece] = gathered[local] @ self._forward[m]
+        return image
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        full = np.zeros((self.num_certificates, self.q ** self.n))
-        offset = 0
-        for m, (rows, scale) in enumerate(zip(self.row_sets, self.row_scales)):
-            full[m, rows] = u[offset:offset + len(rows)] * scale
-            offset += len(rows)
-        t = (self._weights * _average_out(full, self.q, self.n)).sum(axis=0)
-        return _spread_back(t, self.n)[self.col_codes]
+        layout = np.zeros((self.q + 1) ** self.n)
+        for run, pieces in self._runs:
+            weights = np.empty((run.stop - run.start, 1 << self.n))
+            for local, piece, m in pieces:
+                np.multiply.outer(u[piece], self._backward[m], out=weights[local])
+            layout += np.bincount(self._table[run].ravel(), weights.ravel(),
+                                  minlength=len(layout))
+        return _spread_back(layout, self.q, self.n)[self.col_codes]
 
 
 def assemble(

@@ -494,16 +494,18 @@ def _orbit_labels(size: int, generators: Sequence[Sequence[int]],
     point.  Union-find by minimum-label propagation: a round takes every label
     to the least label on its whole cycle under each move (by the move's
     powers 1, 2, 4, ... up to the generator's order), then jumps every label
-    to its label's label.
+    to its label's label.  Labels and moves are intp while they index, which
+    numpy gathers about 3x faster than int32; the returned labels are int32.
     """
-    label = np.arange(size, dtype=np.int32)
+    label = np.arange(size, dtype=np.intp)
     powers = []
     for g, move in zip(generators, moves):
+        move = np.asarray(move, dtype=np.intp)
         for _ in range((_order(g) - 1).bit_length()):
             powers.append(move)
             move = move[move]
     if not powers:
-        return label
+        return label.astype(np.int32)
     while True:
         before = label
         label = label.copy()
@@ -511,7 +513,7 @@ def _orbit_labels(size: int, generators: Sequence[Sequence[int]],
             np.minimum(label, label[move], out=label)
         label = label[label]
         if np.array_equal(label, before):
-            first = label == np.arange(len(label), dtype=np.int32)
+            first = label == np.arange(size)
             return (np.cumsum(first, dtype=np.int32) - 1)[label]
 
 
@@ -524,7 +526,7 @@ def arc_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
     moves = []
     if generators:
         sources = _arc_sources(n)
-        moves = [arc_position(n, images[sources], np.asarray(g)[:, None]).astype(np.int32).ravel()
+        moves = [arc_position(n, images[sources], np.asarray(g)[:, None]).ravel()
                  for g, images in zip(generators, permute_masks(generators, n))]
     return _orbit_labels(arc_count(n), generators, moves)
 
@@ -534,9 +536,7 @@ def subset_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
 
     Orbits are numbered in the order of their least mask, so the empty set's is 0.
     """
-    moves = []
-    if generators:
-        moves = [images.astype(np.int32) for images in permute_masks(generators, n)]
+    moves = permute_masks(generators, n) if generators else []
     return _orbit_labels(1 << n, generators, moves)
 
 
@@ -566,7 +566,7 @@ def variable_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
 
     Orbits are numbered in the order of their least variable.
     """
-    return _orbit_labels(n, generators, [np.asarray(g, dtype=np.int32) for g in generators])
+    return _orbit_labels(n, generators, generators)
 
 
 def _order(g: Sequence[int]) -> int:

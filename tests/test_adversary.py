@@ -498,6 +498,52 @@ class TestImplicitOperator:
             adv.BlockOperator(np.ones((1, 1 << 20)), 2, 20)
         assert time.perf_counter() - start < 0.1
 
+    def test_position_table_capacity_checked_before_allocating(self):
+        # unrestricted rows at q = 2, n = 13: 2^13 rows x 2^13 subsets of 8-byte positions
+        # is 512 MiB; n = 12 is 128 MiB, within the cap
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="position table"):
+            adv.assemble(witness_from_entries(13, 1, {((), 0): 1.0}), q=2)
+        within = adv.assemble(witness_from_entries(12, 1, {((), 0): 1.0}), q=2)
+        assert 8 * (within.shape[0] << 12) <= adv.POSITION_BYTE_CAP
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5) for n in (1, 2, 3, 4)])
+    @pytest.mark.parametrize("restrict_columns", [True, False])
+    @pytest.mark.parametrize("run_rows", [None, 3])
+    def test_row_restricted_application_matches_dense(self, q, n, restrict_columns, run_rows,
+                                                      monkeypatch):
+        # three blocks: random rows, none, and one; with run_rows the application
+        # takes runs of that many rows, which cut through the blocks
+        if run_rows:
+            monkeypatch.setattr(adv, "_CHUNK_ENTRIES", run_rows << n)
+        rng = np.random.default_rng(1000 * q + 10 * n + restrict_columns)
+        side = q ** n
+        rows = [rng.choice(side, size=int(rng.integers(1, side + 1)), replace=False),
+                np.arange(0), rng.choice(side, size=1)]
+        cols = (rng.choice(side, size=int(rng.integers(1, side + 1)), replace=False)
+                if restrict_columns else None)
+        op = adv.BlockOperator(rng.standard_normal((3, 1 << n)), q, n, row_sets=rows,
+                               row_scales=rng.uniform(0.5, 2.0, 3), col_codes=cols)
+        for target in [op] + [adv.hadamard_mask(op, j) for j in range(1, n + 1)]:
+            a = target.dense()
+            v = rng.standard_normal(a.shape[1])
+            u = rng.standard_normal(a.shape[0])
+            image, back = target.matvec(v), target.rmatvec(u)
+            assert np.allclose(image, a @ v, rtol=0, atol=1e-12)
+            assert np.allclose(back, a.T @ u, rtol=0, atol=1e-12)
+            assert u @ image == pytest.approx(back @ v, rel=1e-12, abs=1e-12)
+
+    def test_one_report_builds_one_position_table(self, monkeypatch):
+        builds = []
+        build = adv._layout_positions
+        monkeypatch.setattr(adv, "_layout_positions",
+                            lambda *args: builds.append(args) or build(*args))
+        inst, witness = _ksubset_pair(8)
+        adv.adversary_ratio(inst, witness)
+        adv.bounded_norm_certificates(inst, witness, 1)
+        assert len(builds) == 1
+
 
 @pytest.fixture
 def two_steps(monkeypatch):

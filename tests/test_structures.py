@@ -383,6 +383,38 @@ class TestSymmetry:
         assert st.variable_orbits(6, [left]).tolist() == [0, 0, 0, 1, 2, 3]
         assert st.variable_orbits(6, [right]).tolist() == [0, 1, 2, 3, 3, 3]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_orbits_match_breadth_first_closure(self, seed):
+        # random permutation groups: 1-3 generators on at most 8 variables
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        generators = [tuple(rng.permutation(n).tolist()) for _ in range(int(rng.integers(1, 4)))]
+        src, jj, _ = st.arc_arrays(n)
+
+        def arc_image(a, g):
+            return st.arc_index(n, image_of(int(src[a]), g), g[int(jj[a]) - 1] + 1)
+
+        for labels, size, image in (
+                (st.variable_orbits(n, generators), n, lambda i, g: g[i]),
+                (st.subset_orbits(n, generators), 1 << n, lambda s, g: image_of(s, g)),
+                (st.arc_orbits(n, generators), st.arc_count(n), arc_image)):
+            expected = [-1] * size
+            orbit = 0
+            for start in range(size):
+                if expected[start] >= 0:
+                    continue
+                expected[start], frontier = orbit, [start]
+                while frontier:
+                    point = frontier.pop()
+                    for g in generators:
+                        moved = image(point, g)
+                        if expected[moved] < 0:
+                            expected[moved] = orbit
+                            frontier.append(moved)
+                orbit += 1
+            assert labels.dtype == np.int32
+            assert labels.tolist() == expected
+
     def test_triangle_six_has_572_arc_orbits(self):
         cert = st.triangle_structure(6)
         assert st.arc_orbits(cert.n, st.structure_symmetry(cert).generators).max() + 1 == 572
