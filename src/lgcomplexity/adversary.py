@@ -28,7 +28,7 @@ E_S[x, y] = prod_{j in S} ([x_j = y_j] - 1/q) * q^-(n-|S|).  Three per-axis
 
 The blocks are real and symmetric, so the transpose applies the same blocks.
 A `BlockOperator`'s norm comes from one Lanczos loop on the smaller Gram side
-(`_lanczos_norm`) at every size: a seeded start, the full basis orthogonalized
+(`spectral_norm`) at every size: a seeded start, the full basis orthogonalized
 twice per step, and a stop once the top Ritz pair's residual is within
 4 eps of its value or the Krylov space holds the whole side.
 It refuses, before allocating, a side whose first two basis vectors exceed
@@ -73,6 +73,7 @@ from .indexing import ENUMERATION_CAP, check_enumerable, decode, encode
 from .lgsolver import DualWitness, dual_feasibility_margin
 from .structures import (
     CertificateStructure,
+    arc_ends,
     mask_members,
     minimal_profile,
     permute_masks,
@@ -225,9 +226,10 @@ def difference_coefficients(witness: DualWitness | np.ndarray, j: int) -> np.nda
     alpha, n = _coefficients(witness)
     if not 1 <= j <= n:
         raise ParameterError(f"j must be in [1, {n}], got {j}")
-    masks = np.arange(1 << n)
-    shifted = alpha[:, masks | (1 << (j - 1))]
-    return alpha - shifted
+    beta = np.zeros(alpha.shape)
+    tails, heads = arc_ends(alpha, j - 1)
+    np.subtract(tails, heads, out=arc_ends(beta, j - 1)[0])
+    return beta
 
 
 @dataclass(frozen=True)
@@ -420,32 +422,38 @@ def assemble(
     )
 
 
-def _lanczos_norm(op: BlockOperator) -> SpectralReport:
-    """sigma_max of a block operator by Lanczos on its smaller Gram side G.
+def spectral_norm(op: BlockOperator) -> SpectralReport:
+    """Largest singular value of a block operator, by Lanczos on its smaller Gram side G.
 
     The loop keeps the whole basis V and starts from a fixed pseudo-random
     vector, because a structured start such as the all-ones vector can be
     orthogonal to the top singular subspace.  Step k applies G once (two
     applications), orthogonalizes the result against all of V twice and
-    takes the top pair (theta, s) of the k x k tridiagonal T_k.  One
+    takes the top pair (theta, s) of the k x k tridiagonal T_k, filled in
+    its diagonal and lower triangle, the only part np.linalg.eigh reads.  One
     classical Gram-Schmidt pass leaves a component of relative size about
     eps |G v| / beta along V, which is large exactly when beta is small, that
     is near an invariant Krylov space; a second pass brings it down to
     rounding, and twice is enough (Kahan's result in Parlett, "The Symmetric
     Eigenvalue Problem", 1998).  The loop stops at the first k where the Ritz
     residual |G V s - theta V s| = beta_k |s_k| is at most 4 eps |theta|,
-    or at k = side, where T_k holds the whole spectrum.  The symmetric blocks make short invariant Krylov spaces
-    common; beta_k is then about zero, and since the random start has a
-    component along the top eigenvector, theta is the top eigenvalue.
+    or at k = side, where T_k holds the whole spectrum.  The symmetric blocks
+    make short invariant Krylov spaces common; beta_k is then about zero, and
+    since the random start has a component along the top eigenvector, theta
+    is the top eigenvalue.
 
-    The basis is refused (`CapacityError`) before any application when two
-    vectors of the side's length exceed LANCZOS_BYTE_CAP bytes, and a loop
-    that fills the cap without converging raises `ConsistencyError`.
+    Anything but a `BlockOperator` raises `ParameterError`.  The basis is
+    refused (`CapacityError`) before any application when two vectors of the
+    side's length exceed LANCZOS_BYTE_CAP bytes, and a loop that fills the
+    cap without converging raises `ConsistencyError`.
     `iterations` counts every application of A or A^T; `residual` is
     max(|A v - s u|, |A^T u - s v|) / s of the returned triple.  Without the
     loop: a zero operator or an empty side gives 0.0, and a side of length 1
     gives the norm of one application.
     """
+    if not isinstance(op, BlockOperator):
+        raise ParameterError(f"cannot take the norm of {type(op).__name__}; "
+                             "spectral_norm takes a BlockOperator")
     rows, cols = op.shape
     # the Gram side is the smaller one: A^T A on columns or A A^T on rows
     first, second = (op.rmatvec, op.matvec) if rows < cols else (op.matvec, op.rmatvec)
@@ -480,8 +488,10 @@ def _lanczos_norm(op: BlockOperator) -> SpectralReport:
         for _ in range(2):
             w -= basis[:k].T @ (basis[:k] @ w)
         beta = float(np.linalg.norm(w))
-        values, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off_diagonal, 1)
-                                         + np.diag(off_diagonal, -1))
+        tridiagonal = np.zeros((k, k))
+        tridiagonal.flat[::k + 1] = diagonal
+        tridiagonal.flat[k::k + 1] = off_diagonal
+        values, vectors = np.linalg.eigh(tridiagonal)
         theta, s = values[-1], vectors[:, -1]
         if beta * abs(s[-1]) <= stop * abs(theta) or k == side:
             norm, residual = triple(basis[:k].T @ s)
@@ -494,14 +504,6 @@ def _lanczos_norm(op: BlockOperator) -> SpectralReport:
         f"Lanczos did not converge on the {rows} x {cols} operator after {2 * steps} "
         f"applications (last residual {beta * abs(s[-1]) / theta:.3g})"
     )
-
-
-def spectral_norm(op: BlockOperator) -> SpectralReport:
-    """Largest singular value of a block operator, by Lanczos (`_lanczos_norm`)."""
-    if not isinstance(op, BlockOperator):
-        raise ParameterError(f"cannot take the norm of {type(op).__name__}; "
-                             "spectral_norm takes a BlockOperator")
-    return _lanczos_norm(op)
 
 
 def hadamard_mask(op, j: int):
@@ -517,8 +519,8 @@ def hadamard_mask(op, j: int):
     if not 1 <= j <= op.n:
         raise ParameterError(f"j must be in [1, {op.n}], got {j}")
     if isinstance(op, BlockOperator):
-        table = _per_axis(_pattern_matrix(op.q), op.coeffs, op.n)
-        table[:, (np.arange(1 << op.n) >> (j - 1)) & 1 == 1] = 0.0
+        table = np.ascontiguousarray(_per_axis(_pattern_matrix(op.q), op.coeffs, op.n))
+        arc_ends(table, j - 1)[1][...] = 0.0        # the heads: the patterns with x_j = y_j
         inverse = np.array([[op.q - 1.0, 1.0],
                             [-1.0, 1.0]])
         return BlockOperator(_per_axis(inverse, table, op.n), op.q, op.n, op.row_sets,
@@ -677,15 +679,11 @@ def generator_partition(cert: CertificateStructure) -> np.ndarray:
     profile = minimal_profile(cert)
     if not profile.boundedly_generated:
         raise StructuralError("partition needs a single generator per certificate")
-    masks = np.arange(1 << cert.n)
     part = np.zeros((len(cert), 1 << cert.n), dtype=np.int8)
     for m, certificate in enumerate(cert.certificates):
-        members = mask_members(certificate.minimal_sets[0])
-        assigned = np.zeros(1 << cert.n, dtype=bool)
-        for i, a in enumerate(members, start=1):
-            sel = ~assigned & ((masks >> (a - 1)) & 1 == 0)
-            part[m, sel] = i
-            assigned |= sel
+        for i, a in enumerate(mask_members(certificate.minimal_sets[0]), start=1):
+            omitting, _ = arc_ends(part[m], a - 1)      # the subsets without element a
+            omitting[omitting == 0] = i
     return part
 
 

@@ -57,11 +57,9 @@ Solvers:
     record of reporting.duality_records fails when the dual objective exceeds
     the primal's by more than SolverParams.weak_duality_slack.
 
-Flows and weights are arrays over arcs in structures.arc_index order, which is
-direction-major: they reshape without a copy to (..., n, 2^(n-1)), and alpha is
-an array over subset bitmasks.  The kernels that walk the whole lattice at a gap
-evaluation (_arc_flows, _arc_load_max) and the conservation residuals read one
-strided view of the subset axis per direction, through no index array.
+Flows and weights are arrays over arcs, alpha and the potentials arrays over
+subset bitmasks, laid out as structures.arc_ends states; every walk over arcs
+reads its views.
 
 The primal is validated globally by the certified duality gap, which is also
 its stopping rule, not by a convergence proof.  SolverParams.seed is accepted
@@ -89,8 +87,8 @@ from .errors import (
 from .structures import (
     CertificateStructure,
     Symmetry,
-    arc_arrays,
     arc_count,
+    arc_ends,
     arc_orbits,
     mask_members,
     membership_table,
@@ -160,11 +158,7 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class FlowAssignment:
-    """Per-(certificate, arc) flows, dense, arc (S, j) at structures.arc_index(n, S, j).
-
-    The order is direction-major, so values.reshape(M, n, 2^(n-1))[:, j - 1]
-    holds the flows on the arcs that add variable j, by source mask.
-    """
+    """Per-(certificate, arc) flows, dense, arc (S, j) at structures.arc_index(n, S, j)."""
 
     n: int
     values: np.ndarray  # shape (num_certificates, arc_count(n))
@@ -303,10 +297,10 @@ def _conservation_residuals(cert: CertificateStructure, flow: FlowAssignment) ->
     flows = flow.values.reshape(count, n, -1)
     net = np.zeros((count, 1 << n))          # inflow minus outflow
     for j in range(n):
-        ends = net.reshape(count, -1, 2, 1 << j)
-        p = flows[:, j].reshape(count, -1, 1 << j)
-        ends[:, :, 0] -= p
-        ends[:, :, 1] += p
+        tails, heads = arc_ends(net, j)
+        p = flows[:, j].reshape(tails.shape)
+        tails -= p
+        heads += p
     net[:, 0] = -net[:, 0] - 1.0             # the empty set's outflow minus one
     net[membership_table(cert)] = 0.0
     return net
@@ -330,18 +324,14 @@ def primal_constraint_values(flow: FlowAssignment, weights: WeightAssignment) ->
 # dual-side operations
 
 def _arc_load_max(alpha: np.ndarray, n: int) -> float:
-    """Max over arcs of sum_M (alpha_S - alpha_{S+j})^2, streamed per direction.
-
-    Direction j's sources and targets are the two halves of alpha reshaped to
-    (certificates, -1, 2, 2^(j-1)).
-    """
+    """Max over arcs of sum_M (alpha_S - alpha_{S+j})^2, streamed per direction (arc_ends)."""
     count, half = alpha.shape[0], 1 << (n - 1)
     diff = np.empty((count, half))
     loads = np.empty(half)
     top = np.zeros(half)
     for j in range(n):
-        ends = alpha.reshape(count, -1, 2, 1 << j)
-        np.subtract(ends[:, :, 0], ends[:, :, 1], out=diff.reshape(count, -1, 1 << j))
+        tails, heads = arc_ends(alpha, j)
+        np.subtract(tails, heads, out=diff.reshape(tails.shape))
         np.maximum(top, np.einsum("ms,ms->s", diff, diff, out=loads), out=top)
     return float(top.max())
 
@@ -432,7 +422,7 @@ class _Quotient:
         self.size = np.bincount(self.arc_orbit).astype(float)
         self.shape = (len(self.reps), len(self.size))
         orbits = self.shape[1]
-        tail, _, head = arc_arrays(n)
+        arc_nodes = np.empty((2, n, 1 << (n - 1)), dtype=np.int32)  # the arcs' tail and head nodes
         lift = np.empty((len(self.reps), 1 << n), dtype=np.int32)
         sizes, starts, bounds, columns = [], [], [0], [[] for _ in range(5)]
         ground = 0
@@ -444,12 +434,15 @@ class _Quotient:
             outside[label[~row]] = True
             size = int(outside.sum())
             node = np.where(outside, np.cumsum(outside) - 1, -1)[label]    # -1 on members
-            a, b = node[tail], node[head]
+            for j in range(n):
+                for out, half in zip(arc_nodes[:, j], arc_ends(node, j)):
+                    out.reshape(half.shape)[...] = half
+            a, b = arc_nodes.reshape(2, -1)
             # a member source has a member target: members are upward closed
             keep = np.flatnonzero(a >= 0)
-            # (tail, head) ranked first, so that no key overflows int64
-            ends, pair = np.unique(a[keep] * (size + 1) + np.where(b[keep] < 0, size, b[keep]),
-                                   return_inverse=True)
+            # (tail, head) ranked first, and in int64, so that no key overflows
+            ends, pair = np.unique(a[keep] * np.int64(size + 1)
+                                   + np.where(b[keep] < 0, size, b[keep]), return_inverse=True)
             classes, count = np.unique(pair * orbits + self.arc_orbit[keep], return_counts=True)
             pair, orbit = np.divmod(classes, orbits)
             a, b = np.divmod(ends[pair], size + 1)
@@ -470,8 +463,10 @@ class _Quotient:
         self.head[self.head < 0] = ground
         self.blocks = [_QuotientBlock(size, start, first, last, self) for size, start, first, last
                        in zip(sizes, starts, bounds, bounds[1:]) if size]
-        self.expand_at = lift.reshape(-1)[
-            self.rep_of[:, None] * (1 << n) + permute_masks(np.argsort(symmetry.carry, axis=1), n)]
+        # offset in place, so that the (certificate, subset) int64 positions are held once
+        positions = permute_masks(np.argsort(symmetry.carry, axis=1), n)
+        positions += self.rep_of[:, None] * (1 << n)
+        self.expand_at = lift.reshape(-1)[positions]
         self.expand_at[member] = ground
 
     def flow(self, w: np.ndarray):
@@ -602,16 +597,15 @@ def _conductances(w: np.ndarray) -> np.ndarray:
 def _arc_flows(potentials: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Per-certificate flows c_e (potential at the source - potential at the target).
 
-    Direction j's sources and targets are the two halves of the potentials
-    reshaped to (certificates, -1, 2, 2^(j-1)); one subtraction per direction
-    writes its row of the (certificates, n, 2^(n-1)) output.
+    One subtraction of arc_ends' halves per direction writes its row of the
+    (certificates, n, 2^(n-1)) output.
     """
     count, lattice = potentials.shape
     n = lattice.bit_length() - 1
     p = np.empty((count, n, lattice >> 1))
     for j in range(n):
-        ends = potentials.reshape(count, -1, 2, 1 << j)
-        np.subtract(ends[:, :, 0], ends[:, :, 1], out=p[:, j].reshape(count, -1, 1 << j))
+        tails, heads = arc_ends(potentials, j)
+        np.subtract(tails, heads, out=p[:, j].reshape(tails.shape))
     p *= c.reshape(n, -1)
     return p.reshape(count, -1)
 

@@ -4,11 +4,9 @@ Variables are indexed 1..n and subsets of [n] are bitmasks (bit j-1 holds
 variable j), so n is capped at 32.  An arc S -> S+{j} is the pair
 (source mask, j), or its position (j-1) 2^(n-1) + (S with bit j-1 removed)
 (arc_index; arc_position is the same closed form on arrays); the lattice has no
-other encoding.  Arcs are direction-major: an array over arcs reshapes without
-a copy to (n, 2^(n-1)), row j-1 holding direction j's arcs in source order, and
-those arcs' sources and targets are the [..., 0, :] and [..., 1, :] halves of an
-array over subsets reshaped to (..., 2, 2^(j-1)).  Full-lattice enumerations
-(all 2^n subsets, all n*2^(n-1) arcs) are additionally capped at n <= 22.
+other encoding, and arc_ends gives its layout over subset and arc arrays.
+Full-lattice enumerations (all 2^n subsets, all n*2^(n-1) arcs) are
+additionally capped at n <= 22.
 
 Each named kind declares generators of a symmetry group, variable
 permutations derived from its kind and params (_SYMMETRIES, next to the
@@ -449,20 +447,29 @@ def arc_index(n: int, source, j: int) -> int:
     return arc_position(n, mask, j - 1)
 
 
-def _arc_sources(n: int) -> np.ndarray:
-    """int64 (n, 2^(n-1)) table: row j - 1 lists the masks without variable j, ascending."""
-    check_lattice(n)
-    rest = np.arange(1 << (n - 1), dtype=np.int64)
-    bits = np.arange(n, dtype=np.int64)[:, None]
-    return ((rest >> bits) << (bits + 1)) | (rest & ((1 << bits) - 1))
+def arc_ends(x: np.ndarray, bit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs adding variable bit + 1 as (tails, heads), views writing through a C-contiguous x.
+
+    x's last axis runs over the 2^n masks.  The tails, the masks without the
+    bit, and the heads, the same masks with it, are x reshaped to
+    (..., 2^(n-1-bit), 2, 2^bit) at [..., 0, :] and [..., 1, :], ascending when
+    flattened.  That is arc_index order: an array over arcs reshaped to
+    (..., n, 2^(n-1)) holds the same arcs in row bit, reshaped to the halves' shape.
+    """
+    ends = x.reshape(x.shape[:-1] + (-1, 2, 1 << bit))
+    return ends[..., 0, :], ends[..., 1, :]
 
 
 def arc_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(source_mask, added_j, target_mask) arrays in arc_index order."""
-    sources = _arc_sources(n)
-    bits = np.arange(n, dtype=np.int64)
-    targets = sources | (np.int64(1) << bits[:, None])
-    return sources.ravel(), np.repeat(bits + 1, 1 << (n - 1)), targets.ravel()
+    """(source_mask, added_j, target_mask) int64 arrays in arc_index order."""
+    check_lattice(n)
+    masks = np.arange(1 << n, dtype=np.int64)
+    tails = np.empty((n, 1 << (n - 1)), dtype=np.int64)
+    heads = np.empty_like(tails)
+    for bit in range(n):
+        for row, half in zip((tails[bit], heads[bit]), arc_ends(masks, bit)):
+            row.reshape(half.shape)[...] = half
+    return tails.ravel(), np.repeat(np.arange(1, n + 1), 1 << (n - 1)), heads.ravel()
 
 
 def permute_masks(g, n: int) -> np.ndarray:
@@ -525,7 +532,7 @@ def arc_orbits(n: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
     """
     moves = []
     if generators:
-        sources = _arc_sources(n)
+        sources = arc_arrays(n)[0].reshape(n, -1)
         moves = [arc_position(n, images[sources], np.asarray(g)[:, None]).ravel()
                  for g, images in zip(generators, permute_masks(generators, n))]
     return _orbit_labels(arc_count(n), generators, moves)

@@ -221,7 +221,7 @@ class TestSolvePrimal:
         def never(*args):
             raise AssertionError("a lattice table was built for a refused job")
 
-        for table in ("membership_table", "arc_orbits", "arc_arrays", "subset_orbits",
+        for table in ("membership_table", "arc_orbits", "arc_ends", "subset_orbits",
                       "permute_masks"):
             monkeypatch.setattr(lg, table, never)
         cert = st.build_named_structure(kind, params)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from lgcomplexity import adversary as adv
 from lgcomplexity import structures as st
 from lgcomplexity.errors import CapacityError, ParameterError, StructuralError
 from lattice_helpers import is_upward_closed
@@ -213,6 +214,64 @@ class TestLatticeArcs:
             st.arc_index(3, 0b001, 1)
         with pytest.raises(StructuralError):
             st.arc_index(3, 0, 4)
+
+
+class TestArcEnds:
+    """The one statement of the arc layout, and the walks that read it against bitwise oracles."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_halves_are_arcs_in_arc_index_order(self, n, lead):
+        masks = np.broadcast_to(np.arange(1 << n), lead + (1 << n,)).copy()
+        src, jj, dst = st.arc_arrays(n)
+        for bit in range(n):
+            tails, heads = st.arc_ends(masks, bit)
+            assert tails.shape == heads.shape == lead + (1 << (n - 1 - bit), 1 << bit)
+            t, h = tails.reshape(lead + (-1,)), heads.reshape(lead + (-1,))
+            # oracle: the masks without the bit, ascending, and the same masks with it
+            without = np.array([s for s in range(1 << n) if not s >> bit & 1])
+            assert np.array_equal(t, np.broadcast_to(without, t.shape))
+            assert np.array_equal(h, t | 1 << bit)
+            row = slice(bit << (n - 1), (bit + 1) << (n - 1))
+            assert np.array_equal(t, np.broadcast_to(src[row], t.shape))
+            assert np.array_equal(h, np.broadcast_to(dst[row], h.shape))
+            assert (jj[row] == bit + 1).all()
+            positions = np.arange(bit << (n - 1), (bit + 1) << (n - 1))
+            assert np.array_equal(st.arc_position(n, t, bit), np.broadcast_to(positions, t.shape))
+            assert [st.arc_index(n, s, bit + 1) for s in t[(0,) * len(lead)].tolist()] == \
+                positions.tolist()
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_halves_write_through(self, lead):
+        x = np.zeros(lead + (1 << 5,))
+        for bit in range(5):
+            tails, heads = st.arc_ends(x, bit)
+            assert np.shares_memory(tails, x) and np.shares_memory(heads, x)
+            tails += 1.0
+            heads -= 1.0
+        # every mask is a tail of its missing bits and a head of its present ones
+        sizes = np.bitwise_count(np.arange(1 << 5))
+        assert np.array_equal(x, np.broadcast_to(5.0 - 2 * sizes, x.shape))
+
+    @pytest.mark.parametrize("kind,params", [
+        ("ksubset", (3, 2)), ("ksubset", (6, 3)), ("ksubset", (8, 1)), ("triangle", (4,)),
+    ])
+    def test_adversary_walks_match_bitwise_oracles(self, kind, params):
+        cert = st.build_named_structure(kind, params)
+        n = cert.n
+        masks = np.arange(1 << n)
+        alpha = np.random.default_rng(n).standard_normal((len(cert), 1 << n))
+        for j in range(1, n + 1):
+            expected = alpha - alpha[:, masks | (1 << (j - 1))]
+            assert adv.difference_coefficients(alpha, j).tobytes() == expected.tobytes()
+        expected = np.zeros((len(cert), 1 << n), dtype=np.int8)
+        for m, certificate in enumerate(cert.certificates):
+            assigned = np.zeros(1 << n, dtype=bool)
+            for i, a in enumerate(st.mask_members(certificate.minimal_sets[0]), start=1):
+                sel = ~assigned & ((masks >> (a - 1)) & 1 == 0)
+                expected[m, sel] = i
+                assigned |= sel
+        assert np.array_equal(adv.generator_partition(cert), expected)
 
 
 class TestSerialization:
